@@ -23,6 +23,7 @@ from .coupling import (
     binary_optimal_coupling,
     build_dilation,
     coupling_from_unitary,
+    dilation_residuals,
     error_probability,
     feasibility_residual,
     outcome_amplitudes,
@@ -102,6 +103,7 @@ __all__ = [
     "check_against_dilation",
     "circulant_eigenvalues",
     "coupling_from_unitary",
+    "dilation_residuals",
     "ensemble_from_json",
     "ensemble_to_json",
     "error_probability",

@@ -204,33 +204,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _dilation_residuals(dilation) -> dict:
-    u = dilation.joint_unitary
-    n = dilation.system_dim
-    unitary_residual = float(np.max(np.abs(u.conj().T @ u - np.eye(n * n))))
-    map_residual = 0.0
-    prob_residual = 0.0
-    for j in range(n):
-        mapped = u @ coupling_mod.dilation_input_vector(dilation, j)
-        target = coupling_mod.dilation_target_vector(dilation, j)
-        map_residual = max(map_residual, float(np.max(np.abs(mapped - target))))
-        amps = coupling_mod.outcome_amplitudes(dilation, j)
-        prob_residual = max(
-            prob_residual,
-            float(np.max(np.abs(np.abs(amps) ** 2 - np.abs(dilation.coupling.c[j]) ** 2))),
-        )
-    coords = dilation.state_coords
-    gram_residual = float(
-        np.max(np.abs(coords @ coords.conj().T - dilation.coupling.ensemble.gram))
-    )
-    return {
-        "unitary_residual": unitary_residual,
-        "map_residual": map_residual,
-        "gram_residual": gram_residual,
-        "outcome_prob_residual": prob_residual,
-    }
-
-
 def cmd_dilation(args) -> int:
     ensemble, raw = _load_ensemble(args.ensemble)
     if args.coupling == "optimal":
@@ -240,7 +213,15 @@ def cmd_dilation(args) -> int:
             obj = json.load(fh)
         cpl = coupling_mod.coupling_from_json(obj, ensemble)
     dilation = coupling_mod.build_dilation(cpl)
-    residuals = _dilation_residuals(dilation)
+    u = dilation.joint_unitary
+    coords = dilation.state_coords
+    checks = coupling_mod.dilation_residuals(dilation)
+    residuals = {
+        "unitary_residual": float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))),
+        "map_residual": checks["map_residual"],
+        "gram_residual": float(np.max(np.abs(coords @ coords.conj().T - ensemble.gram))),
+        "outcome_prob_residual": checks["outcome_prob_residual"],
+    }
     ok = all(value <= 1e-10 for value in residuals.values())
     payload = {
         "system_dim": dilation.system_dim,

@@ -27,6 +27,8 @@ from .errors import (
 ROW_NORM_TOL = 1e-10
 FEASIBILITY_TOL = 1e-8
 ISOMETRY_TOL = 1e-8
+# largest dense joint unitary build_dilation will allocate (16 n^4 bytes)
+MAX_DILATION_BYTES = 1 << 30
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -89,8 +91,12 @@ class DilationModel:
         object.__setattr__(
             self, "state_coords", _frozen(np.array(self.state_coords, dtype=complex))
         )
+        # a read-only view: the n^2 x n^2 matrix is not copied when it is
+        # already complex
         object.__setattr__(
-            self, "joint_unitary", _frozen(np.array(self.joint_unitary, dtype=complex))
+            self,
+            "joint_unitary",
+            _frozen(np.asarray(self.joint_unitary, dtype=complex).view()),
         )
         object.__setattr__(
             self, "post_states", _frozen(np.array(self.post_states, dtype=complex))
@@ -178,41 +184,30 @@ def _polar_orthonormal(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _complete_basis(q: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns q (dim x r) to a dim x dim unitary.
-
-    Deterministic column-pivoted extension: repeatedly take the standard
-    basis vector with the largest residual outside the current span and
-    orthonormalize it (two projection passes for numerical stability).
-    """
-    dim, r = q.shape
-    basis = np.zeros((dim, dim), dtype=complex)
-    basis[:, :r] = q
-    for count in range(r, dim):
-        m = basis[:, :count]
-        residual = 1.0 - np.sum(np.abs(m) ** 2, axis=1)
-        pivot = int(np.argmax(residual))
-        v = np.zeros(dim, dtype=complex)
-        v[pivot] = 1.0
-        v -= m @ (m.conj().T @ v)
-        v -= m @ (m.conj().T @ v)
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-8:  # cannot happen for orthonormal input columns
-            raise ValidationError("basis completion failed; columns not orthonormal")
-        basis[:, count] = v / nrm
-    return basis
-
-
 def build_dilation(coupling: CouplingMatrix) -> DilationModel:
     """Realize a feasible coupling as an explicit n^2 x n^2 joint unitary.
 
     State j gets coordinates ``S[j, :]`` (S the Gram square root), the
     ancilla starts at slot 0, and post-measurement system states are the
-    standard basis.  The partial isometry sending each
-    ``state_j (x) e_0`` to ``sum_k c[j, k] (e_k (x) e_k)`` is expressed
-    in a shared orthonormal-basis pair so the mapping is exact at
-    roundoff scale, then completed to a unitary by deterministic
-    pivoted extension.
+    standard basis.  U must send each ``state_j (x) e_0`` to
+    ``sum_k c[j, k] (e_k (x) e_k)``.  Both sides are already confined to
+    n-dimensional coordinate subspaces: with G = W diag(lam) W^H (kept
+    eigenvectors first) and V the row-orthonormal Procrustes factor of
+    ``thin^H C``, the inputs expand along ``conj(w_alpha) (x) e_0`` (slots
+    ``m*n``) and the targets along ``sum_k V[alpha, k] (e_k (x) e_k)``
+    (slots ``k*n + k``).  Completing V's rows to an n x n unitary
+    ``V_full`` with one QR maps the first frame onto the second exactly,
+    so U consists of
+
+    * the n x n unitary block ``(W V_full)^T`` at rows ``k*n + k`` and
+      columns ``m*n``, and
+    * a 0/1 permutation pairing the remaining n^2 - n input slots with
+      the remaining n^2 - n output slots in sorted order.
+
+    Beyond the O(n^3) eigendecomposition and QR, the cost is filling the
+    dense O(n^4) matrix.  Couplings whose unitary would need more than
+    ``MAX_DILATION_BYTES`` (1 GiB, so n >= 91) are refused with a
+    ValidationError before anything is allocated.
 
     Inner products here are conjugate-linear in the second slot:
     ``<x, y> = sum_i x_i conj(y_i)``, so coordinate rows satisfy
@@ -221,15 +216,20 @@ def build_dilation(coupling: CouplingMatrix) -> DilationModel:
     preserves pairwise inner products and the targets' pairwise products
     equal ``(C C^H)_jl``.
     """
+    n = coupling.n
+    dim = n * n
+    if 16 * dim * dim > MAX_DILATION_BYTES:
+        raise ValidationError(
+            f"a {dim}x{dim} joint unitary needs {16 * dim * dim / 2**30:.2f} GiB, "
+            f"above the {MAX_DILATION_BYTES / 2**30:g} GiB limit"
+        )
     residual = feasibility_residual(coupling)
     if residual > FEASIBILITY_TOL:
         raise InfeasibleCouplingError(
             f"coupling does not reproduce the Gram matrix (residual {residual:.3e}); "
             "inner products are not preserved, so no unitary extension exists"
         )
-    ensemble = coupling.ensemble
-    n = ensemble.n
-    lam, w = np.linalg.eigh(ensemble.gram)
+    lam, w = np.linalg.eigh(coupling.ensemble.gram)
     lam = np.clip(lam, 0.0, None)
     keep = lam > 1e-12 * lam.max()
     # support square root: eigenvalues below the rank cut contribute 0, so
@@ -241,22 +241,19 @@ def build_dilation(coupling: CouplingMatrix) -> DilationModel:
 
     # row-orthonormal V with thin @ V ~= C (orthogonal Procrustes)
     v_iso = _polar_orthonormal(thin.conj().T @ coupling.c)
+    # rows r.. of V_full span the orthogonal complement of V's rows
+    q, _ = np.linalg.qr(v_iso.conj().T, mode="complete")
+    v_full = np.vstack([v_iso, q[:, r:].conj().T])
+    block = np.hstack([w_r, w[:, ~keep]]) @ v_full
 
-    dim = n * n
-    # orthonormal input basis: conj(w_alpha) (x) e_0; state_j = S[j, :]
-    # expands along these with coefficient thin[j, alpha]
-    qa = np.zeros((dim, r), dtype=complex)
-    for alpha in range(r):
-        qa[:, alpha] = np.kron(w_r[:, alpha].conj(), _basis_vec(n, 0))
-    # orthonormal output basis: sum_k V[alpha, k] (e_k (x) e_k)
-    qb = np.zeros((dim, r), dtype=complex)
-    for alpha in range(r):
-        for k in range(n):
-            qb[k * n + k, alpha] = v_iso[alpha, k]
-
-    qa_full = _complete_basis(qa)
-    qb_full = _complete_basis(qb)
-    joint_unitary = qb_full @ qa_full.conj().T
+    input_slots = np.arange(n) * n
+    output_slots = np.arange(n) * (n + 1)
+    joint_unitary = np.zeros((dim, dim), dtype=complex)
+    joint_unitary[np.ix_(output_slots, input_slots)] = block.T
+    joint_unitary[
+        np.setdiff1d(np.arange(dim), output_slots),
+        np.setdiff1d(np.arange(dim), input_slots),
+    ] = 1.0
 
     return DilationModel(
         system_dim=n,
@@ -307,6 +304,31 @@ def outcome_amplitudes(dilation: DilationModel, input_j: int) -> np.ndarray:
         target = np.kron(dilation.post_states[:, k], _basis_vec(n, k))
         amps[k] = np.vdot(target, mapped)
     return amps
+
+
+def dilation_residuals(dilation: DilationModel) -> dict:
+    """State-map and outcome-probability residuals of a dilation.
+
+    ``map_residual`` is the max deviation of ``U (state_j (x) e_init)``
+    from ``sum_k c[j, k] (post_k (x) e_k)``; ``outcome_prob_residual``
+    that of ``|<post_k (x) e_k | U (state_j (x) e_init)>|**2`` from
+    ``|c[j, k]|**2``.  All n inputs are mapped by one n^2 x n product with
+    the columns of U that the ancilla's initial slot selects, so U^H U is
+    never formed.
+    """
+    n = dilation.system_dim
+    c = dilation.coupling.c
+    post = dilation.post_states
+    # column j is U (state_j (x) e_init); row m*n + k is system m, ancilla k
+    mapped = dilation.joint_unitary[:, dilation.ancilla_init_index :: n] @ (
+        dilation.state_coords.T
+    )
+    target = np.einsum("mk,jk->mkj", post, c).reshape(n * n, n)
+    amps = np.einsum("mk,mkj->jk", post.conj(), mapped.reshape(n, n, n))
+    return {
+        "map_residual": float(np.max(np.abs(mapped - target))),
+        "outcome_prob_residual": float(np.max(np.abs(np.abs(amps) ** 2 - np.abs(c) ** 2))),
+    }
 
 
 def post_measurement_state(

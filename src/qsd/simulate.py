@@ -21,7 +21,7 @@ from .closed_form import helstrom_bound
 from .coupling import (
     CouplingMatrix,
     build_dilation,
-    outcome_amplitudes,
+    dilation_residuals,
     success_probability,
 )
 from .ensembles import Ensemble, gram_binary
@@ -139,11 +139,7 @@ def run_monte_carlo(coupling: CouplingMatrix, shots: int, seed: int) -> Simulati
 def check_against_dilation(coupling: CouplingMatrix) -> float:
     """Recompute outcome probabilities from the joint unitary and compare
     with ``|c[j, k]|**2``.  Returns the max deviation; raises above 1e-10."""
-    dilation = build_dilation(coupling)
-    worst = 0.0
-    for j in range(coupling.n):
-        amps = outcome_amplitudes(dilation, j)
-        worst = max(worst, float(np.max(np.abs(np.abs(amps) ** 2 - np.abs(coupling.c[j]) ** 2))))
+    worst = dilation_residuals(build_dilation(coupling))["outcome_prob_residual"]
     if worst > DILATION_CHECK_TOL:
         raise ValidationError(
             f"coupling rows disagree with the dilation (residual {worst:.3e})"

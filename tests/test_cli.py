@@ -260,6 +260,14 @@ class TestDilation:
         assert out["system_dim"] == 3
         assert out["ancilla_dim"] == 3
 
+    def test_oversized_exit_2(self):
+        code, out, err = run_cli(
+            "dilation", "--ensemble", '{"kind":"symmetric","n":91,"s":0.5}', "--check"
+        )
+        assert code == 2
+        assert out == ""
+        assert "GiB" in err
+
 
 class TestSweep:
     def test_header_and_shape(self):

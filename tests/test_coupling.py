@@ -1,7 +1,12 @@
+import dataclasses
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from qsd.closed_form import helstrom_bound, symmetric_min_error
@@ -13,6 +18,7 @@ from qsd.coupling import (
     coupling_from_unitary,
     coupling_to_json,
     dilation_input_vector,
+    dilation_residuals,
     dilation_target_vector,
     error_probability,
     feasibility_residual,
@@ -271,6 +277,126 @@ class TestBuildDilation:
                 assert np.max(np.abs(lhs - rhs)) <= 1e-10
             overlaps = d.state_coords @ d.state_coords.conj().T
             assert np.max(np.abs(overlaps - ens.gram)) <= 1e-10
+
+
+def reference_residuals(d):
+    """Unitarity, map, outcome-probability and Gram residuals, one input
+    at a time through the Kronecker-product vector helpers."""
+    ensemble = d.coupling.ensemble
+    n = ensemble.n
+    u = d.joint_unitary
+    out = {
+        "unitary": float(np.max(np.abs(u.conj().T @ u - np.eye(n * n)))),
+        "map": 0.0,
+        "prob": 0.0,
+        "gram": float(
+            np.max(np.abs(d.state_coords @ d.state_coords.conj().T - ensemble.gram))
+        ),
+    }
+    for j in range(n):
+        lhs = u @ dilation_input_vector(d, j)
+        out["map"] = max(out["map"], float(np.max(np.abs(lhs - dilation_target_vector(d, j)))))
+        amps = outcome_amplitudes(d, j)
+        out["prob"] = max(
+            out["prob"],
+            float(np.max(np.abs(np.abs(amps) ** 2 - np.abs(d.coupling.c[j]) ** 2))),
+        )
+    return out
+
+
+def random_rank_ensemble(rng, n, rank):
+    """n unit vectors drawn in a rank-dimensional space, random priors."""
+    m = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    m /= np.linalg.norm(m, axis=1, keepdims=True)
+    g = m @ m.conj().T
+    g = 0.5 * (g + g.conj().T)
+    np.fill_diagonal(g, 1.0)
+    priors = rng.random(n) + 0.05
+    return Ensemble(n, g, priors / priors.sum())
+
+
+@st.composite
+def sizes_and_ranks(draw):
+    n = draw(st.integers(1, 12))
+    return n, draw(st.integers(1, n)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestDilationConstruction:
+    """The joint unitary is an n x n block on the input slots m*n and the
+    output slots k*n + k, plus a 0/1 pairing of all other slots."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(sizes_and_ranks())
+    def test_residuals_and_permutation(self, case):
+        n, rank, seed = case
+        rng = np.random.default_rng(seed)
+        ens = random_rank_ensemble(rng, n, rank)
+        sf = spectral_factor(ens)
+        assert sf.rank == rank
+        coupling = coupling_from_unitary(ens, random_isometry(rng, sf.rank, n))
+        d = build_dilation(coupling)
+        ref = reference_residuals(d)
+        assert max(ref.values()) <= 1e-10, ref
+        assert max(dilation_residuals(d).values()) <= 1e-10
+
+        dim = n * n
+        input_slots = np.arange(n) * n
+        output_slots = np.arange(n) * (n + 1)
+        outside = np.array(d.joint_unitary)
+        outside[np.ix_(output_slots, input_slots)] = 0.0
+        assert np.isin(outside, (0.0, 1.0)).all()
+        assert np.array_equal(
+            outside.real.sum(axis=1), np.where(np.isin(np.arange(dim), output_slots), 0.0, 1.0)
+        )
+        assert np.array_equal(
+            outside.real.sum(axis=0), np.where(np.isin(np.arange(dim), input_slots), 0.0, 1.0)
+        )
+
+    @pytest.mark.parametrize("kind", ["symmetric", "random"])
+    def test_n32_under_a_second(self, kind):
+        rng = np.random.default_rng(32)
+        if kind == "symmetric":
+            coupling = symmetric_optimal_coupling(32, 0.5)
+        else:
+            ens = random_rank_ensemble(rng, 32, 32)
+            coupling = coupling_from_unitary(ens, random_isometry(rng, 32, 32))
+        start = time.perf_counter()
+        d = build_dilation(coupling)
+        elapsed = time.perf_counter() - start
+        ref = reference_residuals(d)
+        assert max(ref.values()) <= 1e-10, ref
+        assert elapsed < 1.0
+
+    def test_residual_helper_matches_reference(self):
+        d = build_dilation(symmetric_optimal_coupling(4, 0.3))
+        noise = np.random.default_rng(3).standard_normal(d.joint_unitary.shape)
+        bad = dataclasses.replace(d, joint_unitary=d.joint_unitary + 1e-6 * noise)
+        ref = reference_residuals(bad)
+        fast = dilation_residuals(bad)
+        assert fast["map_residual"] > 1e-10
+        assert fast["map_residual"] == pytest.approx(ref["map"], rel=1e-9)
+        assert fast["outcome_prob_residual"] == pytest.approx(ref["prob"], rel=1e-6)
+
+    def test_size_limit_refused_before_allocating(self):
+        # 16 * 91^4 bytes is just above the 1 GiB limit
+        coupling = CouplingMatrix(np.eye(91, dtype=complex), gram_symmetric(91, 0.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="GiB"):
+                build_dilation(coupling)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_joint_unitary_frozen_without_copy(self):
+        d = build_dilation(symmetric_optimal_coupling(3, 0.5))
+        with pytest.raises(ValueError):
+            d.joint_unitary[0, 0] = 0.0
+        u = np.array(d.joint_unitary)
+        again = dataclasses.replace(d, joint_unitary=u)
+        assert np.shares_memory(again.joint_unitary, u)
+        assert u.flags.writeable
 
 
 class TestPostMeasurementState:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -131,6 +132,21 @@ class TestCheckAgainstDilation:
         # a feasible coupling passes through without error
         rpt = run_monte_carlo(symmetric_optimal_coupling(3, 0.5), 1_000_000, 9)
         assert int(rpt.counts.sum()) == 1_000_000
+
+    def test_long_run_at_n64(self):
+        # the dilation check builds a 4096 x 4096 joint unitary first
+        start = time.perf_counter()
+        rpt = run_monte_carlo(symmetric_optimal_coupling(64, 0.5), 1_000_000, 64)
+        elapsed = time.perf_counter() - start
+        assert int(rpt.counts.sum()) == 1_000_000
+        assert abs(rpt.empirical_error - rpt.analytic_error) <= 4 * rpt.std_error
+        assert elapsed < 30.0
+
+    def test_size_limit_refused(self):
+        with pytest.raises(ValidationError, match="GiB"):
+            run_monte_carlo(symmetric_optimal_coupling(91, 0.5), 1_000_000, 0)
+        rpt = run_monte_carlo(symmetric_optimal_coupling(91, 0.5), 999_999, 0)
+        assert int(rpt.counts.sum()) == 999_999
 
 
 class TestTwoStageBinary:
