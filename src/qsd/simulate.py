@@ -3,16 +3,14 @@
 Sampling touches only the coupling's row distributions (outcome k on
 input j has probability ``|c[j, k]|**2``), never the joint unitary; a
 separate cross-check recomputes those distributions from the dilation
-and fails loudly on disagreement.  Shots are split into fixed-size
-chunks with per-chunk substreams so results are bitwise identical for
-any worker count.
+and fails loudly on disagreement.  The count matrix is drawn in one
+multinomial over the n**2 (input, outcome) cells, so a run costs the
+same at any shot count and depends only on (coupling, shots, seed).
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +25,8 @@ from .coupling import (
 from .ensembles import Ensemble, gram_binary
 from .errors import InfeasibleSequentialError, ValidationError
 
-CHUNK_SHOTS = 65536
+# numpy's multinomial takes the shot count as a signed 64-bit integer
+MAX_SHOTS = 2**63
 ROW_SUM_TOL = 1e-8
 DILATION_CHECK_TOL = 1e-10
 # outcome probabilities below this are treated as an impossible branch
@@ -53,42 +52,22 @@ class SimulationReport:
         object.__setattr__(self, "counts", _frozen(np.array(self.counts, dtype=np.int64)))
 
 
-def worker_count() -> int:
-    """Worker cap: QSD_THREADS if set, else hardware parallelism."""
-    env = os.environ.get("QSD_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"QSD_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise ValidationError("QSD_THREADS must be at least 1")
-        return cap
-    return os.cpu_count() or 1
-
-
-def _chunk_counts(chunk_index, chunk_shots, seed, cum_priors, cum_rows, n):
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
-    u_in = rng.random(chunk_shots)
-    u_out = rng.random(chunk_shots)
-    j = np.minimum((u_in[:, None] > cum_priors[None, :]).sum(axis=1), n - 1)
-    k = np.minimum((u_out[:, None] > cum_rows[j]).sum(axis=1), n - 1)
-    return np.bincount(j * n + k, minlength=n * n).reshape(n, n)
-
-
 def run_monte_carlo(coupling: CouplingMatrix, shots: int, seed: int) -> SimulationReport:
     """Simulate the protocol: draw an input by prior, draw an ancilla
     outcome from the input's row distribution, guess that outcome.
 
-    Deterministic for fixed (coupling, shots, seed) at any worker count:
-    shots are cut into 65536-shot chunks, chunk i uses the substream
-    spawned at key (seed, i), and integer counts merge order-free.
-    Long runs (>= 10^6 shots) first verify the row distributions against
-    the explicit dilation.
+    The shots are independent, so the count matrix is one draw from
+    Multinomial(shots, eta_j |c[j, k]|**2) over the n**2 cells: the same
+    law as sampling shot by shot, at O(n**2) cost for any shot count.
+    Deterministic for fixed (coupling, shots, seed).  Long runs
+    (>= 10^6 shots) first verify the row distributions against the
+    explicit dilation.
     """
     shots = int(shots)
     if shots < 1:
         raise ValidationError("shots must be at least 1")
+    if shots >= MAX_SHOTS:
+        raise ValidationError("shots must be below 2**63")
     seed = int(seed)
     if not 0 <= seed < 2**64:
         raise ValidationError("seed must fit in 64 unsigned bits")
@@ -101,27 +80,10 @@ def run_monte_carlo(coupling: CouplingMatrix, shots: int, seed: int) -> Simulati
         check_against_dilation(coupling)
 
     start = time.perf_counter()
-    rows = rows / row_sums[:, None]
-    cum_priors = np.cumsum(coupling.ensemble.priors)
-    cum_rows = np.cumsum(rows, axis=1)
-    n_chunks = (shots + CHUNK_SHOTS - 1) // CHUNK_SHOTS
-    sizes = [min(CHUNK_SHOTS, shots - i * CHUNK_SHOTS) for i in range(n_chunks)]
-
-    workers = min(worker_count(), n_chunks)
-    if workers == 1:
-        partials = [
-            _chunk_counts(i, sizes[i], seed, cum_priors, cum_rows, n)
-            for i in range(n_chunks)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(
-                pool.map(
-                    lambda i: _chunk_counts(i, sizes[i], seed, cum_priors, cum_rows, n),
-                    range(n_chunks),
-                )
-            )
-    counts = np.sum(partials, axis=0, dtype=np.int64)
+    # priors may dip to -PRIOR_TOL; multinomial refuses negative cells
+    joint = np.clip(coupling.ensemble.priors, 0.0, None)[:, None] * rows / row_sums[:, None]
+    joint /= joint.sum()
+    counts = np.random.default_rng(seed).multinomial(shots, joint.ravel()).reshape(n, n)
     elapsed = time.perf_counter() - start
 
     analytic = 1.0 - success_probability(coupling)
@@ -129,7 +91,7 @@ def run_monte_carlo(coupling: CouplingMatrix, shots: int, seed: int) -> Simulati
         shots=shots,
         seed=seed,
         counts=counts,
-        empirical_error=1.0 - float(np.trace(counts)) / shots,
+        empirical_error=(shots - int(np.trace(counts))) / shots,
         analytic_error=analytic,
         std_error=float(np.sqrt(analytic * (1.0 - analytic) / shots)),
         elapsed=elapsed,

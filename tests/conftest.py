@@ -3,23 +3,18 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
 
-def run_cli(*args: str, env_extra: dict[str, str] | None = None):
+def run_cli(*args: str):
     """Run the CLI in a subprocess; returns (exit_code, stdout, stderr)."""
-    env = os.environ.copy()
-    if env_extra:
-        env.update(env_extra)
     proc = subprocess.run(
         [sys.executable, "-m", "qsd", *args],
         capture_output=True,
         text=True,
-        env=env,
         timeout=300,
     )
     return proc.returncode, proc.stdout, proc.stderr

@@ -170,11 +170,17 @@ class TestSimulate:
         assert abs(out["empirical_error"] - 0.1) <= 4 * out["std_error"]
         assert sum(sum(row) for row in out["counts"]) == 1000000
 
-    def test_byte_identical_across_threads(self):
+    def test_byte_identical_same_seed(self):
         args = ("simulate", "--ensemble", SYM_3_HALF, "--shots", "200000", "--seed", "3")
-        a = run_cli(*args, env_extra={"QSD_THREADS": "1"})
-        b = run_cli(*args, env_extra={"QSD_THREADS": "8"})
-        assert a == b
+        assert run_cli(*args) == run_cli(*args)
+
+    def test_undrawable_shots_refused(self):
+        code, out, err = run_cli(
+            "simulate", "--ensemble", BINARY_EQ, "--shots", "100000000000000000000"
+        )
+        assert code == 2
+        assert out == ""
+        assert "2**63" in err
 
     def test_counts_csv(self, tmp_path):
         path = tmp_path / "counts.csv"

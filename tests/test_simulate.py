@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from qsd.coupling import (
     binary_optimal_coupling,
     symmetric_optimal_coupling,
 )
-from qsd.ensembles import gram_binary, gram_symmetric
+from qsd.ensembles import Ensemble, gram_binary, gram_symmetric
 from qsd.errors import InfeasibleSequentialError, ValidationError
 from qsd.simulate import (
     SimulationReport,
@@ -19,7 +20,6 @@ from qsd.simulate import (
     preservation_residual,
     run_monte_carlo,
     two_stage_binary,
-    worker_count,
 )
 
 HELSTROM_30_40 = 0.03481186601547971  # decimal-evaluated, (eta1, s) = (0.3, 0.4)
@@ -45,19 +45,10 @@ class TestRunMonteCarlo:
     def test_report_identities(self):
         rpt = run_monte_carlo(binary_optimal_coupling(0.5, 0.6), 50_000, 21)
         assert int(rpt.counts.sum()) == rpt.shots == 50_000
-        diag = float(np.trace(rpt.counts))
-        assert rpt.empirical_error == pytest.approx(1.0 - diag / rpt.shots, abs=0)
+        wrong = rpt.shots - int(np.trace(rpt.counts))
+        assert rpt.empirical_error == float(Fraction(wrong, rpt.shots))
         p = rpt.analytic_error
         assert rpt.std_error == pytest.approx(math.sqrt(p * (1 - p) / rpt.shots), abs=0)
-
-    def test_reproducible_across_worker_counts(self, monkeypatch):
-        coupling = symmetric_optimal_coupling(4, 0.3)
-        results = []
-        for workers in ("1", "2", "8"):
-            monkeypatch.setenv("QSD_THREADS", workers)
-            results.append(run_monte_carlo(coupling, 300_000, 42).counts)
-        assert np.array_equal(results[0], results[1])
-        assert np.array_equal(results[0], results[2])
 
     def test_reproducible_same_seed(self):
         coupling = binary_optimal_coupling(0.25, 0.6)
@@ -98,28 +89,60 @@ class TestRunMonteCarlo:
         with pytest.raises(ValidationError):
             run_monte_carlo(binary_optimal_coupling(0.5, 0.6), 0, 1)
 
+    def test_shots_beyond_int64_refused(self):
+        coupling = binary_optimal_coupling(0.5, 0.6)
+        for shots in (2**63, 10**20):
+            with pytest.raises(ValidationError, match="2\\*\\*63"):
+                run_monte_carlo(coupling, shots, 1)
+        rpt = run_monte_carlo(coupling, 2**63 - 1, 1)
+        assert int(rpt.counts.sum()) == 2**63 - 1
+
+    def test_empirical_error_exact(self):
+        # (shots - trace) / shots keeps relative accuracy where
+        # 1 - trace / shots would cancel
+        coupling = symmetric_optimal_coupling(2, 1e-4)
+        for shots in (10**12 + 1, 10**15 + 7):
+            rpt = run_monte_carlo(coupling, shots, 8)
+            wrong = shots - int(np.trace(rpt.counts))
+            assert wrong > 0
+            assert rpt.empirical_error == float(Fraction(wrong, shots))
+
+    def test_tiny_negative_prior(self):
+        ens = Ensemble(2, np.eye(2, dtype=complex), np.array([1.0 + 1e-13, -1e-13]))
+        rpt = run_monte_carlo(CouplingMatrix(np.eye(2, dtype=complex), ens), 100_000, 4)
+        assert rpt.counts.tolist() == [[100_000, 0], [0, 0]]
+
+    def test_zero_prior_row_never_drawn(self):
+        ens = Ensemble(3, np.eye(3, dtype=complex), np.array([0.5, 0.0, 0.5]))
+        coupling = CouplingMatrix(np.eye(3, dtype=complex)[[0, 2, 1]], ens)
+        rpt = run_monte_carlo(coupling, 999_999, 6)
+        assert rpt.counts[1].tolist() == [0, 0, 0]
+        assert int(rpt.counts.sum()) == 999_999
+
+    def test_law_n16_dirichlet(self):
+        # every cell and every row total within 5 sigma of its binomial mean
+        rng = np.random.default_rng(1616)
+        n, shots = 16, 10**7
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        ens = Ensemble(n, np.eye(n, dtype=complex), rng.dirichlet(np.ones(n)))
+        rpt = run_monte_carlo(CouplingMatrix(q, ens), shots, 1617)
+        cells = ens.priors[:, None] * np.abs(q) ** 2
+        for observed, p in ((rpt.counts, cells), (rpt.counts.sum(axis=1), ens.priors)):
+            sd = np.sqrt(shots * p * (1 - p))
+            assert np.all(np.abs(observed - shots * p) <= 5 * sd)
+
+    def test_cost_independent_of_shots(self):
+        coupling = symmetric_optimal_coupling(64, 0.5)
+        start = time.perf_counter()
+        rpt = run_monte_carlo(coupling, 10**12, 12)
+        elapsed = time.perf_counter() - start
+        assert int(rpt.counts.sum()) == 10**12
+        assert elapsed < 1.0
+
     def test_counts_frozen(self):
         rpt = run_monte_carlo(binary_optimal_coupling(0.5, 0.6), 1000, 1)
         with pytest.raises(ValueError):
             rpt.counts[0, 0] = 0
-
-
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("QSD_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("QSD_THREADS", raising=False)
-        assert worker_count() >= 1
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("QSD_THREADS", "many")
-        with pytest.raises(ValidationError):
-            worker_count()
-        monkeypatch.setenv("QSD_THREADS", "0")
-        with pytest.raises(ValidationError):
-            worker_count()
 
 
 class TestCheckAgainstDilation:
