@@ -344,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-coupling", action="store_true")
     p.set_defaults(func=cmd_symmetric)
 
-    p = sub.add_parser("psk", help="structured solver for PSK coherent sets")
+    p = sub.add_parser("psk", help="optimal circulant coupling for PSK coherent sets")
     p.add_argument("--n", type=int, required=True, choices=(3, 4))
     p.add_argument("--alpha-sq", type=float, required=True)
     p.add_argument("--emit-coupling", action="store_true")

@@ -36,7 +36,7 @@ def _binary_args(eta1: float, overlap: complex) -> tuple[float, float]:
     if not 0.0 <= eta1 <= 1.0:
         raise ValidationError(f"eta1 must lie in [0, 1], got {eta1!r}")
     s = abs(complex(overlap))
-    if s > 1.0 + 1e-12:
+    if not s <= 1.0 + 1e-12:  # also rejects NaN
         raise ValidationError(f"|overlap| must be <= 1, got {s!r}")
     return eta1, min(s, 1.0)
 

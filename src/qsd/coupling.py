@@ -184,6 +184,18 @@ def _polar_orthonormal(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
+def _complement(dim: int, slots: np.ndarray) -> np.ndarray:
+    """Sorted indices in range(dim) not in slots.
+
+    A boolean mask, not ``np.setdiff1d``: numpy 2.4's setdiff1d imports
+    ``numpy.ma`` on first use, 15-28 ms that would land in the first
+    build_dilation of a process.
+    """
+    mask = np.ones(dim, dtype=bool)
+    mask[slots] = False
+    return np.flatnonzero(mask)
+
+
 def build_dilation(coupling: CouplingMatrix) -> DilationModel:
     """Realize a feasible coupling as an explicit n^2 x n^2 joint unitary.
 
@@ -250,10 +262,7 @@ def build_dilation(coupling: CouplingMatrix) -> DilationModel:
     output_slots = np.arange(n) * (n + 1)
     joint_unitary = np.zeros((dim, dim), dtype=complex)
     joint_unitary[np.ix_(output_slots, input_slots)] = block.T
-    joint_unitary[
-        np.setdiff1d(np.arange(dim), output_slots),
-        np.setdiff1d(np.arange(dim), input_slots),
-    ] = 1.0
+    joint_unitary[_complement(dim, output_slots), _complement(dim, input_slots)] = 1.0
 
     return DilationModel(
         system_dim=n,

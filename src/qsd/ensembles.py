@@ -66,6 +66,11 @@ class Ensemble:
             raise ValidationError(f"gram must be {n}x{n}, got {gram.shape}")
         if priors.shape != (n,):
             raise ValidationError(f"priors must have length {n}")
+        # NaN fails every comparison below, so it must be caught here
+        if not np.all(np.isfinite(gram)):
+            raise ValidationError("gram entries must be finite")
+        if not np.all(np.isfinite(priors)):
+            raise ValidationError("priors must be finite")
         herm = np.max(np.abs(gram - gram.conj().T))
         if herm > HERMITIAN_TOL:
             raise ValidationError(f"gram is not Hermitian (residual {herm:.3e})")
@@ -125,7 +130,7 @@ def gram_binary(overlap: complex, eta1: float) -> Ensemble:
         Prior probability of the first state; the second gets ``1 - eta1``.
     """
     overlap = complex(overlap)
-    if abs(overlap) > 1.0 + 1e-12:
+    if not abs(overlap) <= 1.0 + 1e-12:  # also rejects NaN
         raise ValidationError(f"|overlap| must be <= 1, got {abs(overlap)!r}")
     eta1 = float(eta1)
     if not 0.0 <= eta1 <= 1.0:
@@ -166,8 +171,8 @@ def gram_psk(n: int, alpha_sq: float) -> Ensemble:
     if n < 2:
         raise ValidationError("n must be at least 2")
     alpha_sq = float(alpha_sq)
-    if alpha_sq < 0.0:
-        raise ValidationError(f"alpha_sq must be nonnegative, got {alpha_sq!r}")
+    if not 0.0 <= alpha_sq < np.inf:
+        raise ValidationError(f"alpha_sq must be finite and nonnegative, got {alpha_sq!r}")
     omega = np.exp(2j * np.pi / n)
     j, l = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     gram = np.exp(-alpha_sq * (1.0 - omega ** ((l - j) % n)))
@@ -193,7 +198,7 @@ def spectral_factor(ensemble: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> S
     -------
     SpectralFactor
     """
-    if rank_tol <= 0:
+    if not rank_tol > 0:
         raise ValidationError("rank_tol must be positive")
     try:
         lam, w = np.linalg.eigh(ensemble.gram)

@@ -1,31 +1,29 @@
-"""Numerical maximization of the correct-identification probability.
+"""Maximization of the correct-identification probability.
 
 Two routes to the same objective ``sum_j eta_j |c_jj|**2``:
 
 * :func:`optimize_general` searches all feasible couplings ``C = B V``
   by Riemannian gradient ascent over row-orthonormal V, with a
   square-root-measurement warm start plus seeded random restarts.
-* :func:`psk3_solve` / :func:`psk4_solve` exploit the circulant
-  structure of phase-shift-keyed sets: the coupling is determined by a
-  handful of real parameters tied together by the overlap constraints,
-  so the problem reduces to polynomial root finding (plus, for n = 4,
-  a one-dimensional outer maximization).
+* :func:`psk3_solve` / :func:`psk4_solve` need no search.  Equal-prior
+  phase-shift-keyed sets are geometrically uniform, so the square-root
+  measurement is optimal for them (Ban, Kurokawa, Momose & Hirota 1997;
+  Eldar & Forney 2001) and the optimal coupling is the circulant
+  ``G^{1/2}``, whose first row is the inverse DFT of the square roots
+  of the Gram eigenvalues.  That row is checked against the overlap
+  constraints ``C C^H = G`` before it is returned.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar, root
 
 from .coupling import CouplingMatrix, _polar_orthonormal, success_probability
-from .ensembles import Ensemble, gram_psk, spectral_factor
+from .ensembles import Ensemble, circulant_eigenvalues, gram_psk, spectral_factor
 from .errors import InvalidIsometryError, NoSolutionError, ValidationError
-
-logger = logging.getLogger(__name__)
 
 MIN_STEP = 1e-18
 # objective band (absolute, objective lies in [0, 1]) inside which a step
@@ -48,8 +46,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError("max_iters must be positive")
-        if self.grad_tol <= 0 or self.step_init <= 0 or self.rank_tol <= 0:
-            raise ValidationError("grad_tol, step_init, rank_tol must be positive")
+        if not all(0 < x < math.inf for x in (self.grad_tol, self.step_init, self.rank_tol)):
+            raise ValidationError("grad_tol, step_init, rank_tol must be positive and finite")
         if self.restarts < 1:
             raise ValidationError("restarts must be at least 1")
         if not 0 <= int(self.seed) < 2**64:
@@ -58,12 +56,16 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class PskParams:
-    """Structured parameters of a circulant PSK coupling.
+    """Parameters of a circulant PSK coupling's first row.
 
-    The coupling's first row is ``(sqrt(p), u - i v, u + i v)`` for three
-    states and ``(sqrt(p), u - i v, sqrt(r_prime) e^{i theta2}, u + i v)``
-    for four, with ``u = sqrt(r) cos(theta1)``, ``v = sqrt(r) sin(theta1)``.
-    ``r_prime`` and ``theta2`` are None for the ternary case.
+    The row is ``(sqrt(p), u - i v, u + i v)`` for three states and
+    ``(sqrt(p), u - i v, sqrt(r_prime) e^{i theta2}, u + i v)`` for four,
+    with ``u = sqrt(r) cos(theta1)``, ``v = sqrt(r) sin(theta1)``.  p is
+    the success probability of every input, r the probability of each
+    neighbouring outcome and r_prime that of the opposite one, so the
+    row norm reads ``p + 2 r (+ r_prime) = 1``.  ``r_prime`` and
+    ``theta2`` are None for the ternary case; the optimal quaternary row
+    has theta2 in {0, pi}.
     """
 
     p: float
@@ -255,186 +257,73 @@ def optimize_general(ensemble: Ensemble, config: SolverConfig | None = None) -> 
 # structured PSK solvers
 
 
-def _accept_root(sol, residual_fn) -> np.ndarray | None:
-    if not sol.success:
-        return None
-    if max(abs(f) for f in residual_fn(sol.x)) > ROOT_RESIDUAL_TOL:
-        return None
-    return sol.x
+def _circulant(first_row: np.ndarray) -> np.ndarray:
+    n = first_row.shape[0]
+    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return first_row[(k - j) % n]
 
 
-def _psk3_seeds():
-    seeds = [(1.0, 0.0, 0.0), (1.0 / math.sqrt(3), 1.0 / math.sqrt(3), 0.0)]
-    for q in np.linspace(0.55, 0.999, 8):
-        amp = math.sqrt(max((1.0 - q * q) / 2.0, 0.0))
-        for theta in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
-            seeds.append((q, amp * math.cos(theta), amp * math.sin(theta)))
-    return seeds
+def _psk_row(n: int, alpha_sq: float) -> np.ndarray:
+    """First row of the optimal circulant PSK coupling ``G^{1/2}``.
+
+    Equal-prior PSK states are geometrically uniform, so the square-root
+    measurement is optimal and its coupling is the principal square root
+    of the circulant Gram matrix: the circulant whose first row is the
+    inverse DFT of ``sqrt(lambda_k)``.  The row is then checked against
+    the overlap constraints ``C C^H = G`` (row norm and overlaps), which
+    do not depend on the DFT.
+    """
+    ensemble = gram_psk(n, alpha_sq)
+    row = np.fft.ifft(np.sqrt(circulant_eigenvalues(ensemble.gram[0])))
+    c = _circulant(row)
+    residual = float(np.max(np.abs(c @ c.conj().T - ensemble.gram)))
+    if residual > ROOT_RESIDUAL_TOL:
+        raise NoSolutionError(
+            f"circulant coupling misses the overlap constraints at alpha_sq={alpha_sq!r} "
+            f"(residual {residual:.3e})"
+        )
+    return row
 
 
 def psk3_solve(alpha_sq: float) -> tuple[PskParams, float]:
     """Optimal circulant coupling for three phase-shift-keyed states.
 
-    Solves the three real constraint equations (unit row norm plus the
-    complex nearest-neighbour overlap) for ``(sqrt(p), u, v)`` from many
-    deterministic seeds and keeps the admissible root with the largest
-    p.  The sign ambiguity ``(q, u, v) -> (-q, -u, -v)`` is fixed by
-    taking ``q >= 0``.
+    The first row ``(sqrt(p), u - i v, u + i v)`` is that of ``G^{1/2}``
+    (see :func:`_psk_row`).  The error probability is the row's
+    off-diagonal mass ``2 r``, which keeps its relative accuracy where
+    ``1 - p`` would cancel.
     """
-    if alpha_sq == 0.0:
-        # identical states: the constraint system has a double root there,
-        # which costs root finders ~sqrt(eps) accuracy; the solution is exact
-        q = 1.0 / math.sqrt(3.0)
-        return PskParams(p=1.0 / 3.0, r=1.0 / 3.0, theta1=0.0, u=q, v=0.0), 2.0 / 3.0
-    ensemble = gram_psk(3, alpha_sq)
-    s = complex(ensemble.gram[0, 1])
-
-    def residual(x):
-        q, u, v = x
-        return [
-            2.0 * q * u + u * u - v * v - s.real,
-            -2.0 * q * v + 2.0 * u * v - s.imag,
-            q * q + 2.0 * (u * u + v * v) - 1.0,
-        ]
-
-    best = None
-    for x0 in _psk3_seeds():
-        found = _accept_root(root(residual, x0, method="hybr", tol=1e-12), residual)
-        if found is None:
-            continue
-        q, u, v = found
-        if q < 0.0:
-            q, u, v = -q, -u, -v
-        if best is None or q * q > best[0] * best[0]:
-            best = (q, u, v)
-    if best is None:
-        raise NoSolutionError(
-            f"no admissible ternary coupling root found at alpha_sq={alpha_sq!r}"
-        )
-    q, u, v = best
-    p = q * q
-    params = PskParams(p=p, r=u * u + v * v, theta1=math.atan2(v, u), u=u, v=v)
-    return params, 1.0 - p
-
-
-def _psk4_dense_seeds():
-    seeds = [(1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.0, 0.5)]
-    for big in (0.55, 0.75, 0.95):
-        for y in (0.08, 0.3, 0.55):
-            amp = math.sqrt(max((1.0 - big * big - y * y) / 2.0, 0.0))
-            for theta in np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False):
-                seeds.append((big, amp * math.cos(theta), amp * math.sin(theta), y))
-    return seeds
-
-
-_PSK4_LIGHT_SEEDS = [(1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.0, 0.5)]
+    row = _psk_row(3, alpha_sq)
+    q, w = float(row[0].real), complex(row[1])
+    u, v = w.real, -w.imag
+    r = u * u + v * v
+    params = PskParams(p=q * q, r=r, theta1=math.atan2(v, u), u=u, v=v)
+    return params, 2.0 * r
 
 
 def psk4_solve(alpha_sq: float) -> tuple[PskParams, float]:
     """Optimal circulant coupling for four phase-shift-keyed states.
 
-    For fixed ``kappa = cos(theta2)`` the four remaining real unknowns
-    ``(sqrt(p), Re w, Im w, sqrt(r_prime))`` with ``w = u - i v`` solve a
-    polynomial system (row norm, complex nearest-neighbour overlap, real
-    opposite-state overlap); the outer problem maximizes p over kappa in
-    [-1, 1] on a grid with continuation, then refines the best point by
-    bounded scalar search.  Roots with negative sqrt(p) or sqrt(r_prime)
-    are mirrors of roots at -kappa and are skipped.
+    The first row ``(sqrt(p), u - i v, z, u + i v)`` is that of
+    ``G^{1/2}`` (see :func:`_psk_row`).  The opposite-state amplitude z
+    is real, so ``r_prime = z**2`` and ``theta2`` is 0 for ``z >= 0`` and
+    pi otherwise.  The error probability is the off-diagonal mass
+    ``2 r + r_prime``.
     """
-    if alpha_sq == 0.0:
-        # identical states; see psk3_solve for why this is special-cased
-        return (
-            PskParams(p=0.25, r=0.25, theta1=0.0, u=0.5, v=0.0, r_prime=0.25, theta2=0.0),
-            0.75,
-        )
-    ensemble = gram_psk(4, alpha_sq)
-    g1 = complex(ensemble.gram[0, 1])
-    g2 = float(ensemble.gram[0, 2].real)
-
-    def solve_at(kappa, seeds):
-        def residual(x):
-            big, a, b, y = x
-            return [
-                big * big + 2.0 * (a * a + b * b) + y * y - 1.0,
-                2.0 * a * (big + kappa * y) - g1.real,
-                2.0 * b * (big - kappa * y) - g1.imag,
-                2.0 * kappa * big * y + 2.0 * (a * a - b * b) - g2,
-            ]
-
-        best = None
-        for x0 in seeds:
-            found = _accept_root(root(residual, x0, method="hybr", tol=1e-12), residual)
-            if found is None:
-                continue
-            big, a, b, y = found
-            if big < -1e-12 or y < -1e-12:
-                continue
-            big, y = max(big, 0.0), max(y, 0.0)
-            if best is None or big * big > best[0] * best[0]:
-                best = (big, a, b, y)
-        return best
-
-    evaluated = {}  # kappa -> root tuple; best-p root at that kappa
-
-    def eval_kappa(kappa, extra_seed=None):
-        seeds = list(_PSK4_LIGHT_SEEDS)
-        if extra_seed is not None:
-            seeds.insert(0, tuple(extra_seed))
-        found = solve_at(kappa, seeds)
-        if found is None:
-            found = solve_at(kappa, _psk4_dense_seeds())
-        if found is None:
-            logger.debug("no admissible root at kappa=%r, alpha_sq=%r", kappa, alpha_sq)
-        else:
-            evaluated[kappa] = found
-        return found
-
-    for kappa in (1.0, -1.0):
-        found = solve_at(kappa, _psk4_dense_seeds())
-        if found is not None:
-            evaluated[kappa] = found
-
-    prev = evaluated.get(1.0)
-    for kappa in np.linspace(0.9, -0.9, 13):
-        found = eval_kappa(float(kappa), extra_seed=prev)
-        if found is not None:
-            prev = found
-
-    if not evaluated:
-        raise NoSolutionError(
-            f"no admissible quaternary coupling root found at alpha_sq={alpha_sq!r}"
-        )
-
-    kappa_star = max(evaluated, key=lambda k: evaluated[k][0])
-    anchor = evaluated[kappa_star]
-
-    def neg_p(kappa):
-        kappa = float(kappa)
-        found = solve_at(kappa, [tuple(anchor)] + _PSK4_LIGHT_SEEDS)
-        if found is None:
-            return 1.0
-        cur = evaluated.get(kappa)
-        if cur is None or found[0] > cur[0]:
-            evaluated[kappa] = found
-        return -found[0] * found[0]
-
-    lo = max(-1.0, kappa_star - 0.15)
-    hi = min(1.0, kappa_star + 0.15)
-    minimize_scalar(neg_p, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
-
-    kappa_best = max(evaluated, key=lambda k: evaluated[k][0])
-    big, a, b, y = evaluated[kappa_best]
-    p = big * big
+    row = _psk_row(4, alpha_sq)
+    q, w, z = float(row[0].real), complex(row[1]), float(row[2].real)
+    u, v = w.real, -w.imag
+    r = u * u + v * v
     params = PskParams(
-        p=p,
-        r=a * a + b * b,
-        theta1=math.atan2(-b, a),
-        u=a,
-        v=-b,
-        r_prime=y * y,
-        theta2=math.acos(min(max(kappa_best, -1.0), 1.0)),
+        p=q * q,
+        r=r,
+        theta1=math.atan2(v, u),
+        u=u,
+        v=v,
+        r_prime=z * z,
+        theta2=0.0 if z >= 0.0 else math.pi,
     )
-    return params, 1.0 - p
+    return params, 2.0 * r + z * z
 
 
 def psk_coupling(n: int, alpha_sq: float, params: PskParams) -> CouplingMatrix:
@@ -450,6 +339,4 @@ def psk_coupling(n: int, alpha_sq: float, params: PskParams) -> CouplingMatrix:
         first_row = np.array([math.sqrt(params.p), w, z, np.conj(w)])
     else:
         raise ValidationError("structured PSK couplings exist only for n in {3, 4}")
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    c = first_row[(k - j) % n]
-    return CouplingMatrix(c, ensemble)
+    return CouplingMatrix(_circulant(first_row), ensemble)

@@ -171,6 +171,28 @@ def test_criterion_4_psk_oracle_and_limit():
         assert abs(at_corner - oracle_corner) <= 1e-6
         _, at_tiny = solve(1e-12)
         assert abs(at_tiny - limit) <= 1e-6
+
+    # checks that do not use the DFT: every coupling meets the overlap
+    # constraints C C^H = G, and the general optimizer, which searches all
+    # feasible couplings, reaches the same error at 5 intensities per N
+    worst_feasibility = 0.0
+    worst_general = 0.0
+    for n, solve in solvers.items():
+        for i, a in enumerate(np.linspace(0.05, 2.0, 40)):
+            a = float(a)
+            params, p_err = solve(a)
+            worst_feasibility = max(
+                worst_feasibility, feasibility_residual(psk_coupling(n, a, params))
+            )
+            if i % 8 == 0:
+                general = optimize_general(gram_psk(n, a)).p_error
+                worst_general = max(worst_general, abs(p_err - general))
+    print(
+        f"criterion 4: feasibility {worst_feasibility:.3e}, "
+        f"vs general optimizer {worst_general:.3e}"
+    )
+    assert worst_feasibility <= 1e-10
+    assert worst_general <= 1e-8
     elapsed = time.perf_counter() - start
     print(f"criterion 4: oracle gap {worst_oracle:.3e}, {elapsed:.2f}s")
     assert worst_oracle <= 1e-8

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +28,14 @@ class TestBound:
         code, _, err = run_cli("bound", "--eta1", "1.5", "--overlap-re", "0.2")
         assert code == 2
         assert err.strip()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_overlap_exit_2(self, bad):
+        code, out, err = run_cli("bound", "--eta1", "0.5", "--overlap-re", bad)
+        assert code == 2
+        assert out == ""
+        assert "overlap" in err
+        assert "Traceback" not in err
 
     def test_complex_overlap(self):
         out = cli_json(
@@ -74,6 +84,18 @@ class TestPsk:
     def test_negative_intensity_exit_2(self):
         code, _, _ = run_cli("psk", "--n", "3", "--alpha-sq", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_intensity_exit_2(self, bad):
+        code, out, err = run_cli("psk", "--n", "3", "--alpha-sq", bad)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+        assert "Traceback" not in err
+
+    def test_large_intensity_ternary(self):
+        out = cli_json("psk", "--n", "3", "--alpha-sq", "15")
+        assert 0.0 < out["p_error"] < 1e-19
 
 
 class TestOptimize:
@@ -173,6 +195,21 @@ class TestSimulate:
     def test_byte_identical_same_seed(self):
         args = ("simulate", "--ensemble", SYM_3_HALF, "--shots", "200000", "--seed", "3")
         assert run_cli(*args) == run_cli(*args)
+
+    def test_nan_prior_exit_2(self, tmp_path):
+        ensemble = (
+            '{"kind":"gram","matrix":[[1,0,0],[0,1,0],[0,0,1]],'
+            '"priors":[NaN,0.5,0.5]}'
+        )
+        path = tmp_path / "coupling.json"
+        path.write_text(json.dumps({"c": np.eye(3).tolist()}))
+        code, out, err = run_cli(
+            "simulate", "--ensemble", ensemble, "--shots", "1000", "--coupling", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert "priors must be finite" in err
+        assert "Traceback" not in err
 
     def test_undrawable_shots_refused(self):
         code, out, err = run_cli(
@@ -461,3 +498,19 @@ class TestTopLevel:
     def test_malformed_inline_json_exit_2(self):
         code, _, err = run_cli("optimize", "--ensemble", '{"kind":')
         assert code == 2
+
+
+def test_cli_and_dilation_import_neither_scipy_nor_numpy_ma():
+    # a fresh interpreter: the test session itself may have loaded both
+    script = (
+        "import sys, qsd.cli\n"
+        "from qsd import build_dilation, symmetric_optimal_coupling\n"
+        "build_dilation(symmetric_optimal_coupling(3, 0.5))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -41,7 +41,7 @@ class TestGramBinary:
         ens = gram_binary(0.3 + 0.4j, 0.7)
         assert ens.gram[1, 0] == np.conj(ens.gram[0, 1])
 
-    @pytest.mark.parametrize("overlap", [1.1, -1.0001, 0.8 + 0.7j])
+    @pytest.mark.parametrize("overlap", [1.1, -1.0001, 0.8 + 0.7j, math.nan])
     def test_overlap_too_large(self, overlap):
         with pytest.raises(ValidationError):
             gram_binary(overlap, 0.5)
@@ -97,6 +97,11 @@ class TestGramPsk:
         with pytest.raises(ValidationError):
             gram_psk(3, -0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_intensity_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            gram_psk(3, bad)
+
     def test_large_intensity_orthogonal_limit(self):
         ens = gram_psk(4, 50.0)
         off = ens.gram[~np.eye(4, dtype=bool)]
@@ -124,6 +129,18 @@ class TestEnsembleValidation:
         g = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
         with pytest.raises(ValidationError):
             Ensemble(3, g.astype(complex), np.full(3, 1 / 3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gram_rejected(self, bad):
+        g = np.eye(3, dtype=complex)
+        g[0, 1] = g[1, 0] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            Ensemble(3, g, np.full(3, 1 / 3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_priors_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            Ensemble(3, np.eye(3, dtype=complex), np.array([bad, 0.5, 0.5]))
 
     def test_priors_must_sum_to_one(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -52,6 +53,10 @@ class TestSolverConfig:
             {"restarts": 0},
             {"rank_tol": 0.0},
             {"seed": -1},
+            {"grad_tol": math.nan},
+            {"step_init": math.nan},
+            {"rank_tol": math.nan},
+            {"step_init": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -238,3 +243,47 @@ class TestPskParamsValidation:
 
     def test_valid_ternary(self):
         PskParams(p=0.5, r=0.25, theta1=0.0, u=0.5, v=0.0)
+
+
+PSK_GRID = [float(a) for a in np.geomspace(0.05, 20.0, 60)]
+
+
+@pytest.mark.parametrize("n, solve", [(3, psk3_solve), (4, psk4_solve)])
+def test_psk_solvers_cover_the_whole_intensity_range(n, solve):
+    for a in PSK_GRID:
+        params, p_err = solve(a)
+        assert feasibility_residual(psk_coupling(n, a, params)) <= 1e-10, a
+        assert abs(p_err - srm_error_circulant(gram_psk(n, a))) <= 1e-8, a
+
+
+def _mp_psk_error(n, alpha_sq):
+    """SRM error of n-PSK at 60 digits: 1 - ((1/n) sum_k sqrt(lambda_k))**2,
+    with the circulant eigenvalues summed in mpmath from the Gram row."""
+    with mpmath.workdps(60):
+        a = mpmath.mpf(alpha_sq)
+        omega = [mpmath.expjpi(mpmath.mpf(2 * d) / n) for d in range(n)]
+        row = [mpmath.exp(-a * (1 - omega[d])) for d in range(n)]
+        lam = [
+            mpmath.re(mpmath.fsum(row[d] * mpmath.conj(omega[(k * d) % n]) for d in range(n)))
+            for k in range(n)
+        ]
+        p = (mpmath.fsum(mpmath.sqrt(x) for x in lam) / n) ** 2
+        return 1 - p
+
+
+@pytest.mark.parametrize(
+    "n, alpha_sq",
+    [(3, 1.0), (3, 10.0), (3, 15.0), (4, 1.0), (4, 10.0), (4, 15.0), (4, 20.0)],
+)
+def test_psk_error_keeps_relative_accuracy(n, alpha_sq):
+    _, p_err = (psk3_solve if n == 3 else psk4_solve)(alpha_sq)
+    exact = _mp_psk_error(n, alpha_sq)
+    assert exact > 0
+    assert abs(mpmath.mpf(p_err) / exact - 1) <= 1e-6
+
+
+def test_psk4_opposite_amplitude_is_real():
+    for a in (0.05, 1.0, 10.0):
+        params, p_err = psk4_solve(a)
+        assert params.theta2 in (0.0, math.pi)
+        assert p_err == 2 * params.r + params.r_prime
