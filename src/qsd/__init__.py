@@ -57,6 +57,7 @@ from .optimizer import (
     OptimizeResult,
     PskParams,
     SolverConfig,
+    dual_gap,
     objective_gradient,
     optimize_general,
     psk3_solve,
@@ -104,6 +105,7 @@ __all__ = [
     "circulant_eigenvalues",
     "coupling_from_unitary",
     "dilation_residuals",
+    "dual_gap",
     "ensemble_from_json",
     "ensemble_to_json",
     "error_probability",

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 JSON_DIGITS = 17
 CSV_DIGITS = 12
 
@@ -31,8 +33,11 @@ def parse_complex(obj) -> complex:
     if isinstance(obj, (int, float)):
         return complex(obj)
     if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-    raise ValueError(f"expected a number or {{re, im}} object, got {obj!r}")
+        try:
+            return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed complex number {obj!r}: {exc}") from exc
+    raise ValidationError(f"expected a number or {{re, im}} object, got {obj!r}")
 
 
 def matrix_obj(m: np.ndarray) -> list:
@@ -40,7 +45,21 @@ def matrix_obj(m: np.ndarray) -> list:
 
 
 def parse_matrix(rows) -> np.ndarray:
-    return np.array([[parse_complex(z) for z in row] for row in rows], dtype=complex)
+    """Complex matrix from a list of equal-length rows of numbers or
+    ``{re, im}`` objects."""
+    try:
+        parsed = [[parse_complex(z) for z in row] for row in rows]
+    except TypeError as exc:
+        raise ValidationError(f"a matrix must be a list of rows: {exc}") from exc
+    if len({len(row) for row in parsed}) > 1:
+        raise ValidationError("matrix rows must have equal length")
+    return np.array(parsed, dtype=complex)
+
+
+# JSON forbids raw control characters (U+0000-U+001F) inside strings
+_STRING_ESCAPES = str.maketrans(
+    {'"': '\\"', "\\": "\\\\", **{chr(i): f"\\u{i:04x}" for i in range(0x20)}}
+)
 
 
 def dumps(obj) -> str:
@@ -62,7 +81,7 @@ def _write(obj, out: list) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(fmt_float(obj))
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append('"' + obj.translate(_STRING_ESCAPES) + '"')
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):

@@ -89,6 +89,25 @@ def _optimal_coupling(ensemble: Ensemble, raw: dict) -> coupling_mod.CouplingMat
     return optimizer.optimize_general(ensemble).coupling
 
 
+def _coupling_arg(source: str, ensemble: Ensemble, raw: dict) -> coupling_mod.CouplingMatrix:
+    """Resolve a --coupling argument: "optimal" or a path to a JSON file
+    holding a coupling that must be feasible for the ensemble."""
+    if source == "optimal":
+        return _optimal_coupling(ensemble, raw)
+    with open(source, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"malformed coupling JSON: {exc}") from exc
+    cpl = coupling_mod.coupling_from_json(obj, ensemble)
+    residual = coupling_mod.feasibility_residual(cpl)
+    if residual > coupling_mod.FEASIBILITY_TOL:
+        raise ValidationError(
+            f"coupling is infeasible for this ensemble (residual {residual:.3e})"
+        )
+    return cpl
+
+
 def _params_obj(params: optimizer.PskParams) -> dict:
     return {
         "p": params.p,
@@ -155,6 +174,8 @@ def cmd_optimize(args) -> int:
     payload = {
         "p_error": result.p_error,
         "converged": result.converged,
+        "certified": result.certified,
+        "dual_gap": result.dual_gap,
         "restarts_used": result.restarts_used,
         "objective_trace": list(result.objective_trace),
         "feasibility_residual": coupling_mod.feasibility_residual(result.coupling),
@@ -167,20 +188,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_simulate(args) -> int:
     ensemble, raw = _load_ensemble(args.ensemble)
-    if args.coupling == "optimal":
-        cpl = _optimal_coupling(ensemble, raw)
-    else:
-        with open(args.coupling, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"malformed coupling JSON: {exc}") from exc
-        cpl = coupling_mod.coupling_from_json(obj, ensemble)
-        residual = coupling_mod.feasibility_residual(cpl)
-        if residual > coupling_mod.FEASIBILITY_TOL:
-            raise ValidationError(
-                f"coupling is infeasible for this ensemble (residual {residual:.3e})"
-            )
+    cpl = _coupling_arg(args.coupling, ensemble, raw)
     report = simulate_mod.run_monte_carlo(cpl, args.shots, args.seed)
     if args.counts_csv:
         lines = ["input,outcome,count"]
@@ -206,12 +214,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_dilation(args) -> int:
     ensemble, raw = _load_ensemble(args.ensemble)
-    if args.coupling == "optimal":
-        cpl = _optimal_coupling(ensemble, raw)
-    else:
-        with open(args.coupling, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        cpl = coupling_mod.coupling_from_json(obj, ensemble)
+    cpl = _coupling_arg(args.coupling, ensemble, raw)
     dilation = coupling_mod.build_dilation(cpl)
     u = dilation.joint_unitary
     coords = dilation.state_coords

@@ -111,7 +111,16 @@ def success_probability(coupling: CouplingMatrix) -> float:
 
 
 def error_probability(coupling: CouplingMatrix) -> float:
-    return 1.0 - success_probability(coupling)
+    """Prior-weighted probability that the outcome misnames the input,
+    ``sum_j eta_j * sum_{k != j} |c[j, k]|**2``.
+
+    Summing the off-diagonal mass keeps the relative accuracy of small
+    errors, which ``1 - success_probability`` loses to cancellation
+    (below ~1e-16 it returns 0 or a rounding residue).
+    """
+    mass = np.abs(coupling.c) ** 2
+    np.fill_diagonal(mass, 0.0)
+    return float(np.dot(coupling.ensemble.priors, mass.sum(axis=1)))
 
 
 def feasibility_residual(coupling: CouplingMatrix) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingMatrix, _polar_orthonormal, success_probability
+from .coupling import CouplingMatrix, _polar_orthonormal, error_probability
 from .ensembles import Ensemble, circulant_eigenvalues, gram_psk, spectral_factor
 from .errors import InvalidIsometryError, NoSolutionError, ValidationError
 
@@ -30,6 +30,10 @@ MIN_STEP = 1e-18
 # counts as an objective tie and may be accepted on gradient-norm decrease
 PLATEAU_BAND = 1e-14
 ROOT_RESIDUAL_TOL = 1e-10
+# duality gap below which a coupling counts as certified optimal, and the
+# number of ascent iterations between two gap evaluations
+CERT_TOL = 1e-10
+CERT_EVERY = 5
 
 
 @dataclass(frozen=True)
@@ -92,13 +96,21 @@ class PskParams:
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Best coupling found, its error, and the winning restart's trace."""
+    """Best coupling found, its error, and the winning restart's trace.
+
+    ``dual_gap`` bounds how far the success probability of the returned
+    coupling lies below the optimum (see :func:`dual_gap`); ``certified``
+    is ``dual_gap <= CERT_TOL``.  ``converged`` holds when the gradient
+    test or the certificate does.
+    """
 
     coupling: CouplingMatrix
     p_error: float
     objective_trace: tuple
     restarts_used: int
     converged: bool
+    dual_gap: float
+    certified: bool
 
 
 def _objective(b: np.ndarray, priors: np.ndarray, v: np.ndarray) -> float:
@@ -113,13 +125,29 @@ def _riemannian_grad(b: np.ndarray, priors: np.ndarray, v: np.ndarray) -> np.nda
     return egrad - 0.5 * (x + x.conj().T) @ v
 
 
-def _retract(x: np.ndarray) -> np.ndarray:
-    # polar factor of a near-isometry; eigh of the small r x r Gram is
-    # cheap and stable here because x stays close to orthonormal rows
-    lam, w = np.linalg.eigh(x @ x.conj().T)
-    lam = np.clip(lam, 1e-30, None)
-    inv_sqrt = (w / np.sqrt(lam)) @ w.conj().T
-    return inv_sqrt @ x
+def dual_gap(b: np.ndarray, priors: np.ndarray, v: np.ndarray) -> float:
+    """Certified bound on the success probability missing at ``C = B V``.
+
+    In Gram coordinates the states are the columns psi_j of ``B^H`` and
+    the measurement vectors mu_k the columns of V.  With
+    ``Gamma = sum_j eta_j psi_j <psi_j|mu_j> mu_j^H`` (trace: the success
+    probability), ``H = (Gamma + Gamma^H)/2`` and
+    ``t = max(0, -min_j lambda_min(H - eta_j psi_j psi_j^H))``, the matrix
+    ``Z = H + t I`` dominates every ``eta_j psi_j psi_j^H``.  Any
+    measurement then succeeds with probability at most ``Tr Z`` (Holevo
+    1973; Yuen, Kennedy & Lax 1975), so ``Tr Z - P_succ = rank * t``
+    bounds the distance to the optimum.  It is 0 exactly at the optimum,
+    where Gamma is Hermitian and each ``Gamma - eta_j psi_j psi_j^H`` is
+    positive semidefinite.  Cost: one batched eigvalsh of n rank x rank
+    matrices.
+    """
+    diag = np.einsum("ij,ji->i", b, v)
+    gamma = (b.conj().T * (priors * diag)) @ v.conj().T
+    h = 0.5 * (gamma + gamma.conj().T)
+    # H - eta_j psi_j psi_j^H for every j, stacked along the first axis
+    stacked = h - priors[:, None, None] * np.einsum("ja,jb->jab", b.conj(), b)
+    lam_min = float(np.linalg.eigvalsh(stacked)[:, 0].min())
+    return b.shape[1] * max(0.0, -lam_min)
 
 
 def _random_isometry(rng: np.random.Generator, rank: int, n: int) -> np.ndarray:
@@ -150,6 +178,22 @@ def objective_gradient(ensemble: Ensemble, v: np.ndarray) -> np.ndarray:
     return _riemannian_grad(sf.factor, ensemble.priors, v)
 
 
+def _gap_may_certify(v: np.ndarray, grad: np.ndarray) -> bool:
+    """False when the Riemannian gradient alone proves ``dual_gap > CERT_TOL``.
+
+    Column j of the gradient is ``2 (eta_j c_jj psi_j - H mu_j)``, so
+    ``Re(mu_j^H grad_j) / 2`` is minus the Rayleigh quotient of mu_j for
+    ``H - eta_j psi_j psi_j^H``.  Each ratio to ``|mu_j|^2`` is a lower
+    bound on t, and rank times the largest is one on the gap, at O(rank n)
+    cost against the gap's n eigenvalue problems.  For square V every
+    quotient vanishes and the test always passes.
+    """
+    rank = v.shape[0]
+    quotients = np.einsum("aj,aj->j", v.conj(), grad).real
+    norms = np.einsum("aj,aj->j", v.conj(), v).real
+    return not np.any(rank * quotients > 2.0 * CERT_TOL * norms)
+
+
 def _ascend(b, priors, v, config):
     """Riemannian ascent from one starting isometry.
 
@@ -168,16 +212,26 @@ def _ascend(b, priors, v, config):
     still accepted when they strictly shrink the gradient norm.  Those
     plateau moves are not recorded in the trace; the trace keeps only
     strict objective improvements and is therefore increasing.
+
+    Every ``CERT_EVERY`` iterations the duality gap is evaluated, and the
+    ascent stops as soon as it is at most ``CERT_TOL``: the point is then
+    optimal, whatever its gradient norm.  Returns the objective, the
+    isometry, the trace, whether the gradient test fired, and the gap at
+    the returned point.
     """
     f = _objective(b, priors, v)
     trace = [f]
-    converged = False
-    for _ in range(config.max_iters):
+    grad_ok = False
+    for it in range(config.max_iters):
         grad = _riemannian_grad(b, priors, v)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= config.grad_tol:
-            converged = True
+            grad_ok = True
             break
+        if it and it % CERT_EVERY == 0 and _gap_may_certify(v, grad):
+            gap = dual_gap(b, priors, v)
+            if gap <= CERT_TOL:
+                return f, v, trace, False, gap
         diag = np.einsum("ij,ji->i", b, v)
         egrad = b.conj().T * (priors * diag)[None, :]
         v_mm = _polar_orthonormal(egrad)
@@ -195,7 +249,7 @@ def _ascend(b, priors, v, config):
         step = config.step_init
         improved = False
         while step > MIN_STEP:
-            v_new = _retract(v + step * grad)
+            v_new = _polar_orthonormal(v + step * grad)
             f_new = _objective(b, priors, v_new)
             if f_new > f:
                 v, f = v_new, f_new
@@ -206,9 +260,8 @@ def _ascend(b, priors, v, config):
             step *= 0.5
         if not improved:
             # no representable uphill step and no gradient contraction left
-            converged = gnorm <= config.grad_tol
             break
-    return f, v, trace, converged
+    return f, v, trace, grad_ok, dual_gap(b, priors, v)
 
 
 def optimize_general(ensemble: Ensemble, config: SolverConfig | None = None) -> OptimizeResult:
@@ -217,9 +270,11 @@ def optimize_general(ensemble: Ensemble, config: SolverConfig | None = None) -> 
     Restart 0 starts from the square-root-measurement coupling (already
     optimal on symmetric and PSK sets); the remaining restarts use
     seeded random isometries.  The best restart wins, ties broken by
-    lowest index.  Restarts stop early once the objective hits the
-    global ceiling of 1.  A best-effort result with ``converged=False``
-    is returned when no restart meets the gradient tolerance.
+    lowest index.  ``config.restarts`` is an upper bound: restarting
+    stops as soon as the best restart is certified optimal by its
+    duality gap.  A best-effort result with ``converged=False`` is
+    returned when no restart meets the gradient tolerance or the
+    certificate.
     """
     config = config or SolverConfig()
     sf = spectral_factor(ensemble, config.rank_tol)
@@ -235,21 +290,24 @@ def optimize_general(ensemble: Ensemble, config: SolverConfig | None = None) -> 
         else:
             rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
             v0 = _random_isometry(rng, rank, n)
-        f, v, trace, converged = _ascend(b, priors, v0, config)
+        run = _ascend(b, priors, v0, config)
         restarts_used += 1
-        if best is None or f > best[0] + 1e-12:
-            best = (f, v, trace, converged)
-        if best[0] >= 1.0 - 1e-14 and best[3]:
+        if best is None or run[0] > best[0] + 1e-12:
+            best = run
+        if best[4] <= CERT_TOL:
             break
 
-    f, v, trace, converged = best
+    _, v, trace, grad_ok, gap = best
     coupling = CouplingMatrix(b @ v, ensemble)
+    certified = gap <= CERT_TOL
     return OptimizeResult(
         coupling=coupling,
-        p_error=1.0 - success_probability(coupling),
+        p_error=error_probability(coupling),
         objective_trace=tuple(trace),
         restarts_used=restarts_used,
-        converged=converged,
+        converged=grad_ok or certified,
+        dual_gap=gap,
+        certified=certified,
     )
 
 

@@ -6,7 +6,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from qsd.ensembles import spectral_factor
+from qsd.optimizer import dual_gap
 
 
 def run_cli(*args: str):
@@ -34,3 +38,15 @@ def tmp_json(tmp_path):
         return str(path)
 
     return write
+
+
+def coupling_gap(coupling) -> float:
+    """Duality gap of any feasible coupling C = B V.
+
+    V is recovered as the polar factor of ``B^H C``: with ``C = B V``,
+    ``B^H C = (B^H B) V`` and ``B^H B`` is positive definite, so that
+    factor is V itself.  Nothing here runs the ascent.
+    """
+    sf = spectral_factor(coupling.ensemble)
+    u, _, vh = np.linalg.svd(sf.factor.conj().T @ coupling.c, full_matrices=False)
+    return dual_gap(sf.factor, coupling.ensemble.priors, u @ vh)

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import coupling_gap
 from qsd.closed_form import (
     binary_constraint_residual,
     binary_individual_errors,
@@ -37,6 +38,7 @@ from qsd.ensembles import (
     spectral_factor,
 )
 from qsd.optimizer import (
+    CERT_TOL,
     SolverConfig,
     objective_gradient,
     optimize_general,
@@ -113,26 +115,31 @@ def test_criterion_3_general_optimizer():
     worst_binary = 0.0
     worst_symmetric = 0.0
     worst_feasibility = 0.0
+    worst_dual_gap = 0.0
     for _ in range(50):
         eta1 = float(rng.uniform(0.02, 0.98))
         overlap = float(rng.uniform(0.0, 0.98)) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         res = optimize_general(gram_binary(overlap, eta1), config)
         worst_binary = max(worst_binary, abs(res.p_error - helstrom_bound(eta1, overlap)))
         worst_feasibility = max(worst_feasibility, feasibility_residual(res.coupling))
+        worst_dual_gap = max(worst_dual_gap, coupling_gap(res.coupling))
     for _ in range(30):
         n = int(rng.integers(2, 7))
         s = float(rng.uniform(-1.0 / (n - 1) + 0.02, 0.98))
         res = optimize_general(gram_symmetric(n, s), config)
         worst_symmetric = max(worst_symmetric, abs(res.p_error - symmetric_min_error(n, s)))
         worst_feasibility = max(worst_feasibility, feasibility_residual(res.coupling))
+        worst_dual_gap = max(worst_dual_gap, coupling_gap(res.coupling))
     elapsed = time.perf_counter() - start
     print(
         f"\ncriterion 3: binary gap {worst_binary:.3e}, symmetric gap "
-        f"{worst_symmetric:.3e}, feasibility {worst_feasibility:.3e}, {elapsed:.2f}s"
+        f"{worst_symmetric:.3e}, feasibility {worst_feasibility:.3e}, "
+        f"duality gap {worst_dual_gap:.3e}, {elapsed:.2f}s"
     )
     assert worst_binary <= 1e-7
     assert worst_symmetric <= 1e-6
     assert worst_feasibility <= 1e-8
+    assert worst_dual_gap <= CERT_TOL
     assert elapsed < 60.0
 
 
@@ -175,24 +182,29 @@ def test_criterion_4_psk_oracle_and_limit():
     # checks that do not use the DFT: every coupling meets the overlap
     # constraints C C^H = G, and the general optimizer, which searches all
     # feasible couplings, reaches the same error at 5 intensities per N
+    # the duality gap certifies both the circulant couplings and the general
+    # optimizer's from G, the priors and C alone
     worst_feasibility = 0.0
     worst_general = 0.0
+    worst_dual_gap = 0.0
     for n, solve in solvers.items():
         for i, a in enumerate(np.linspace(0.05, 2.0, 40)):
             a = float(a)
             params, p_err = solve(a)
-            worst_feasibility = max(
-                worst_feasibility, feasibility_residual(psk_coupling(n, a, params))
-            )
+            cpl = psk_coupling(n, a, params)
+            worst_feasibility = max(worst_feasibility, feasibility_residual(cpl))
+            worst_dual_gap = max(worst_dual_gap, coupling_gap(cpl))
             if i % 8 == 0:
-                general = optimize_general(gram_psk(n, a)).p_error
-                worst_general = max(worst_general, abs(p_err - general))
+                general = optimize_general(gram_psk(n, a))
+                worst_general = max(worst_general, abs(p_err - general.p_error))
+                worst_dual_gap = max(worst_dual_gap, coupling_gap(general.coupling))
     print(
         f"criterion 4: feasibility {worst_feasibility:.3e}, "
-        f"vs general optimizer {worst_general:.3e}"
+        f"vs general optimizer {worst_general:.3e}, duality gap {worst_dual_gap:.3e}"
     )
     assert worst_feasibility <= 1e-10
     assert worst_general <= 1e-8
+    assert worst_dual_gap <= CERT_TOL
     elapsed = time.perf_counter() - start
     print(f"criterion 4: oracle gap {worst_oracle:.3e}, {elapsed:.2f}s")
     assert worst_oracle <= 1e-8

@@ -159,6 +159,12 @@ class TestOptimize:
         assert payload["converged"] is False
         assert payload["p_error"] < 0.5
 
+    def test_payload_reports_certificate(self):
+        out = cli_json("optimize", "--ensemble", BINARY_UNEQ)
+        assert out["certified"] is True
+        assert 0.0 <= out["dual_gap"] <= 1e-10
+        assert out["restarts_used"] == 1
+
     def test_emit_coupling_round_trip(self, tmp_path):
         code, out, _ = run_cli(
             "optimize", "--ensemble", SYM_3_HALF, "--restarts", "2", "--emit-coupling"
@@ -310,6 +316,23 @@ class TestDilation:
         assert code == 2
         assert out == ""
         assert "GiB" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "dilation"])
+@pytest.mark.parametrize(
+    "text", ['{"c": [[', '{"c": [["x", 0], [0, 1]]}'], ids=["truncated", "non-number"]
+)
+def test_malformed_coupling_file_exit_2(tmp_path, command, text):
+    path = tmp_path / "coupling.json"
+    path.write_text(text)
+    extra = ["--shots", "100"] if command == "simulate" else []
+    code, out, err = run_cli(
+        command, "--ensemble", BINARY_EQ, "--coupling", str(path), *extra
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 class TestSweep:

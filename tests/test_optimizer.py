@@ -4,18 +4,28 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import coupling_gap
 from qsd.closed_form import (
     helstrom_bound,
     srm_error_circulant,
     symmetric_min_error,
 )
-from qsd.coupling import feasibility_residual, success_probability
-from qsd.ensembles import gram_binary, gram_psk, gram_symmetric, spectral_factor
+from qsd.coupling import (
+    binary_optimal_coupling,
+    coupling_from_unitary,
+    feasibility_residual,
+    success_probability,
+    symmetric_optimal_coupling,
+)
+from qsd.ensembles import Ensemble, gram_binary, gram_psk, gram_symmetric, spectral_factor
 from qsd.errors import ValidationError
 from qsd.optimizer import (
+    CERT_TOL,
     OptimizeResult,
     PskParams,
     SolverConfig,
+    _gap_may_certify,
+    dual_gap,
     objective_gradient,
     optimize_general,
     psk3_solve,
@@ -33,6 +43,27 @@ def random_isometry(rng, rank, n):
 def tangent_project(v, d):
     x = d @ v.conj().T
     return d - 0.5 * (x + x.conj().T) @ v
+
+
+def random_gram(rng, n, rank):
+    """Gram matrix of n random unit vectors in C^rank."""
+    x = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    g = x @ x.conj().T
+    g = 0.5 * (g + g.conj().T)
+    np.fill_diagonal(g, 1.0)
+    return g
+
+
+def random_ensemble(rng, n, rank):
+    return Ensemble(n, random_gram(rng, n, rank), rng.dirichlet(np.ones(n)))
+
+
+def benchmark_corpus_ensemble(k, n, rank):
+    """Equal-prior Gram number k of the benchmark's fixed rank-deficient
+    corpus (``qsdbench/workloads.py``, ``Solve.CORPUS_SEED``)."""
+    g = random_gram(np.random.default_rng([171009343, k]), n, rank)
+    return Ensemble(n, g, np.full(n, 1.0 / n))
 
 
 class TestSolverConfig:
@@ -109,6 +140,120 @@ class TestOptimizeGeneral:
         assert a.p_error == b.p_error
         assert np.array_equal(a.coupling.c, b.coupling.c)
         assert a.objective_trace == b.objective_trace
+
+    def test_small_error_keeps_relative_accuracy(self):
+        # 1 - p_succ would cancel to ~1e-16 here; the true error is 1.43e-20
+        res = optimize_general(gram_psk(3, 15.0))
+        _, reference = psk3_solve(15.0)
+        assert abs(res.p_error / reference - 1.0) <= 1e-5
+
+    def test_converged_means_gradient_or_certificate(self):
+        rng = np.random.default_rng(8)
+        for n, rank in ((4, 4), (6, 3), (8, 2)):
+            res = optimize_general(random_ensemble(rng, n, rank))
+            assert res.certified == (res.dual_gap <= CERT_TOL)
+            assert res.dual_gap == pytest.approx(coupling_gap(res.coupling), abs=1e-12)
+            if res.certified:
+                assert res.converged
+
+    def test_certificate_stops_restarts(self):
+        res = optimize_general(gram_binary(0.6, 0.25), SolverConfig(restarts=8))
+        assert res.certified and res.converged
+        assert res.restarts_used == 1
+
+    def test_uncertified_iteration_budget_not_converged(self):
+        res = optimize_general(gram_binary(0.6, 0.25), SolverConfig(restarts=1, max_iters=1))
+        assert not res.certified
+        assert not res.converged
+        assert res.dual_gap > CERT_TOL
+
+    @pytest.mark.parametrize(
+        "k, rank, parent_p_error",
+        [(22, 2, 0.7559322158830404), (68, 4, 0.5342473450190122), (166, 2, 0.7502698295167505)],
+    )
+    def test_certifies_where_the_gradient_test_stalled(self, k, rank, parent_p_error):
+        # n = 8 benchmark-corpus Grams on which 8 restarts of 2000 iterations
+        # each ended with converged=False under the gradient test alone;
+        # parent_p_error is that best-effort result
+        res = optimize_general(benchmark_corpus_ensemble(k, 8, rank))
+        assert res.certified and res.converged
+        assert res.dual_gap <= CERT_TOL
+        assert feasibility_residual(res.coupling) <= 1e-8
+        assert res.p_error <= parent_p_error + CERT_TOL
+
+
+class TestDualGap:
+    """The Holevo / Yuen-Kennedy-Lax certificate, evaluated on hand-built
+    couplings; nothing here runs the ascent."""
+
+    def test_never_negative(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            ens = random_ensemble(rng, n, int(rng.integers(1, n + 1)))
+            sf = spectral_factor(ens)
+            v = random_isometry(rng, sf.rank, n)
+            assert dual_gap(sf.factor, ens.priors, v) >= -1e-14
+
+    def test_zero_at_closed_form_optima(self):
+        worst = 0.0
+        for eta1 in (0.05, 0.25, 0.5, 0.8):
+            for overlap in (0.0, 0.3, 0.6 * np.exp(2.1j), 0.95):
+                worst = max(worst, coupling_gap(binary_optimal_coupling(eta1, overlap)))
+        for n in (3, 4, 6):
+            for s in (-0.9 / (n - 1), 0.0, 0.3, 0.9):
+                worst = max(worst, coupling_gap(symmetric_optimal_coupling(n, s)))
+        assert worst <= CERT_TOL
+
+    def test_large_at_random_isometries(self):
+        rng = np.random.default_rng(7)
+        for n, rank in ((3, 3), (5, 5), (6, 3), (8, 2)):
+            ens = random_ensemble(rng, n, rank)
+            sf = spectral_factor(ens)
+            cpl = coupling_from_unitary(ens, random_isometry(rng, sf.rank, n))
+            assert coupling_gap(cpl) >= 0.25
+
+    def test_bounds_every_other_coupling(self):
+        # Tr Z >= P_succ for every measurement: no isometry beats the
+        # success probability at v by more than the gap at v
+        rng = np.random.default_rng(99)
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            ens = random_ensemble(rng, n, int(rng.integers(1, n + 1)))
+            sf = spectral_factor(ens)
+            v = random_isometry(rng, sf.rank, n)
+            ceiling = success_probability(coupling_from_unitary(ens, v)) + dual_gap(
+                sf.factor, ens.priors, v
+            )
+            for _ in range(10):
+                other = coupling_from_unitary(ens, random_isometry(rng, sf.rank, n))
+                assert success_probability(other) <= ceiling + 1e-12
+
+    def test_gradient_screen_never_skips_a_certifiable_point(self):
+        # the ascent skips the eigenvalue problems only when the gradient's
+        # Rayleigh quotients already put the gap above CERT_TOL
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            n = int(rng.integers(3, 9))
+            ens = random_ensemble(rng, n, int(rng.integers(1, n)))
+            sf = spectral_factor(ens)
+            v = random_isometry(rng, sf.rank, n)
+            grad = objective_gradient(ens, v)
+            quotients = np.einsum("aj,aj->j", v.conj(), grad).real
+            norms = np.einsum("aj,aj->j", v.conj(), v).real
+            lower = sf.rank * np.max(quotients / (2.0 * norms))
+            assert lower <= dual_gap(sf.factor, ens.priors, v) + 1e-14
+            assert _gap_may_certify(v, grad) == (lower <= CERT_TOL)
+
+    def test_binary_gap_bounds_distance_to_helstrom(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            eta1 = float(rng.uniform(0.05, 0.95))
+            overlap = float(rng.uniform(0.0, 0.95)) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+            ens = gram_binary(overlap, eta1)
+            cpl = coupling_from_unitary(ens, random_isometry(rng, 2, 2))
+            shortfall = (1.0 - helstrom_bound(eta1, overlap)) - success_probability(cpl)
+            assert -1e-12 <= shortfall <= coupling_gap(cpl) + 1e-12
 
 
 class TestObjectiveGradient:
