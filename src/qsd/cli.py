@@ -359,7 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--max-iters", type=int, dest="max_iters")
     p.add_argument("--grad-tol", type=float, dest="grad_tol")
-    p.add_argument("--step-init", type=float, dest="step_init")
     p.add_argument("--rank-tol", type=float, dest="rank_tol")
     p.add_argument("--config", help="JSON file with solver config overrides")
     p.add_argument("--show-config", action="store_true")

@@ -132,15 +132,17 @@ def _require_equal_priors(ensemble: Ensemble) -> None:
 def srm_error_general(ensemble: Ensemble) -> float:
     """SRM error probability from the Gram square root (equal priors).
 
-    The success probability is ``(1/n) * sum_j ((G^{1/2})_jj)**2``; the
-    square root is taken on the rank support, so rank-deficient
-    ensembles are handled without pseudo-inverse blowup.
+    The SRM coupling is ``G^{1/2}``, whose rows are unit vectors, so the
+    error is its off-diagonal mass ``(1/n) sum_j sum_{k != j}
+    |(G^{1/2})_jk|**2``; unlike ``1 - (1/n) sum_j (G^{1/2})_jj**2`` it
+    keeps its relative accuracy when small.  The square root is taken on
+    the rank support, so rank-deficient ensembles are handled without
+    pseudo-inverse blowup.
     """
     _require_equal_priors(ensemble)
-    sqrt = spectral_factor(ensemble).sqrt
-    diag = np.abs(np.diag(sqrt))
-    p_succ = float(np.sum(diag * diag)) / ensemble.n
-    return max(1.0 - p_succ, 0.0)
+    mass = np.abs(spectral_factor(ensemble).sqrt) ** 2
+    np.fill_diagonal(mass, 0.0)
+    return float(mass.sum()) / ensemble.n
 
 
 def srm_error_circulant(ensemble: Ensemble) -> float:
@@ -148,11 +150,13 @@ def srm_error_circulant(ensemble: Ensemble) -> float:
 
     Independent of :func:`srm_error_general`: the success probability is
     ``((1/n) * sum_k sqrt(lambda_k))**2`` with lambda_k the circulant
-    eigenvalues of the Gram matrix.
+    eigenvalues of the Gram matrix.  They sum to the trace n, so the error
+    is the variance ``(1/n) sum_k (sqrt(lambda_k) - mean)**2`` of their
+    square roots, which keeps its relative accuracy where ``1 - p`` would
+    cancel.
     """
     _require_equal_priors(ensemble)
     if not is_circulant(ensemble.gram):
         raise NotCirculantError("ensemble Gram matrix is not circulant")
-    lam = circulant_eigenvalues(ensemble.gram[0])
-    p_succ = (float(np.sum(np.sqrt(lam))) / ensemble.n) ** 2
-    return max(1.0 - p_succ, 0.0)
+    roots = np.sqrt(circulant_eigenvalues(ensemble.gram[0]))
+    return float(np.mean((roots - roots.mean()) ** 2))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import binary_individual_errors, symmetric_p_quadratic
-from .ensembles import Ensemble, gram_binary, gram_symmetric, spectral_factor
+from .ensembles import Ensemble, _frozen, gram_binary, gram_symmetric, spectral_factor
 from .errors import (
     InfeasibleCouplingError,
     InvalidIsometryError,
@@ -29,11 +29,6 @@ FEASIBILITY_TOL = 1e-8
 ISOMETRY_TOL = 1e-8
 # largest dense joint unitary build_dilation will allocate (16 n^4 bytes)
 MAX_DILATION_BYTES = 1 << 30
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -175,16 +170,20 @@ def coupling_from_unitary(ensemble: Ensemble, v: np.ndarray) -> CouplingMatrix:
     root when full rank), so ``C C^H = B V V^H B^H = G`` for any V with
     orthonormal rows.  V must be rank(G) x n.
     """
-    v = np.asarray(v, dtype=complex)
     sf = spectral_factor(ensemble)
-    if v.shape != (sf.rank, ensemble.n):
-        raise InvalidIsometryError(
-            f"isometry must be {sf.rank}x{ensemble.n} (rank x n), got {v.shape}"
-        )
-    ortho = float(np.max(np.abs(v @ v.conj().T - np.eye(sf.rank))))
+    return CouplingMatrix(sf.factor @ _checked_isometry(v, sf.rank, ensemble.n), ensemble)
+
+
+def _checked_isometry(v, rank: int, n: int) -> np.ndarray:
+    """V as a complex array, after checking that it is rank x n with
+    orthonormal rows (to ``ISOMETRY_TOL``); raises InvalidIsometryError."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (rank, n):
+        raise InvalidIsometryError(f"isometry must be {rank}x{n} (rank x n), got {v.shape}")
+    ortho = float(np.max(np.abs(v @ v.conj().T - np.eye(rank))))
     if ortho > ISOMETRY_TOL:
         raise InvalidIsometryError(f"rows are not orthonormal (residual {ortho:.3e})")
-    return CouplingMatrix(sf.factor @ v, ensemble)
+    return v
 
 
 def _polar_orthonormal(m: np.ndarray) -> np.ndarray:

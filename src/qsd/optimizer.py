@@ -3,8 +3,9 @@
 Two routes to the same objective ``sum_j eta_j |c_jj|**2``:
 
 * :func:`optimize_general` searches all feasible couplings ``C = B V``
-  by Riemannian gradient ascent over row-orthonormal V, with a
-  square-root-measurement warm start plus seeded random restarts.
+  by Riemannian ascent over row-orthonormal V (polar fixed-point steps,
+  and Newton steps where those stall), with a square-root-measurement
+  warm start plus seeded random restarts.
 * :func:`psk3_solve` / :func:`psk4_solve` need no search.  Equal-prior
   phase-shift-keyed sets are geometrically uniform, so the square-root
   measurement is optimal for them (Ban, Kurokawa, Momose & Hirota 1997;
@@ -21,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingMatrix, _polar_orthonormal, error_probability
+from .coupling import CouplingMatrix, _checked_isometry, _polar_orthonormal, error_probability
 from .ensembles import Ensemble, circulant_eigenvalues, gram_psk, spectral_factor
-from .errors import InvalidIsometryError, NoSolutionError, ValidationError
+from .errors import NoSolutionError, ValidationError
 
-MIN_STEP = 1e-18
 # objective band (absolute, objective lies in [0, 1]) inside which a step
 # counts as an objective tie and may be accepted on gradient-norm decrease
 PLATEAU_BAND = 1e-14
@@ -34,6 +34,8 @@ ROOT_RESIDUAL_TOL = 1e-10
 # number of ascent iterations between two gap evaluations
 CERT_TOL = 1e-10
 CERT_EVERY = 5
+# steps the ascent may take past the gradient test towards the certificate
+GRAD_EXTRA_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,6 @@ class SolverConfig:
 
     max_iters: int = 2000
     grad_tol: float = 1e-10
-    step_init: float = 0.1
     restarts: int = 8
     seed: int = 0
     rank_tol: float = 1e-12
@@ -50,8 +51,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError("max_iters must be positive")
-        if not all(0 < x < math.inf for x in (self.grad_tol, self.step_init, self.rank_tol)):
-            raise ValidationError("grad_tol, step_init, rank_tol must be positive and finite")
+        if not all(0 < x < math.inf for x in (self.grad_tol, self.rank_tol)):
+            raise ValidationError("grad_tol and rank_tol must be positive and finite")
         if self.restarts < 1:
             raise ValidationError("restarts must be at least 1")
         if not 0 <= int(self.seed) < 2**64:
@@ -166,16 +167,8 @@ def objective_gradient(ensemble: Ensemble, v: np.ndarray) -> np.ndarray:
     ``d v^H + v d^H = 0``; the returned matrix is the projection of the
     (Wirtinger) Euclidean gradient onto it.  Zero at stationary points.
     """
-    v = np.asarray(v, dtype=complex)
     sf = spectral_factor(ensemble)
-    if v.shape != (sf.rank, ensemble.n):
-        raise InvalidIsometryError(
-            f"isometry must be {sf.rank}x{ensemble.n}, got {v.shape}"
-        )
-    ortho = float(np.max(np.abs(v @ v.conj().T - np.eye(sf.rank))))
-    if ortho > 1e-8:
-        raise InvalidIsometryError(f"rows are not orthonormal (residual {ortho:.3e})")
-    return _riemannian_grad(sf.factor, ensemble.priors, v)
+    return _riemannian_grad(sf.factor, ensemble.priors, _checked_isometry(v, sf.rank, ensemble.n))
 
 
 def _gap_may_certify(v: np.ndarray, grad: np.ndarray) -> bool:
@@ -194,74 +187,109 @@ def _gap_may_certify(v: np.ndarray, grad: np.ndarray) -> bool:
     return not np.any(rank * quotients > 2.0 * CERT_TOL * norms)
 
 
+def _riemannian_hessian(b: np.ndarray, priors: np.ndarray, v: np.ndarray):
+    """Riemannian Hessian at isometry v (embedded metric; Absil, Mahony &
+    Sepulchre 2008) as a map on tangent d: ``P_V(ehess[d] - S d)`` with
+    ``ehess[d]_j = 2 eta_j conj(b_j) (b_j^T d_j)``, ``S = sym(egrad V^H)``,
+    ``P_V(Z) = Z - sym(Z V^H) V``.  The objective is block-diagonal in the
+    columns of V, so a product costs about one gradient."""
+    bh, vh = 2.0 * b.conj().T * priors, v.conj().T
+    x = (bh * np.einsum("ij,ji->i", b, v)) @ vh
+    s = 0.5 * (x + x.conj().T)
+
+    def hess(d):
+        z = bh * np.einsum("ij,ji->i", b, d) - s @ d
+        y = z @ vh
+        return z - 0.5 * (y + y.conj().T) @ v
+
+    return hess
+
+
+def _newton_step(b, priors, v, grad, gnorm):
+    """Truncated-CG Newton candidate ``polar(v + d)`` with ``-Hess[d] = grad``.
+
+    CG stops at a residual of ``min(0.1, sqrt(|grad|)) |grad|``, at
+    non-positive curvature or after ``2 rank n`` iterations.  Returns v
+    itself, which is never accepted, when the first CG direction already
+    has non-positive curvature.
+    """
+    hess = _riemannian_hessian(b, priors, v)
+    d, r, p = np.zeros_like(v), grad, grad
+    rr, tol = gnorm * gnorm, min(0.1, math.sqrt(gnorm)) * gnorm
+    for _ in range(2 * v.size):
+        hp = -hess(p)
+        curv = float(np.vdot(p, hp).real)
+        if curv <= 0.0:
+            break
+        alpha = rr / curv
+        d, r = d + alpha * p, r - alpha * hp
+        rr_new = float(np.vdot(r, r).real)
+        if math.sqrt(rr_new) <= tol:
+            break
+        p, rr = r + (rr_new / rr) * p, rr_new
+    return _polar_orthonormal(v + d) if np.any(d) else v
+
+
+def _polar_step(b, priors, v, grad, gnorm):
+    """Polar fixed-point candidate: the polar factor of the Euclidean
+    gradient, which maximizes the linearized objective over the whole
+    manifold (Jezek, Rehacek & Fiurasek 2002)."""
+    diag = np.einsum("ij,ji->i", b, v)
+    return _polar_orthonormal(b.conj().T * (priors * diag)[None, :])
+
+
 def _ascend(b, priors, v, config):
     """Riemannian ascent from one starting isometry.
 
-    Each iteration first tries the full retraction of the Euclidean
-    gradient direction, i.e. the polar factor of the gradient itself.
-    That candidate maximizes the linearized objective over the whole
-    manifold and never decreases the true objective (the objective is
-    convex in v), so it replaces dozens of backtracking line searches
-    with a single monotone fixed-point step whose fixed points are
-    exactly the stationary points.  Backtracking along the Riemannian
-    gradient remains as a fallback.
+    Each iteration takes the polar fixed-point step.  It never decreases
+    the objective (which is convex in v) and its fixed points are exactly
+    the stationary points, but its rate is linear, which is slow on
+    rank-deficient Grams.  Once it stalls (the last step shrank the
+    gradient norm by less than half), the truncated-CG Newton step is
+    tried first, with the polar step as its fallback.
 
-    Near the optimum the objective flattens out in float arithmetic
-    long before the gradient norm reaches grad_tol, so candidates whose
-    objective sits within an ulp-scale band of the current value are
-    still accepted when they strictly shrink the gradient norm.  Those
-    plateau moves are not recorded in the trace; the trace keeps only
-    strict objective improvements and is therefore increasing.
+    A candidate is accepted when it strictly increases the objective, or
+    when it stays within ``PLATEAU_BAND`` and strictly shrinks the
+    gradient norm: near the optimum the objective flattens out in float
+    arithmetic long before the gradient does.  The trace records only
+    strict increases.  The ascent ends when no candidate is accepted.
 
-    Every ``CERT_EVERY`` iterations the duality gap is evaluated, and the
-    ascent stops as soon as it is at most ``CERT_TOL``: the point is then
-    optimal, whatever its gradient norm.  Returns the objective, the
-    isometry, the trace, whether the gradient test fired, and the gap at
-    the returned point.
+    The duality gap is evaluated every ``CERT_EVERY`` iterations and
+    wherever the gradient test holds; the ascent returns once it is at
+    most ``CERT_TOL``.  After the gradient test first holds, at most
+    ``GRAD_EXTRA_STEPS`` more steps are taken towards the certificate.
+    Returns the objective, the isometry, the trace, whether the gradient
+    test holds at the returned point, and the gap there.
     """
-    f = _objective(b, priors, v)
-    trace = [f]
-    grad_ok = False
+    f, grad, prev = _objective(b, priors, v), _riemannian_grad(b, priors, v), math.inf
+    gnorm, trace, extra = float(np.linalg.norm(grad)), [f], GRAD_EXTRA_STEPS
     for it in range(config.max_iters):
-        grad = _riemannian_grad(b, priors, v)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= config.grad_tol:
-            grad_ok = True
-            break
-        if it and it % CERT_EVERY == 0 and _gap_may_certify(v, grad):
+        grad_ok = gnorm <= config.grad_tol
+        if grad_ok or (it and it % CERT_EVERY == 0 and _gap_may_certify(v, grad)):
             gap = dual_gap(b, priors, v)
             if gap <= CERT_TOL:
-                return f, v, trace, False, gap
-        diag = np.einsum("ij,ji->i", b, v)
-        egrad = b.conj().T * (priors * diag)[None, :]
-        v_mm = _polar_orthonormal(egrad)
-        f_mm = _objective(b, priors, v_mm)
-        if f_mm > f:
-            v, f = v_mm, f_mm
-            if f > trace[-1]:
-                trace.append(f)
-            continue
-        if f_mm >= f - PLATEAU_BAND:
-            g_mm = float(np.linalg.norm(_riemannian_grad(b, priors, v_mm)))
-            if g_mm < gnorm:
-                v, f = v_mm, f_mm
-                continue
-        step = config.step_init
-        improved = False
-        while step > MIN_STEP:
-            v_new = _polar_orthonormal(v + step * grad)
-            f_new = _objective(b, priors, v_new)
-            if f_new > f:
-                v, f = v_new, f_new
-                if f > trace[-1]:
-                    trace.append(f)
-                improved = True
+                return f, v, trace, grad_ok, gap
+        if grad_ok or extra < GRAD_EXTRA_STEPS:
+            if extra == 0:
                 break
-            step *= 0.5
-        if not improved:
-            # no representable uphill step and no gradient contraction left
+            extra -= 1
+        stalled = gnorm > 0.5 * prev
+        for step in (_newton_step, _polar_step) if stalled else (_polar_step,):
+            v_new = step(b, priors, v, grad, gnorm)
+            f_new = _objective(b, priors, v_new)
+            if f_new < f - PLATEAU_BAND:
+                continue
+            g_new = _riemannian_grad(b, priors, v_new)
+            gn_new = float(np.linalg.norm(g_new))
+            if f_new > f or gn_new < gnorm:
+                break
+        else:
+            # no uphill step and no gradient contraction left
             break
-    return f, v, trace, grad_ok, dual_gap(b, priors, v)
+        v, f, grad, gnorm, prev = v_new, f_new, g_new, gn_new, gnorm
+        if f > trace[-1]:
+            trace.append(f)
+    return f, v, trace, gnorm <= config.grad_tol, dual_gap(b, priors, v)
 
 
 def optimize_general(ensemble: Ensemble, config: SolverConfig | None = None) -> OptimizeResult:

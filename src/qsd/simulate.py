@@ -16,13 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import helstrom_bound
-from .coupling import (
-    CouplingMatrix,
-    build_dilation,
-    dilation_residuals,
-    success_probability,
-)
-from .ensembles import Ensemble, gram_binary
+from .coupling import CouplingMatrix, build_dilation, dilation_residuals, error_probability
+from .ensembles import Ensemble, _frozen, gram_binary
 from .errors import InfeasibleSequentialError, ValidationError
 
 # numpy's multinomial takes the shot count as a signed 64-bit integer
@@ -31,11 +26,6 @@ ROW_SUM_TOL = 1e-8
 DILATION_CHECK_TOL = 1e-10
 # outcome probabilities below this are treated as an impossible branch
 NEGLIGIBLE_PROB = 1e-15
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -86,7 +76,8 @@ def run_monte_carlo(coupling: CouplingMatrix, shots: int, seed: int) -> Simulati
     counts = np.random.default_rng(seed).multinomial(shots, joint.ravel()).reshape(n, n)
     elapsed = time.perf_counter() - start
 
-    analytic = 1.0 - success_probability(coupling)
+    # a prior at -PRIOR_TOL must not turn the error, and so std_error, negative
+    analytic = max(error_probability(coupling), 0.0)
     return SimulationReport(
         shots=shots,
         seed=seed,

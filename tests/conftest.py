@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -40,8 +41,8 @@ def tmp_json(tmp_path):
     return write
 
 
-def coupling_gap(coupling) -> float:
-    """Duality gap of any feasible coupling C = B V.
+def coupling_isometry(coupling) -> np.ndarray:
+    """Isometry V of any feasible coupling C = B V.
 
     V is recovered as the polar factor of ``B^H C``: with ``C = B V``,
     ``B^H C = (B^H B) V`` and ``B^H B`` is positive definite, so that
@@ -49,4 +50,25 @@ def coupling_gap(coupling) -> float:
     """
     sf = spectral_factor(coupling.ensemble)
     u, _, vh = np.linalg.svd(sf.factor.conj().T @ coupling.c, full_matrices=False)
-    return dual_gap(sf.factor, coupling.ensemble.priors, u @ vh)
+    return u @ vh
+
+
+def coupling_gap(coupling) -> float:
+    """Duality gap of any feasible coupling C = B V."""
+    sf = spectral_factor(coupling.ensemble)
+    return dual_gap(sf.factor, coupling.ensemble.priors, coupling_isometry(coupling))
+
+
+def mp_psk_error(n, alpha_sq):
+    """SRM error of n-PSK at 60 digits: 1 - ((1/n) sum_k sqrt(lambda_k))**2,
+    with the circulant eigenvalues summed in mpmath from the Gram row."""
+    with mpmath.workdps(60):
+        a = mpmath.mpf(alpha_sq)
+        omega = [mpmath.expjpi(mpmath.mpf(2 * d) / n) for d in range(n)]
+        row = [mpmath.exp(-a * (1 - omega[d])) for d in range(n)]
+        lam = [
+            mpmath.re(mpmath.fsum(row[d] * mpmath.conj(omega[(k * d) % n]) for d in range(n)))
+            for k in range(n)
+        ]
+        p = (mpmath.fsum(mpmath.sqrt(x) for x in lam) / n) ** 2
+        return 1 - p

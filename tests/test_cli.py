@@ -123,7 +123,7 @@ class TestOptimize:
         out = cli_json("optimize", "--show-config")
         assert out["max_iters"] == 2000
         assert out["grad_tol"] == pytest.approx(1e-10)
-        assert out["step_init"] == pytest.approx(0.1)
+        assert "step_init" not in out
         assert out["restarts"] == 8
         assert out["seed"] == 0
         assert out["rank_tol"] == pytest.approx(1e-12)
@@ -143,6 +143,15 @@ class TestOptimize:
         code, _, err = run_cli("optimize", "--config", str(cfg), "--show-config")
         assert code == 2
         assert "walkers" in err
+
+    def test_removed_step_init_key_exit_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"step_init": 0.1}')
+        code, _, err = run_cli("optimize", "--config", str(cfg), "--show-config")
+        assert code == 2
+        assert "step_init" in err
+        code, _, _ = run_cli("optimize", "--step-init", "0.1", "--show-config")
+        assert code == 2
 
     def test_exhausted_iterations_exit_4(self):
         code, out, _ = run_cli(

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mp_psk_error
 from qsd.closed_form import (
     binary_constraint_residual,
     binary_individual_errors,
@@ -207,3 +209,10 @@ class TestSrmCirculant:
         cases += [gram_symmetric(n, s) for n, s in [(3, 0.4), (4, -0.2), (5, 0.7)]]
         for ens in cases:
             assert abs(srm_error_circulant(ens) - srm_error_general(ens)) <= 1e-12
+
+
+@pytest.mark.parametrize("oracle", [srm_error_general, srm_error_circulant])
+def test_srm_oracles_keep_relative_accuracy(oracle):
+    # 1 - p_succ cancels to 0 or 2.2e-16 here; the true error is 1.43e-20
+    exact = mp_psk_error(3, 15.0)
+    assert abs(mpmath.mpf(oracle(gram_psk(3, 15.0))) / exact - 1) <= 1e-5

@@ -13,6 +13,7 @@ from qsd.coupling import (
 )
 from qsd.ensembles import Ensemble, gram_binary, gram_symmetric
 from qsd.errors import InfeasibleSequentialError, ValidationError
+from qsd.optimizer import psk3_solve, psk_coupling
 from qsd.simulate import (
     SimulationReport,
     TwoStageParams,
@@ -49,6 +50,12 @@ class TestRunMonteCarlo:
         assert rpt.empirical_error == float(Fraction(wrong, rpt.shots))
         p = rpt.analytic_error
         assert rpt.std_error == pytest.approx(math.sqrt(p * (1 - p) / rpt.shots), abs=0)
+
+    def test_small_analytic_error_keeps_relative_accuracy(self):
+        # 1 - p_succ cancels to 0 or 2.2e-16 here; the true error is 1.43e-20
+        params, p_err = psk3_solve(15.0)
+        rpt = run_monte_carlo(psk_coupling(3, 15.0, params), 1000, 2)
+        assert abs(rpt.analytic_error / p_err - 1.0) <= 1e-6
 
     def test_reproducible_same_seed(self):
         coupling = binary_optimal_coupling(0.25, 0.6)
@@ -111,6 +118,13 @@ class TestRunMonteCarlo:
         ens = Ensemble(2, np.eye(2, dtype=complex), np.array([1.0 + 1e-13, -1e-13]))
         rpt = run_monte_carlo(CouplingMatrix(np.eye(2, dtype=complex), ens), 100_000, 4)
         assert rpt.counts.tolist() == [[100_000, 0], [0, 0]]
+
+    def test_tiny_negative_prior_on_an_erring_row(self):
+        ens = Ensemble(2, np.eye(2, dtype=complex), np.array([1.0 + 1e-13, -1e-13]))
+        coupling = CouplingMatrix(np.array([[1, 0], [1, 0]], dtype=complex), ens)
+        rpt = run_monte_carlo(coupling, 1000, 4)
+        assert rpt.analytic_error == 0.0
+        assert rpt.std_error == 0.0
 
     def test_zero_prior_row_never_drawn(self):
         ens = Ensemble(3, np.eye(3, dtype=complex), np.array([0.5, 0.0, 0.5]))
