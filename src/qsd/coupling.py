@@ -204,6 +204,41 @@ def _complement(dim: int, slots: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
+def _dilation_block(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """State coordinates and the n x n block of a feasible coupling's dilation.
+
+    Raises InfeasibleCouplingError when ``C C^H`` misses the Gram matrix
+    by more than ``FEASIBILITY_TOL``.  With G = W diag(lam) W^H from
+    :func:`spectral_factor` (kept eigenvectors W_r, dropped ones W_perp),
+    V the row-orthonormal Procrustes factor of ``thin^H C`` and ``V_full``
+    V's rows completed to a unitary by one QR, the block is
+    ``[W_r | W_perp] V_full``.  Row j, column k of ``state_coords @ block``
+    is the amplitude of input j on output slot ``k*n + k``; nothing of
+    size n^2 is allocated.  ``state_coords`` is the Gram square root on
+    the rank support: dropped modes contribute 0, so rank-deficient Grams
+    do not leak sqrt(ulp)-size mass along them.
+    """
+    residual = feasibility_residual(coupling)
+    if residual > FEASIBILITY_TOL:
+        raise InfeasibleCouplingError(
+            f"coupling does not reproduce the Gram matrix (residual {residual:.3e}); "
+            "inner products are not preserved, so no unitary extension exists"
+        )
+    sf = spectral_factor(coupling.ensemble)
+    # eigenvalues ascend, so the kept modes are the last rank columns
+    cut = coupling.n - sf.rank
+    w_r = sf.eigenvectors[:, cut:]
+    thin = w_r * np.sqrt(sf.eigenvalues[cut:])  # n x r, thin = W_r sqrt(Lam_r)
+
+    # row-orthonormal V with thin @ V ~= C (orthogonal Procrustes)
+    v_iso = _polar_orthonormal(thin.conj().T @ coupling.c)
+    # rows r.. of V_full span the orthogonal complement of V's rows
+    q, _ = np.linalg.qr(v_iso.conj().T, mode="complete")
+    v_full = np.vstack([v_iso, q[:, sf.rank :].conj().T])
+    block = np.hstack([w_r, sf.eigenvectors[:, :cut]]) @ v_full
+    return sf.sqrt, block
+
+
 def build_dilation(coupling: CouplingMatrix) -> DilationModel:
     """Realize a feasible coupling as an explicit n^2 x n^2 joint unitary.
 
@@ -219,8 +254,9 @@ def build_dilation(coupling: CouplingMatrix) -> DilationModel:
     ``V_full`` with one QR maps the first frame onto the second exactly,
     so U consists of
 
-    * the n x n unitary block ``(W V_full)^T`` at rows ``k*n + k`` and
-      columns ``m*n``, and
+    * the n x n unitary block ``(W V_full)^T`` (from
+      :func:`_dilation_block`) at rows ``k*n + k`` and columns ``m*n``,
+      and
     * a 0/1 permutation pairing the remaining n^2 - n input slots with
       the remaining n^2 - n output slots in sorted order.
 
@@ -243,28 +279,7 @@ def build_dilation(coupling: CouplingMatrix) -> DilationModel:
             f"a {dim}x{dim} joint unitary needs {16 * dim * dim / 2**30:.2f} GiB, "
             f"above the {MAX_DILATION_BYTES / 2**30:g} GiB limit"
         )
-    residual = feasibility_residual(coupling)
-    if residual > FEASIBILITY_TOL:
-        raise InfeasibleCouplingError(
-            f"coupling does not reproduce the Gram matrix (residual {residual:.3e}); "
-            "inner products are not preserved, so no unitary extension exists"
-        )
-    lam, w = np.linalg.eigh(coupling.ensemble.gram)
-    lam = np.clip(lam, 0.0, None)
-    keep = lam > 1e-12 * lam.max()
-    # support square root: eigenvalues below the rank cut contribute 0, so
-    # rank-deficient Grams do not leak sqrt(ulp)-size mass along dropped modes
-    sqrt_support = (w * np.sqrt(np.where(keep, lam, 0.0))) @ w.conj().T
-    w_r = w[:, keep]
-    thin = w_r * np.sqrt(lam[keep])  # n x r, thin = W_r sqrt(Lam_r)
-    r = thin.shape[1]
-
-    # row-orthonormal V with thin @ V ~= C (orthogonal Procrustes)
-    v_iso = _polar_orthonormal(thin.conj().T @ coupling.c)
-    # rows r.. of V_full span the orthogonal complement of V's rows
-    q, _ = np.linalg.qr(v_iso.conj().T, mode="complete")
-    v_full = np.vstack([v_iso, q[:, r:].conj().T])
-    block = np.hstack([w_r, w[:, ~keep]]) @ v_full
+    state_coords, block = _dilation_block(coupling)
 
     input_slots = np.arange(n) * n
     output_slots = np.arange(n) * (n + 1)
@@ -275,7 +290,7 @@ def build_dilation(coupling: CouplingMatrix) -> DilationModel:
     return DilationModel(
         system_dim=n,
         ancilla_dim=n,
-        state_coords=sqrt_support,
+        state_coords=state_coords,
         ancilla_init_index=0,
         joint_unitary=joint_unitary,
         post_states=np.eye(n, dtype=complex),

@@ -108,15 +108,28 @@ class SpectralFactor:
     sqrt : (n, n) complex ndarray
         Principal PSD square root on the rank support (eigenvalues below
         the tolerance contribute zero).
+    eigenvalues : (n,) float ndarray
+        All eigenvalues of the Gram matrix in ascending order, negative
+        roundoff clamped to zero; the kept ones are the last ``rank``.
+    eigenvectors : (n, n) complex ndarray
+        Matching orthonormal eigenvectors, one per column.
     """
 
     rank: int
     factor: np.ndarray
     sqrt: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "factor", _frozen(np.array(self.factor, dtype=complex)))
         object.__setattr__(self, "sqrt", _frozen(np.array(self.sqrt, dtype=complex)))
+        object.__setattr__(
+            self, "eigenvalues", _frozen(np.array(self.eigenvalues, dtype=float))
+        )
+        object.__setattr__(
+            self, "eigenvectors", _frozen(np.array(self.eigenvectors, dtype=complex))
+        )
 
 
 def gram_binary(overlap: complex, eta1: float) -> Ensemble:
@@ -213,7 +226,7 @@ def spectral_factor(ensemble: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> S
         factor = sqrt
     else:
         factor = w[:, keep] * np.sqrt(lam[keep])
-    return SpectralFactor(rank=rank, factor=factor, sqrt=sqrt)
+    return SpectralFactor(rank=rank, factor=factor, sqrt=sqrt, eigenvalues=lam, eigenvectors=w)
 
 
 def circulant_eigenvalues(first_row: np.ndarray) -> np.ndarray:

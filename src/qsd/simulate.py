@@ -2,10 +2,10 @@
 
 Sampling touches only the coupling's row distributions (outcome k on
 input j has probability ``|c[j, k]|**2``), never the joint unitary; a
-separate cross-check recomputes those distributions from the dilation
-and fails loudly on disagreement.  The count matrix is drawn in one
-multinomial over the n**2 (input, outcome) cells, so a run costs the
-same at any shot count and depends only on (coupling, shots, seed).
+separate cross-check recomputes those distributions from the dilation's
+n x n block and fails loudly on disagreement.  The count matrix is drawn
+in one multinomial over the n**2 (input, outcome) cells, so a run costs
+the same at any shot count and depends only on (coupling, shots, seed).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import helstrom_bound
-from .coupling import CouplingMatrix, build_dilation, dilation_residuals, error_probability
+from .coupling import CouplingMatrix, _dilation_block, error_probability
 from .ensembles import Ensemble, _frozen, gram_binary
 from .errors import InfeasibleSequentialError, ValidationError
 
@@ -51,7 +51,7 @@ def run_monte_carlo(coupling: CouplingMatrix, shots: int, seed: int) -> Simulati
     law as sampling shot by shot, at O(n**2) cost for any shot count.
     Deterministic for fixed (coupling, shots, seed).  Long runs
     (>= 10^6 shots) first verify the row distributions against the
-    explicit dilation.
+    dilation (:func:`check_against_dilation`).
     """
     shots = int(shots)
     if shots < 1:
@@ -90,12 +90,29 @@ def run_monte_carlo(coupling: CouplingMatrix, shots: int, seed: int) -> Simulati
 
 
 def check_against_dilation(coupling: CouplingMatrix) -> float:
-    """Recompute outcome probabilities from the joint unitary and compare
-    with ``|c[j, k]|**2``.  Returns the max deviation; raises above 1e-10."""
-    worst = dilation_residuals(build_dilation(coupling))["outcome_prob_residual"]
-    if worst > DILATION_CHECK_TOL:
+    """Recompute outcome probabilities from the dilation and compare with
+    ``|c[j, k]|**2``.  Returns the max deviation.
+
+    Input j enters the joint unitary only through the columns ``m*n`` and
+    reaches the outcome slots ``k*n + k`` only through the n x n block, so
+    the amplitudes are ``state_coords @ block`` and the dense n^2 x n^2
+    unitary is never built: O(n^2) memory and O(n^3) time at any n.  Raises
+    ValidationError when the probabilities or the block's unitarity
+    ``max|block^H block - I|`` are off by more than ``DILATION_CHECK_TOL``,
+    and InfeasibleCouplingError when the coupling misses its Gram matrix.
+    """
+    state_coords, block = _dilation_block(coupling)
+    amps = state_coords @ block
+    worst = float(np.max(np.abs(np.abs(amps) ** 2 - np.abs(coupling.c) ** 2)))
+    unitarity = float(np.max(np.abs(block.conj().T @ block - np.eye(coupling.n))))
+    # written so that a NaN residual fails too
+    if not worst <= DILATION_CHECK_TOL:
         raise ValidationError(
             f"coupling rows disagree with the dilation (residual {worst:.3e})"
+        )
+    if not unitarity <= DILATION_CHECK_TOL:
+        raise ValidationError(
+            f"the dilation's block is not unitary (residual {unitarity:.3e})"
         )
     return worst
 

@@ -216,3 +216,11 @@ def test_srm_oracles_keep_relative_accuracy(oracle):
     # 1 - p_succ cancels to 0 or 2.2e-16 here; the true error is 1.43e-20
     exact = mp_psk_error(3, 15.0)
     assert abs(mpmath.mpf(oracle(gram_psk(3, 15.0))) / exact - 1) <= 1e-5
+
+
+@pytest.mark.parametrize("n, alpha_sq", [(3, 15.0), (4, 20.0)])
+def test_srm_general_full_relative_accuracy(n, alpha_sq):
+    # near-orthogonal states: the off-diagonal of G^{1/2} is ~1e-10, far
+    # below the absolute error of an eigendecomposition of G itself
+    exact = mp_psk_error(n, alpha_sq)
+    assert abs(mpmath.mpf(srm_error_general(gram_psk(n, alpha_sq))) / exact - 1) <= 1e-12

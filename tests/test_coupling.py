@@ -40,6 +40,7 @@ from qsd.errors import (
     UndefinedConditionalError,
     ValidationError,
 )
+from qsd.simulate import check_against_dilation
 
 
 def random_isometry(rng, rank, n):
@@ -397,6 +398,21 @@ class TestDilationConstruction:
         again = dataclasses.replace(d, joint_unitary=u)
         assert np.shares_memory(again.joint_unitary, u)
         assert u.flags.writeable
+
+
+class TestBlockCheck:
+    """The Monte Carlo check reads the dilation's n x n block; the dense
+    joint unitary is the independent reference."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(sizes_and_ranks())
+    def test_matches_dense_dilation(self, case):
+        n, rank, seed = case
+        rng = np.random.default_rng(seed)
+        ens = random_rank_ensemble(rng, n, rank)
+        coupling = coupling_from_unitary(ens, random_isometry(rng, rank, n))
+        dense = dilation_residuals(build_dilation(coupling))["outcome_prob_residual"]
+        assert abs(check_against_dilation(coupling) - dense) <= 1e-13
 
 
 class TestPostMeasurementState:

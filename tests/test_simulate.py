@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 from qsd.closed_form import binary_individual_errors, helstrom_bound
 from qsd.coupling import (
     CouplingMatrix,
+    _dilation_block,
     binary_optimal_coupling,
+    feasibility_residual,
     symmetric_optimal_coupling,
 )
 from qsd.ensembles import Ensemble, gram_binary, gram_symmetric
-from qsd.errors import InfeasibleSequentialError, ValidationError
+from qsd.errors import InfeasibleCouplingError, InfeasibleSequentialError, ValidationError
 from qsd.optimizer import psk3_solve, psk_coupling
 from qsd.simulate import (
     SimulationReport,
@@ -171,7 +174,7 @@ class TestCheckAgainstDilation:
         assert int(rpt.counts.sum()) == 1_000_000
 
     def test_long_run_at_n64(self):
-        # the dilation check builds a 4096 x 4096 joint unitary first
+        # the dilation check maps the inputs through the 64 x 64 block only
         start = time.perf_counter()
         rpt = run_monte_carlo(symmetric_optimal_coupling(64, 0.5), 1_000_000, 64)
         elapsed = time.perf_counter() - start
@@ -180,10 +183,54 @@ class TestCheckAgainstDilation:
         assert elapsed < 30.0
 
     def test_size_limit_refused(self):
-        with pytest.raises(ValidationError, match="GiB"):
-            run_monte_carlo(symmetric_optimal_coupling(91, 0.5), 1_000_000, 0)
+        # the dense unitary would need 1.1 GiB at n = 91; the check needs
+        # only n x n arrays
+        coupling = symmetric_optimal_coupling(91, 0.5)
+        tracemalloc.start()
+        try:
+            rpt = run_monte_carlo(coupling, 1_000_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(rpt.counts.sum()) == 1_000_000
+        assert abs(rpt.empirical_error - rpt.analytic_error) <= 4 * rpt.std_error
+        assert peak < 32 << 20
         rpt = run_monte_carlo(symmetric_optimal_coupling(91, 0.5), 999_999, 0)
         assert int(rpt.counts.sum()) == 999_999
+
+    def test_slightly_infeasible_coupling_fails_the_check(self):
+        # 2.5e-9 off the Gram matrix: inside FEASIBILITY_TOL (1e-8), but
+        # the outcome probabilities then miss the dilation's by 7e-10
+        base = symmetric_optimal_coupling(3, 0.5)
+        noise = np.random.default_rng(4).standard_normal((3, 3, 2)) @ [1, 1j]
+        c = base.c + 2e-9 * noise
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        coupling = CouplingMatrix(c, base.ensemble)
+        assert 1e-9 < feasibility_residual(coupling) < 1e-8
+        with pytest.raises(ValidationError, match="disagree"):
+            run_monte_carlo(coupling, 1_000_000, 3)
+        rpt = run_monte_carlo(coupling, 999_999, 3)
+        assert int(rpt.counts.sum()) == 999_999
+
+    def test_infeasible_coupling_refused(self):
+        coupling = CouplingMatrix(np.eye(2, dtype=complex), gram_binary(0.6, 0.5))
+        with pytest.raises(InfeasibleCouplingError):
+            run_monte_carlo(coupling, 1_000_000, 3)
+
+    def test_non_unitary_block_refused(self, monkeypatch):
+        # on a rank-2 Gram the state coordinates annihilate the dropped
+        # eigenvector, so stretching the block along it by 1 + 1e-6 leaves
+        # every outcome probability exact and only the unitarity check fails
+        coupling = symmetric_optimal_coupling(3, -0.5)
+        null = np.full(3, 1 / math.sqrt(3))
+
+        def skewed(cpl):
+            coords, block = _dilation_block(cpl)
+            return coords, block + 1e-6 * np.outer(null, null @ block)
+
+        monkeypatch.setattr("qsd.simulate._dilation_block", skewed)
+        with pytest.raises(ValidationError, match="not unitary"):
+            check_against_dilation(coupling)
 
 
 class TestTwoStageBinary:
