@@ -22,6 +22,7 @@ from .coupling import (
     DilationModel,
     binary_optimal_coupling,
     build_dilation,
+    circulant_optimal_coupling,
     coupling_from_unitary,
     dilation_residuals,
     error_probability,
@@ -62,7 +63,6 @@ from .optimizer import (
     optimize_general,
     psk3_solve,
     psk4_solve,
-    psk_coupling,
 )
 from .simulate import (
     SimulationReport,
@@ -103,6 +103,7 @@ __all__ = [
     "build_dilation",
     "check_against_dilation",
     "circulant_eigenvalues",
+    "circulant_optimal_coupling",
     "coupling_from_unitary",
     "dilation_residuals",
     "dual_gap",
@@ -121,7 +122,6 @@ __all__ = [
     "preservation_residual",
     "psk3_solve",
     "psk4_solve",
-    "psk_coupling",
     "run_monte_carlo",
     "spectral_factor",
     "srm_error_circulant",

@@ -17,8 +17,15 @@ from dataclasses import asdict
 import numpy as np
 
 from . import closed_form, coupling as coupling_mod, optimizer, simulate as simulate_mod
-from ._serialize import CSV_DIGITS, dumps, fmt_float
-from .ensembles import Ensemble, ensemble_from_json, gram_binary, gram_psk, gram_symmetric
+from ._serialize import CSV_DIGITS, complex_obj, dumps, fmt_float
+from .ensembles import (
+    Ensemble,
+    ensemble_from_json,
+    gram_binary,
+    gram_psk,
+    gram_symmetric,
+    is_circulant,
+)
 from .errors import NoSolutionError, QsdError, ValidationError
 
 EXIT_OK = 0
@@ -30,17 +37,13 @@ SWEEP_HEADER = "family,n,axis,value,p_err_closed,p_err_srm,p_err_opt"
 SWEEP_OUTPUTS = ("closed_form", "srm_oracle", "optimizer")
 
 
-def _load_ensemble(text: str) -> tuple[Ensemble, dict]:
+def _load_ensemble(text: str) -> Ensemble:
     """Parse an --ensemble argument: inline JSON or a path to a JSON file."""
     raw = text.strip()
     if not raw.startswith("{"):
         with open(raw, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed ensemble JSON: {exc}") from exc
-    return ensemble_from_json(obj), obj
+    return ensemble_from_json(raw)
 
 
 def _solver_config(args) -> optimizer.SolverConfig:
@@ -66,34 +69,27 @@ def _solver_config(args) -> optimizer.SolverConfig:
     return optimizer.SolverConfig(**values)
 
 
-def _psk_solve(n: int, alpha_sq: float):
-    if n == 3:
-        return optimizer.psk3_solve(alpha_sq)
-    if n == 4:
-        return optimizer.psk4_solve(alpha_sq)
-    raise ValidationError("structured PSK solvers exist only for n in {3, 4}")
-
-
-def _optimal_coupling(ensemble: Ensemble, raw: dict) -> coupling_mod.CouplingMatrix:
-    """Best-known coupling for an ensemble given on the command line."""
-    if ensemble.n == 2:
-        return coupling_mod.binary_optimal_coupling(
-            float(ensemble.priors[0]), complex(ensemble.gram[0, 1])
-        )
-    if raw.get("kind") == "symmetric":
-        return coupling_mod.symmetric_optimal_coupling(int(raw["n"]), float(raw["s"]))
-    if raw.get("kind") == "psk" and int(raw["n"]) in (3, 4):
-        n, alpha_sq = int(raw["n"]), float(raw["alpha_sq"])
-        params, _ = _psk_solve(n, alpha_sq)
-        return optimizer.psk_coupling(n, alpha_sq, params)
+def _optimal_coupling(ensemble: Ensemble) -> coupling_mod.CouplingMatrix:
+    """Best-known coupling for an ensemble: the closed form of the first
+    structure it has (two states; equal priors with equal real overlaps;
+    equal priors with a circulant Gram matrix), else the general search."""
+    n, gram = ensemble.n, ensemble.gram
+    if n == 2:
+        return coupling_mod.binary_optimal_coupling(float(ensemble.priors[0]), complex(gram[0, 1]))
+    if ensemble.equal_priors:
+        off = gram[~np.eye(n, dtype=bool)]
+        if n > 2 and np.all(off == off[0]) and off[0].imag == 0.0:
+            return coupling_mod.symmetric_optimal_coupling(n, off[0].real)
+        if is_circulant(gram):
+            return coupling_mod.circulant_optimal_coupling(ensemble)
     return optimizer.optimize_general(ensemble).coupling
 
 
-def _coupling_arg(source: str, ensemble: Ensemble, raw: dict) -> coupling_mod.CouplingMatrix:
+def _coupling_arg(source: str, ensemble: Ensemble) -> coupling_mod.CouplingMatrix:
     """Resolve a --coupling argument: "optimal" or a path to a JSON file
     holding a coupling that must be feasible for the ensemble."""
     if source == "optimal":
-        return _optimal_coupling(ensemble, raw)
+        return _optimal_coupling(ensemble)
     with open(source, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -101,23 +97,11 @@ def _coupling_arg(source: str, ensemble: Ensemble, raw: dict) -> coupling_mod.Co
             raise ValidationError(f"malformed coupling JSON: {exc}") from exc
     cpl = coupling_mod.coupling_from_json(obj, ensemble)
     residual = coupling_mod.feasibility_residual(cpl)
-    if residual > coupling_mod.FEASIBILITY_TOL:
+    if not residual <= coupling_mod.FEASIBILITY_TOL:
         raise ValidationError(
             f"coupling is infeasible for this ensemble (residual {residual:.3e})"
         )
     return cpl
-
-
-def _params_obj(params: optimizer.PskParams) -> dict:
-    return {
-        "p": params.p,
-        "r": params.r,
-        "r_prime": params.r_prime,
-        "theta1": params.theta1,
-        "theta2": params.theta2,
-        "u": params.u,
-        "v": params.v,
-    }
 
 
 def cmd_bound(args) -> int:
@@ -147,17 +131,18 @@ def cmd_symmetric(args) -> int:
 
 
 def cmd_psk(args) -> int:
-    params, p_error = _psk_solve(args.n, args.alpha_sq)
-    payload = {
-        "n": args.n,
-        "alpha_sq": args.alpha_sq,
-        "p_error": p_error,
-        "params": _params_obj(params),
-    }
+    n, alpha_sq = args.n, args.alpha_sq
+    cpl = coupling_mod.circulant_optimal_coupling(gram_psk(n, alpha_sq))
+    payload = {"n": n, "alpha_sq": alpha_sq}
+    if n in (3, 4):
+        params, payload["p_error"] = optimizer.psk_params(cpl.c[0])
+        keys = ("p", "r", "r_prime", "theta1", "theta2", "u", "v")
+        payload["params"] = {key: getattr(params, key) for key in keys}
+    else:
+        payload["p_error"] = coupling_mod.error_probability(cpl)
+        payload["row"] = [complex_obj(z) for z in cpl.c[0]]
     if args.emit_coupling:
-        payload["coupling"] = coupling_mod.coupling_to_json(
-            optimizer.psk_coupling(args.n, args.alpha_sq, params)
-        )
+        payload["coupling"] = coupling_mod.coupling_to_json(cpl)
     print(dumps(payload))
     return EXIT_OK
 
@@ -169,7 +154,7 @@ def cmd_optimize(args) -> int:
         return EXIT_OK
     if args.ensemble is None:
         raise ValidationError("--ensemble is required (unless using --show-config)")
-    ensemble, _ = _load_ensemble(args.ensemble)
+    ensemble = _load_ensemble(args.ensemble)
     result = optimizer.optimize_general(ensemble, config)
     payload = {
         "p_error": result.p_error,
@@ -187,8 +172,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    ensemble, raw = _load_ensemble(args.ensemble)
-    cpl = _coupling_arg(args.coupling, ensemble, raw)
+    ensemble = _load_ensemble(args.ensemble)
+    cpl = _coupling_arg(args.coupling, ensemble)
     report = simulate_mod.run_monte_carlo(cpl, args.shots, args.seed)
     if args.counts_csv:
         lines = ["input,outcome,count"]
@@ -213,8 +198,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_dilation(args) -> int:
-    ensemble, raw = _load_ensemble(args.ensemble)
-    cpl = _coupling_arg(args.coupling, ensemble, raw)
+    ensemble = _load_ensemble(args.ensemble)
+    cpl = _coupling_arg(args.coupling, ensemble)
     dilation = coupling_mod.build_dilation(cpl)
     u = dilation.joint_unitary
     coords = dilation.state_coords
@@ -265,7 +250,8 @@ def _sweep_row(family, n, axis, value, outputs, fixed_s, fixed_eta1) -> str:
         if "srm_oracle" in outputs:
             srm = closed_form.srm_error_circulant(gram_psk(n, value))
         if "optimizer" in outputs:
-            opt = _psk_solve(n, value)[1]
+            cpl = coupling_mod.circulant_optimal_coupling(gram_psk(n, value))
+            opt = coupling_mod.error_probability(cpl)
     else:  # binary; n is always 2
         eta1, s = (value, fixed_s) if axis == "eta1" else (fixed_eta1, value)
         if "closed_form" in outputs:
@@ -275,16 +261,8 @@ def _sweep_row(family, n, axis, value, outputs, fixed_s, fixed_eta1) -> str:
             srm = closed_form.srm_error_general(ens) if ens.equal_priors else None
         if "optimizer" in outputs:
             opt = optimizer.optimize_general(gram_binary(s, eta1)).p_error
-    cells = [
-        family,
-        str(n),
-        axis,
-        fmt_float(value, CSV_DIGITS),
-        _sweep_cell(closed),
-        _sweep_cell(srm),
-        _sweep_cell(opt),
-    ]
-    return ",".join(cells)
+    cells = [family, str(n), axis, fmt_float(value, CSV_DIGITS)]
+    return ",".join(cells + [_sweep_cell(x) for x in (closed, srm, opt)])
 
 
 def cmd_sweep(args) -> int:
@@ -303,11 +281,10 @@ def cmd_sweep(args) -> int:
     else:
         if not args.n:
             raise ValidationError(f"--n is required for family {args.family!r}")
-        n_list = [int(tok) for tok in args.n.split(",")]
-        if args.family == "psk" and "optimizer" in outputs and any(
-            n not in (3, 4) for n in n_list
-        ):
-            raise ValidationError("the PSK optimizer column requires n in {3, 4}")
+        try:
+            n_list = [int(tok) for tok in args.n.split(",")]
+        except ValueError as exc:
+            raise ValidationError(f"--n must be comma-separated integers: {exc}") from exc
 
     values = np.linspace(args.min, args.max, args.steps)
     lines = [SWEEP_HEADER]
@@ -348,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_symmetric)
 
     p = sub.add_parser("psk", help="optimal circulant coupling for PSK coherent sets")
-    p.add_argument("--n", type=int, required=True, choices=(3, 4))
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha-sq", type=float, required=True)
     p.add_argument("--emit-coupling", action="store_true")
     p.set_defaults(func=cmd_psk)

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import DEFAULT_RANK_TOL, Ensemble, circulant_eigenvalues, is_circulant
+from .ensembles import (
+    DEFAULT_RANK_TOL,
+    Ensemble,
+    check_binary,
+    check_symmetric,
+    circulant_eigenvalues,
+    is_circulant,
+)
 from .errors import NotCirculantError, UnsupportedPriorsError, ValidationError
 
 
@@ -31,23 +38,14 @@ class BinarySolution:
     r2: float
 
 
-def _binary_args(eta1: float, overlap: complex) -> tuple[float, float]:
-    eta1 = float(eta1)
-    if not 0.0 <= eta1 <= 1.0:
-        raise ValidationError(f"eta1 must lie in [0, 1], got {eta1!r}")
-    s = abs(complex(overlap))
-    if not s <= 1.0 + 1e-12:  # also rejects NaN
-        raise ValidationError(f"|overlap| must be <= 1, got {s!r}")
-    return eta1, min(s, 1.0)
-
-
 def helstrom_bound(eta1: float, overlap: complex) -> float:
     """Minimum average error probability for two pure states.
 
     Returns ``(1 - sqrt(1 - 4*eta1*eta2*s**2)) / 2`` with ``s = |overlap|``
     and ``eta2 = 1 - eta1``; always in [0, 1/2].
     """
-    eta1, s = _binary_args(eta1, overlap)
+    eta1, overlap = check_binary(eta1, overlap)
+    s = min(abs(overlap), 1.0)
     disc = 1.0 - 4.0 * eta1 * (1.0 - eta1) * s * s
     if disc < -1e-12:
         raise ValidationError("discriminant negative; inputs out of range")
@@ -62,8 +60,8 @@ def binary_individual_errors(eta1: float, overlap: complex) -> BinarySolution:
     error.  The degenerate point eta1 = eta2 = 1/2, s = 1 returns the
     continuous limit r1 = r2 = 1/2.
     """
-    eta1, s = _binary_args(eta1, overlap)
-    eta2 = 1.0 - eta1
+    eta1, overlap = check_binary(eta1, overlap)
+    s, eta2 = min(abs(overlap), 1.0), 1.0 - eta1
     disc = 1.0 - 4.0 * eta1 * eta2 * s * s
     if disc <= 0.0:
         # only reachable at eta1 = eta2 = 1/2, s = 1
@@ -82,18 +80,6 @@ def binary_constraint_residual(s: float, r1: float, r2: float) -> float:
     return abs(s - math.sqrt((1.0 - r1) * r2) - math.sqrt((1.0 - r2) * r1))
 
 
-def _symmetric_args(n: int, s: float) -> tuple[int, float]:
-    n = int(n)
-    if n < 2:
-        raise ValidationError("n must be at least 2")
-    s = float(s)
-    if not -1.0 / (n - 1) - 1e-12 <= s <= 1.0 + 1e-12:
-        raise ValidationError(
-            f"s={s!r} outside the positive-semidefinite range [{-1.0/(n-1)}, 1]"
-        )
-    return n, s
-
-
 def symmetric_p_quadratic(n: int, s: float) -> tuple[float, float]:
     """Both roots of the success probability p for n equal-overlap states.
 
@@ -102,7 +88,7 @@ def symmetric_p_quadratic(n: int, s: float) -> tuple[float, float]:
     Returns (p_plus, p_minus) with p_plus >= p_minus >= 0; the larger
     root is the optimum.
     """
-    n, s = _symmetric_args(n, s)
+    n, s = check_symmetric(n, s)
     a = math.sqrt(max(1.0 + s * (n - 1), 0.0))
     b = (n - 1) * math.sqrt(max(1.0 - s, 0.0))
     p_plus = ((a + b) / n) ** 2
@@ -158,6 +144,15 @@ def srm_error_general(ensemble: Ensemble) -> float:
     return float(mass.sum()) / n
 
 
+def _circulant_roots(ensemble: Ensemble) -> np.ndarray:
+    """Square roots of the DFT eigenvalues of an equal-prior ensemble's
+    circulant Gram matrix; NotCirculantError for any other Gram matrix."""
+    _require_equal_priors(ensemble)
+    if not is_circulant(ensemble.gram):
+        raise NotCirculantError("ensemble Gram matrix is not circulant")
+    return np.sqrt(circulant_eigenvalues(ensemble.gram[0]))
+
+
 def srm_error_circulant(ensemble: Ensemble) -> float:
     """SRM error probability via the DFT eigenvalues of a circulant Gram.
 
@@ -168,8 +163,5 @@ def srm_error_circulant(ensemble: Ensemble) -> float:
     square roots, which keeps its relative accuracy where ``1 - p`` would
     cancel.
     """
-    _require_equal_priors(ensemble)
-    if not is_circulant(ensemble.gram):
-        raise NotCirculantError("ensemble Gram matrix is not circulant")
-    roots = np.sqrt(circulant_eigenvalues(ensemble.gram[0]))
+    roots = _circulant_roots(ensemble)
     return float(np.mean((roots - roots.mean()) ** 2))

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import binary_individual_errors, symmetric_p_quadratic
-from .ensembles import Ensemble, _frozen, gram_binary, gram_symmetric, spectral_factor
+from .closed_form import _circulant_roots, binary_individual_errors, symmetric_p_quadratic
+from .ensembles import Ensemble, _frozen, circulant, gram_binary, gram_symmetric, spectral_factor
 from .errors import (
     InfeasibleCouplingError,
     InvalidIsometryError,
+    NoSolutionError,
     UndefinedConditionalError,
     ValidationError,
 )
@@ -27,6 +28,8 @@ from .errors import (
 ROW_NORM_TOL = 1e-10
 FEASIBILITY_TOL = 1e-8
 ISOMETRY_TOL = 1e-8
+# largest |C C^H - G| entry a closed-form circulant coupling may leave
+ROOT_RESIDUAL_TOL = 1e-10
 # largest dense joint unitary build_dilation will allocate (16 n^4 bytes)
 MAX_DILATION_BYTES = 1 << 30
 
@@ -51,7 +54,7 @@ class CouplingMatrix:
         if c.shape != (n, n):
             raise ValidationError(f"coupling must be {n}x{n}, got {c.shape}")
         row_norm_err = float(np.max(np.abs(np.sum(np.abs(c) ** 2, axis=1) - 1.0)))
-        if row_norm_err > ROW_NORM_TOL:
+        if not row_norm_err <= ROW_NORM_TOL:  # NaN entries fail too
             raise ValidationError(
                 f"coupling rows must be unit vectors (residual {row_norm_err:.3e})"
             )
@@ -163,6 +166,25 @@ def symmetric_optimal_coupling(n: int, s: float) -> CouplingMatrix:
     return CouplingMatrix(c, ensemble)
 
 
+def circulant_optimal_coupling(ensemble: Ensemble) -> CouplingMatrix:
+    """Optimal coupling for an equal-prior ensemble with a circulant Gram matrix.
+
+    Such a set (N-PSK among them) is geometrically uniform, so the
+    square-root measurement is optimal (Ban, Kurokawa, Momose & Hirota
+    1997; Eldar & Forney 2001).  Its coupling ``G^{1/2}`` is the circulant
+    whose first row is the inverse DFT of the square roots of the Gram
+    eigenvalues.  NoSolutionError unless ``C C^H = G`` holds to
+    ``ROOT_RESIDUAL_TOL``, a check that does not use the DFT.
+    """
+    c = circulant(np.fft.ifft(_circulant_roots(ensemble)))
+    residual = float(np.max(np.abs(c @ c.conj().T - ensemble.gram)))
+    if not residual <= ROOT_RESIDUAL_TOL:
+        raise NoSolutionError(
+            f"circulant coupling misses the overlap constraints (residual {residual:.3e})"
+        )
+    return CouplingMatrix(c, ensemble)
+
+
 def coupling_from_unitary(ensemble: Ensemble, v: np.ndarray) -> CouplingMatrix:
     """Feasible coupling ``C = B V`` from a row-orthonormal isometry V.
 
@@ -181,7 +203,7 @@ def _checked_isometry(v, rank: int, n: int) -> np.ndarray:
     if v.shape != (rank, n):
         raise InvalidIsometryError(f"isometry must be {rank}x{n} (rank x n), got {v.shape}")
     ortho = float(np.max(np.abs(v @ v.conj().T - np.eye(rank))))
-    if ortho > ISOMETRY_TOL:
+    if not ortho <= ISOMETRY_TOL:
         raise InvalidIsometryError(f"rows are not orthonormal (residual {ortho:.3e})")
     return v
 
@@ -219,7 +241,7 @@ def _dilation_block(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
     do not leak sqrt(ulp)-size mass along them.
     """
     residual = feasibility_residual(coupling)
-    if residual > FEASIBILITY_TOL:
+    if not residual <= FEASIBILITY_TOL:
         raise InfeasibleCouplingError(
             f"coupling does not reproduce the Gram matrix (residual {residual:.3e}); "
             "inner products are not preserved, so no unitary extension exists"

@@ -24,6 +24,9 @@ DIAGONAL_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 PRIOR_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-12
+# largest n for which gram_psk and gram_symmetric build the dense n x n
+# Gram matrix (256 MiB of complex entries), checked before allocating
+MAX_STATES = 4096
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -132,6 +135,44 @@ class SpectralFactor:
         )
 
 
+def check_binary(eta1: float, overlap: complex) -> tuple[float, complex]:
+    """Validated ``(eta1, overlap)``: a prior in [0, 1], ``|overlap| <= 1``."""
+    eta1, overlap = float(eta1), complex(overlap)
+    if not 0.0 <= eta1 <= 1.0:  # these comparisons also reject NaN
+        raise ValidationError(f"eta1 must lie in [0, 1], got {eta1!r}")
+    if not abs(overlap) <= 1.0 + 1e-12:
+        raise ValidationError(f"|overlap| must be <= 1, got {abs(overlap)!r}")
+    return eta1, overlap
+
+
+def check_symmetric(n: int, s: float, max_n: float = np.inf) -> tuple[int, float]:
+    """Validated ``(n, s)``: ``2 <= n <= max_n`` and s in ``[-1/(n-1), 1]``."""
+    n, s = check_state_count(n, max_n), float(s)
+    if not -1.0 / (n - 1) - 1e-12 <= s <= 1.0 + 1e-12:
+        raise ValidationError(
+            f"s={s!r} outside the positive-semidefinite range [{-1.0/(n-1)}, 1]"
+        )
+    return n, s
+
+
+def check_state_count(n: int, max_n: float = np.inf) -> int:
+    """n as an int with ``2 <= n <= max_n``."""
+    n = int(n)
+    if n < 2:
+        raise ValidationError("n must be at least 2")
+    if n > max_n:
+        raise ValidationError(f"n={n} is above the limit of {max_n} states for a dense Gram")
+    return n
+
+
+def check_seed(seed: int) -> int:
+    """seed as an int that fits in 64 unsigned bits."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValidationError("seed must fit in 64 unsigned bits")
+    return seed
+
+
 def gram_binary(overlap: complex, eta1: float) -> Ensemble:
     """Two-state ensemble with the given overlap and prior of the first state.
 
@@ -142,12 +183,7 @@ def gram_binary(overlap: complex, eta1: float) -> Ensemble:
     eta1 : float
         Prior probability of the first state; the second gets ``1 - eta1``.
     """
-    overlap = complex(overlap)
-    if not abs(overlap) <= 1.0 + 1e-12:  # also rejects NaN
-        raise ValidationError(f"|overlap| must be <= 1, got {abs(overlap)!r}")
-    eta1 = float(eta1)
-    if not 0.0 <= eta1 <= 1.0:
-        raise ValidationError(f"eta1 must lie in [0, 1], got {eta1!r}")
+    eta1, overlap = check_binary(eta1, overlap)
     gram = np.array([[1.0, overlap], [np.conj(overlap), 1.0]])
     return Ensemble(2, gram, np.array([eta1, 1.0 - eta1]))
 
@@ -157,16 +193,10 @@ def gram_symmetric(n: int, s: float) -> Ensemble:
 
     The Gram matrix is positive semidefinite exactly for
     ``-1/(n-1) <= s <= 1``; the lower edge is the rank-deficient limiting
-    case where the states become linearly dependent.
+    case where the states become linearly dependent.  n is capped at
+    ``MAX_STATES``.
     """
-    n = int(n)
-    if n < 2:
-        raise ValidationError("n must be at least 2")
-    s = float(s)
-    if not -1.0 / (n - 1) - 1e-12 <= s <= 1.0 + 1e-12:
-        raise ValidationError(
-            f"s={s!r} outside the positive-semidefinite range [{-1.0/(n-1)}, 1]"
-        )
+    n, s = check_symmetric(n, s, MAX_STATES)
     gram = np.full((n, n), s, dtype=complex)
     np.fill_diagonal(gram, 1.0)
     return Ensemble(n, gram, np.full(n, 1.0 / n))
@@ -178,21 +208,19 @@ def gram_psk(n: int, alpha_sq: float) -> Ensemble:
     The states are coherent states of common intensity ``alpha_sq``
     whose phases sit at the n-th roots of unity, giving the circulant
     Gram matrix ``G[j, l] = exp(-alpha_sq * (1 - w**(l - j)))`` with
-    ``w = exp(2 pi i / n)``.
+    ``w = exp(2 pi i / n)``.  n is capped at ``MAX_STATES``.
     """
-    n = int(n)
-    if n < 2:
-        raise ValidationError("n must be at least 2")
+    n = check_state_count(n, MAX_STATES)
     alpha_sq = float(alpha_sq)
     if not 0.0 <= alpha_sq < np.inf:
         raise ValidationError(f"alpha_sq must be finite and nonnegative, got {alpha_sq!r}")
-    omega = np.exp(2j * np.pi / n)
-    j, l = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    gram = np.exp(-alpha_sq * (1.0 - omega ** ((l - j) % n)))
-    # exact Hermiticity and unit diagonal, independent of roundoff in omega powers
-    gram = 0.5 * (gram + gram.conj().T)
-    np.fill_diagonal(gram, 1.0)
-    return Ensemble(n, gram, np.full(n, 1.0 / n))
+    k = np.arange(n)
+    row = np.exp(-alpha_sq * (1.0 - np.exp(2j * np.pi / n) ** k))
+    # exact Hermiticity (row[-k] = conj(row[k])) and unit diagonal,
+    # independent of roundoff in the powers of the root of unity
+    row = 0.5 * (row + row[-k].conj())
+    row[0] = 1.0
+    return Ensemble(n, circulant(row), np.full(n, 1.0 / n))
 
 
 def psk_first_row(n: int, alpha_sq: float) -> np.ndarray:
@@ -251,13 +279,17 @@ def circulant_eigenvalues(first_row: np.ndarray) -> np.ndarray:
     return np.clip(lam, 0.0, None)
 
 
+def circulant(first_row: np.ndarray) -> np.ndarray:
+    """The circulant matrix ``C[j, l] = first_row[(l - j) mod n]``."""
+    first_row = np.asarray(first_row)
+    n = first_row.shape[0]
+    return first_row[(np.arange(n) - np.arange(n)[:, None]) % n]
+
+
 def is_circulant(gram: np.ndarray, tol: float = 1e-10) -> bool:
     """True if ``gram[j, l]`` depends only on ``(l - j) mod n`` within tol."""
     gram = np.asarray(gram)
-    n = gram.shape[0]
-    row = gram[0]
-    j, l = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return bool(np.max(np.abs(gram - row[(l - j) % n])) <= tol)
+    return bool(np.max(np.abs(gram - circulant(gram[0]))) <= tol)
 
 
 def ensemble_from_json(source: str | dict) -> Ensemble:
@@ -294,7 +326,7 @@ def ensemble_from_json(source: str | dict) -> Ensemble:
             matrix = parse_matrix(source["matrix"])
             priors = np.array([float(p) for p in source["priors"]])
             return Ensemble(matrix.shape[0], matrix, priors)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ValidationError):
             raise
         raise ValidationError(f"malformed ensemble JSON: {exc}") from exc

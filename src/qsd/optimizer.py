@@ -6,13 +6,10 @@ Two routes to the same objective ``sum_j eta_j |c_jj|**2``:
   by Riemannian ascent over row-orthonormal V (polar fixed-point steps,
   and Newton steps where those stall), with a square-root-measurement
   warm start plus seeded random restarts.
-* :func:`psk3_solve` / :func:`psk4_solve` need no search.  Equal-prior
-  phase-shift-keyed sets are geometrically uniform, so the square-root
-  measurement is optimal for them (Ban, Kurokawa, Momose & Hirota 1997;
-  Eldar & Forney 2001) and the optimal coupling is the circulant
-  ``G^{1/2}``, whose first row is the inverse DFT of the square roots
-  of the Gram eigenvalues.  That row is checked against the overlap
-  constraints ``C C^H = G`` before it is returned.
+* :func:`psk3_solve` / :func:`psk4_solve` need no search: they read the
+  parameters of the circulant ``G^{1/2}`` from
+  :func:`~qsd.coupling.circulant_optimal_coupling`, which is optimal for
+  every equal-prior circulant ensemble.
 """
 
 from __future__ import annotations
@@ -22,14 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingMatrix, _checked_isometry, _polar_orthonormal, error_probability
-from .ensembles import Ensemble, circulant_eigenvalues, gram_psk, spectral_factor
-from .errors import NoSolutionError, ValidationError
+from .coupling import (
+    CouplingMatrix,
+    _checked_isometry,
+    _polar_orthonormal,
+    circulant_optimal_coupling,
+    error_probability,
+)
+from .ensembles import Ensemble, check_seed, gram_psk, spectral_factor
+from .errors import ValidationError
 
 # objective band (absolute, objective lies in [0, 1]) inside which a step
 # counts as an objective tie and may be accepted on gradient-norm decrease
 PLATEAU_BAND = 1e-14
-ROOT_RESIDUAL_TOL = 1e-10
 # duality gap below which a coupling counts as certified optimal, and the
 # number of ascent iterations between two gap evaluations
 CERT_TOL = 1e-10
@@ -40,7 +42,15 @@ GRAD_EXTRA_STEPS = 3
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the Riemannian ascent.  All fields have safe defaults."""
+    """Knobs for the Riemannian ascent.  All fields have safe defaults.
+
+    ``rank_tol`` is the relative eigenvalue cut of the spectral factor:
+    the ascent and its duality gap see the Gram matrix without the modes
+    below it, so a certificate holds for that truncated Gram only.  Such
+    a mode can move the optimum by far more than ``CERT_TOL``: 16-PSK at
+    ``alpha_sq = 1`` loses a 4.5e-12 eigenvalue, and its certified
+    p_error is 1.4e-7 above the optimum.
+    """
 
     max_iters: int = 2000
     grad_tol: float = 1e-10
@@ -55,8 +65,7 @@ class SolverConfig:
             raise ValidationError("grad_tol and rank_tol must be positive and finite")
         if self.restarts < 1:
             raise ValidationError("restarts must be at least 1")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValidationError("seed must fit in 64 unsigned bits")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -100,9 +109,10 @@ class OptimizeResult:
     """Best coupling found, its error, and the winning restart's trace.
 
     ``dual_gap`` bounds how far the success probability of the returned
-    coupling lies below the optimum (see :func:`dual_gap`); ``certified``
-    is ``dual_gap <= CERT_TOL``.  ``converged`` holds when the gradient
-    test or the certificate does.
+    coupling lies below the optimum of the Gram matrix truncated at
+    ``SolverConfig.rank_tol`` (see :func:`dual_gap`), which may miss the
+    input's optimum; ``certified`` is ``dual_gap <= CERT_TOL``.
+    ``converged`` holds when the gradient test or the certificate does.
     """
 
     coupling: CouplingMatrix
@@ -343,86 +353,27 @@ def optimize_general(ensemble: Ensemble, config: SolverConfig | None = None) -> 
 # structured PSK solvers
 
 
-def _circulant(first_row: np.ndarray) -> np.ndarray:
-    n = first_row.shape[0]
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return first_row[(k - j) % n]
-
-
-def _psk_row(n: int, alpha_sq: float) -> np.ndarray:
-    """First row of the optimal circulant PSK coupling ``G^{1/2}``.
-
-    Equal-prior PSK states are geometrically uniform, so the square-root
-    measurement is optimal and its coupling is the principal square root
-    of the circulant Gram matrix: the circulant whose first row is the
-    inverse DFT of ``sqrt(lambda_k)``.  The row is then checked against
-    the overlap constraints ``C C^H = G`` (row norm and overlaps), which
-    do not depend on the DFT.
-    """
-    ensemble = gram_psk(n, alpha_sq)
-    row = np.fft.ifft(np.sqrt(circulant_eigenvalues(ensemble.gram[0])))
-    c = _circulant(row)
-    residual = float(np.max(np.abs(c @ c.conj().T - ensemble.gram)))
-    if residual > ROOT_RESIDUAL_TOL:
-        raise NoSolutionError(
-            f"circulant coupling misses the overlap constraints at alpha_sq={alpha_sq!r} "
-            f"(residual {residual:.3e})"
-        )
-    return row
-
-
-def psk3_solve(alpha_sq: float) -> tuple[PskParams, float]:
-    """Optimal circulant coupling for three phase-shift-keyed states.
-
-    The first row ``(sqrt(p), u - i v, u + i v)`` is that of ``G^{1/2}``
-    (see :func:`_psk_row`).  The error probability is the row's
-    off-diagonal mass ``2 r``, which keeps its relative accuracy where
-    ``1 - p`` would cancel.
-    """
-    row = _psk_row(3, alpha_sq)
+def psk_params(row: np.ndarray) -> tuple[PskParams, float]:
+    """PskParams of the first row of an optimal 3- or 4-PSK coupling (the
+    opposite-state amplitude is real, so theta2 is 0 or pi), and the
+    error probability as the row's off-diagonal mass ``2 r (+ r_prime)``,
+    which keeps its relative accuracy where ``1 - p`` would cancel."""
     q, w = float(row[0].real), complex(row[1])
     u, v = w.real, -w.imag
     r = u * u + v * v
-    params = PskParams(p=q * q, r=r, theta1=math.atan2(v, u), u=u, v=v)
-    return params, 2.0 * r
-
-
-def psk4_solve(alpha_sq: float) -> tuple[PskParams, float]:
-    """Optimal circulant coupling for four phase-shift-keyed states.
-
-    The first row ``(sqrt(p), u - i v, z, u + i v)`` is that of
-    ``G^{1/2}`` (see :func:`_psk_row`).  The opposite-state amplitude z
-    is real, so ``r_prime = z**2`` and ``theta2`` is 0 for ``z >= 0`` and
-    pi otherwise.  The error probability is the off-diagonal mass
-    ``2 r + r_prime``.
-    """
-    row = _psk_row(4, alpha_sq)
-    q, w, z = float(row[0].real), complex(row[1]), float(row[2].real)
-    u, v = w.real, -w.imag
-    r = u * u + v * v
-    params = PskParams(
-        p=q * q,
-        r=r,
-        theta1=math.atan2(v, u),
-        u=u,
-        v=v,
-        r_prime=z * z,
-        theta2=0.0 if z >= 0.0 else math.pi,
-    )
+    common = dict(p=q * q, r=r, theta1=math.atan2(v, u), u=u, v=v)
+    if len(row) == 3:
+        return PskParams(**common), 2.0 * r
+    z = float(row[2].real)
+    params = PskParams(**common, r_prime=z * z, theta2=0.0 if z >= 0.0 else math.pi)
     return params, 2.0 * r + z * z
 
 
-def psk_coupling(n: int, alpha_sq: float, params: PskParams) -> CouplingMatrix:
-    """Circulant coupling matrix realizing a PSK parameter set."""
-    ensemble = gram_psk(n, alpha_sq)
-    w = params.u - 1j * params.v
-    if n == 3:
-        first_row = np.array([math.sqrt(params.p), w, np.conj(w)])
-    elif n == 4:
-        if params.r_prime is None or params.theta2 is None:
-            raise ValidationError("quaternary parameters require r_prime and theta2")
-        z = math.sqrt(params.r_prime) * np.exp(1j * params.theta2)
-        first_row = np.array([math.sqrt(params.p), w, z, np.conj(w)])
-    else:
-        raise ValidationError("structured PSK couplings exist only for n in {3, 4}")
-    return CouplingMatrix(_circulant(first_row), ensemble)
+def psk3_solve(alpha_sq: float) -> tuple[PskParams, float]:
+    """Optimal coupling parameters for three PSK states (:func:`psk_params`)."""
+    return psk_params(circulant_optimal_coupling(gram_psk(3, alpha_sq)).c[0])
+
+
+def psk4_solve(alpha_sq: float) -> tuple[PskParams, float]:
+    """Optimal coupling parameters for four PSK states (:func:`psk_params`)."""
+    return psk_params(circulant_optimal_coupling(gram_psk(4, alpha_sq)).c[0])

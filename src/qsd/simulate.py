@@ -17,12 +17,11 @@ import numpy as np
 
 from .closed_form import helstrom_bound
 from .coupling import CouplingMatrix, _dilation_block, error_probability
-from .ensembles import Ensemble, _frozen, gram_binary
+from .ensembles import _frozen, check_binary, check_seed, gram_binary
 from .errors import InfeasibleSequentialError, ValidationError
 
 # numpy's multinomial takes the shot count as a signed 64-bit integer
 MAX_SHOTS = 2**63
-ROW_SUM_TOL = 1e-8
 DILATION_CHECK_TOL = 1e-10
 # outcome probabilities below this are treated as an impossible branch
 NEGLIGIBLE_PROB = 1e-15
@@ -58,14 +57,11 @@ def run_monte_carlo(coupling: CouplingMatrix, shots: int, seed: int) -> Simulati
         raise ValidationError("shots must be at least 1")
     if shots >= MAX_SHOTS:
         raise ValidationError("shots must be below 2**63")
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise ValidationError("seed must fit in 64 unsigned bits")
+    seed = check_seed(seed)
     n = coupling.n
+    # CouplingMatrix has checked that the rows sum to 1 within ROW_NORM_TOL
     rows = np.abs(coupling.c) ** 2
     row_sums = rows.sum(axis=1)
-    if float(np.max(np.abs(row_sums - 1.0))) > ROW_SUM_TOL:
-        raise ValidationError("coupling row probabilities do not sum to 1")
     if shots >= 1_000_000:
         check_against_dilation(coupling)
 
@@ -167,10 +163,7 @@ def two_stage_binary(eta1: float, s: float, params: TwoStageParams) -> TwoStageR
     constructions (optimal first stage with t1 = t2 = 1, or a vacuous
     first stage deferring everything to stage two).
     """
-    eta1 = float(eta1)
-    if not 0.0 <= eta1 <= 1.0:
-        raise ValidationError("eta1 must lie in [0, 1]")
-    s = float(s)
+    eta1, s = check_binary(eta1, s)[0], float(s)
     if not 0.0 <= s <= 1.0:
         raise ValidationError("s must lie in [0, 1]")
     if preservation_residual(s, params) > 1e-10:

@@ -22,6 +22,7 @@ from qsd.closed_form import (
 )
 from qsd.coupling import (
     binary_optimal_coupling,
+    circulant_optimal_coupling,
     coupling_from_unitary,
     dilation_input_vector,
     dilation_target_vector,
@@ -44,7 +45,6 @@ from qsd.optimizer import (
     optimize_general,
     psk3_solve,
     psk4_solve,
-    psk_coupling,
 )
 from qsd.simulate import TwoStageParams, run_monte_carlo, two_stage_binary
 
@@ -191,7 +191,7 @@ def test_criterion_4_psk_oracle_and_limit():
         for i, a in enumerate(np.linspace(0.05, 2.0, 40)):
             a = float(a)
             params, p_err = solve(a)
-            cpl = psk_coupling(n, a, params)
+            cpl = circulant_optimal_coupling(gram_psk(n, a))
             worst_feasibility = max(worst_feasibility, feasibility_residual(cpl))
             worst_dual_gap = max(worst_dual_gap, coupling_gap(cpl))
             if i % 8 == 0:
@@ -274,7 +274,7 @@ def test_criterion_6_monte_carlo(monkeypatch):
     cases = [
         ("binary", binary_optimal_coupling(0.5, 0.6)),
         ("symmetric", symmetric_optimal_coupling(3, 0.5)),
-        ("psk", psk_coupling(3, 0.5, psk3_solve(0.5)[0])),
+        ("psk", circulant_optimal_coupling(gram_psk(3, 0.5))),
     ]
     for label, cpl in cases:
         per_worker = []

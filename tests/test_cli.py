@@ -5,7 +5,12 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import cli_json, run_cli
+from conftest import cli_json, mp_psk_error, run_cli
+from qsd.cli import _optimal_coupling
+from qsd.closed_form import symmetric_min_error
+from qsd.coupling import circulant_optimal_coupling, symmetric_optimal_coupling
+from qsd.ensembles import Ensemble, gram_psk, gram_symmetric
+from qsd.optimizer import optimize_general
 
 BINARY_UNEQ = '{"kind":"binary","overlap":{"re":0.6,"im":0.0},"eta1":0.25}'
 BINARY_EQ = '{"kind":"binary","overlap":{"re":0.6,"im":0},"eta1":0.5}'
@@ -66,6 +71,15 @@ class TestSymmetric:
         code, _, _ = run_cli("symmetric", "--n", "4", "--s", "-0.5")
         assert code == 2
 
+    def test_oversized_coupling_refused_closed_form_kept(self):
+        code, out, err = run_cli("symmetric", "--n", "100000", "--s", "0.5", "--emit-coupling")
+        assert (code, out) == (2, "")
+        assert "4096" in err
+        assert "Traceback" not in err
+        # the closed form needs no matrix and has no size limit
+        out = cli_json("symmetric", "--n", "100000", "--s", "0.5")
+        assert out["p_error"] == pytest.approx(symmetric_min_error(100000, 0.5), abs=1e-15)
+
 
 class TestPsk:
     def test_zero_intensity_ternary(self):
@@ -78,8 +92,22 @@ class TestPsk:
         assert len(out["coupling"]["c"]) == 4
 
     def test_unsupported_n_exit_2(self):
-        code, _, _ = run_cli("psk", "--n", "5", "--alpha-sq", "0.5")
+        code, _, _ = run_cli("psk", "--n", "1", "--alpha-sq", "0.5")
         assert code == 2
+        code, _, _ = run_cli("psk", "--n", "5", "--alpha-sq", "0.5")
+        assert code == 0
+
+    def test_any_n_row_payload(self):
+        out = cli_json("psk", "--n", "5", "--alpha-sq", "1.0", "--emit-coupling")
+        assert list(out) == ["n", "alpha_sq", "p_error", "row", "coupling"]
+        assert out["row"] == out["coupling"]["c"][0]
+        assert abs(out["p_error"] - float(mp_psk_error(5, 1.0))) <= 1e-8
+
+    def test_oversized_n_exit_2(self):
+        code, out, err = run_cli("psk", "--n", "100000", "--alpha-sq", "1.0")
+        assert (code, out) == (2, "")
+        assert "4096" in err
+        assert "Traceback" not in err
 
     def test_negative_intensity_exit_2(self):
         code, _, _ = run_cli("psk", "--n", "3", "--alpha-sq", "-1")
@@ -298,6 +326,31 @@ class TestSimulate:
         code, _, _ = run_cli("simulate", "--ensemble", BINARY_EQ, "--shots", "0")
         assert code == 2
 
+    def test_circulant_ensemble_gets_the_circulant_optimum(self):
+        # the general search drops a 4.5e-12 Gram eigenvalue here and was
+        # 1.4e-7 above the optimum
+        ensemble = '{"kind":"psk","n":16,"alpha_sq":1.0}'
+        out = cli_json("simulate", "--ensemble", ensemble, "--shots", "1000")
+        assert abs(out["analytic_error"] - float(mp_psk_error(16, 1.0))) <= 1e-9
+
+    def test_oversized_ensemble_exit_2(self):
+        ensemble = '{"kind":"psk","n":100000,"alpha_sq":1.0}'
+        code, out, err = run_cli("simulate", "--ensemble", ensemble, "--shots", "1000")
+        assert (code, out) == (2, "")
+        assert "4096" in err
+        assert "Traceback" not in err
+
+
+def test_optimal_coupling_dispatches_on_the_ensemble():
+    # explicit Gram matrices get the closed forms their structure allows
+    psk, sym = gram_psk(5, 0.7), gram_symmetric(4, 0.3)
+    as_gram = Ensemble(5, psk.gram, psk.priors)
+    assert np.array_equal(_optimal_coupling(as_gram).c, circulant_optimal_coupling(psk).c)
+    as_gram = Ensemble(4, sym.gram, sym.priors)
+    assert np.array_equal(_optimal_coupling(as_gram).c, symmetric_optimal_coupling(4, 0.3).c)
+    unequal = Ensemble(5, psk.gram, [0.3, 0.2, 0.2, 0.2, 0.1])
+    assert np.array_equal(_optimal_coupling(unequal).c, optimize_general(unequal).coupling.c)
+
 
 class TestDilation:
     def test_check_passes_for_optimal(self):
@@ -341,6 +394,20 @@ def test_malformed_coupling_file_exit_2(tmp_path, command, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("simulate", ["--shots", "1000"]), ("simulate", ["--shots", "1000000"]), ("dilation", [])],
+)
+def test_nan_coupling_file_exit_2(tmp_path, command, extra):
+    path = tmp_path / "coupling.json"
+    path.write_text('{"c": [[NaN, 0], [0, 1]]}')
+    ensemble = '{"kind":"symmetric","n":2,"s":0.0}'
+    code, out, err = run_cli(command, "--ensemble", ensemble, "--coupling", str(path), *extra)
+    assert (code, out) == (2, "")
+    assert "unit vectors" in err
     assert "Traceback" not in err
 
 
@@ -508,6 +575,25 @@ class TestSweep:
             args += [key, value]
         code, _, _ = run_cli(*args)
         assert code == 2
+
+    def test_psk_optimizer_column_any_n(self):
+        out = run_cli(
+            "sweep", "--family", "psk", "--n", "2,5,16", "--axis", "alpha_sq",
+            "--min", "0.2", "--max", "1.8", "--steps", "3", "--outputs", "srm_oracle,optimizer",
+        )[1]
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 9
+        for row in rows:
+            assert abs(float(row[5]) - float(row[6])) <= 1e-11
+
+    @pytest.mark.parametrize("n", ["x", "3,,4", "3.5", ""])
+    def test_non_integer_n_exit_2(self, n):
+        code, out, err = run_cli(
+            "sweep", "--family", "symmetric", f"--n={n}", "--axis", "s",
+            "--min", "0", "--max", "0.5", "--steps", "2",
+        )
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
 
     def test_byte_identical(self):
         args = (

@@ -3,17 +3,21 @@ import math
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from conftest import coupling_gap, mp_psk_error
+from qsd import coupling as coupling_mod
 from qsd.closed_form import helstrom_bound, symmetric_min_error
 from qsd.coupling import (
     CouplingMatrix,
     binary_optimal_coupling,
     build_dilation,
+    circulant_optimal_coupling,
     coupling_from_json,
     coupling_from_unitary,
     coupling_to_json,
@@ -37,9 +41,13 @@ from qsd.ensembles import (
 from qsd.errors import (
     InfeasibleCouplingError,
     InvalidIsometryError,
+    NoSolutionError,
+    NotCirculantError,
     UndefinedConditionalError,
+    UnsupportedPriorsError,
     ValidationError,
 )
+from qsd.optimizer import CERT_TOL, optimize_general, psk3_solve, psk4_solve
 from qsd.simulate import check_against_dilation
 
 
@@ -164,6 +172,71 @@ class TestSymmetricOptimalCoupling:
                 ) <= 1e-10
 
 
+CIRCULANT_GRID = [float(a) for a in np.geomspace(0.05, 20.0, 12)]
+
+
+class TestCirculantOptimalCoupling:
+    # the DFT row is checked against mpmath, C C^H = G and the duality gap,
+    # never against srm_error_circulant alone (both use the same DFT)
+
+    @pytest.mark.parametrize("n", [2, 5, 6, 8, 16])
+    def test_psk_meets_independent_oracles(self, n):
+        for a in CIRCULANT_GRID:
+            c = circulant_optimal_coupling(gram_psk(n, a))
+            exact = float(mpmath.re(mp_psk_error(n, a)))
+            assert abs(error_probability(c) - exact) <= 1e-8, a
+            assert feasibility_residual(c) <= 1e-10, a
+            assert coupling_gap(c) <= CERT_TOL, a
+
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    def test_matches_general_optimizer_at_full_rank(self, n):
+        compared = 0
+        for a in CIRCULANT_GRID[::3]:
+            ens = gram_psk(n, a)
+            if spectral_factor(ens).rank < n:
+                continue  # the optimizer would see a rank-truncated Gram
+            general = optimize_general(ens)
+            assert general.certified
+            assert abs(error_probability(circulant_optimal_coupling(ens)) - general.p_error) <= 1e-9
+            compared += 1
+        assert compared >= 2
+
+    def test_equals_symmetric_closed_form(self):
+        # inside the PSD range: at its edge G^{1/2} is sqrt(ulp)-sensitive
+        for n in (3, 4, 7):
+            for s in np.linspace(-1.0 / (n - 1) + 1e-3, 0.99, 9):
+                closed = symmetric_optimal_coupling(n, float(s)).c
+                circ = circulant_optimal_coupling(gram_symmetric(n, float(s))).c
+                assert np.max(np.abs(closed - circ)) <= 1e-14, (n, s)
+
+    @pytest.mark.parametrize("n, solve", [(3, psk3_solve), (4, psk4_solve)])
+    def test_psk_params_reproduce_first_row(self, n, solve):
+        for a in [1e-6, *CIRCULANT_GRID]:
+            params, _ = solve(a)
+            w = complex(params.u, -params.v)
+            middle = [] if n == 3 else [math.sqrt(params.r_prime) * np.exp(1j * params.theta2)]
+            row = np.array([math.sqrt(params.p), w, *middle, w.conjugate()])
+            c = circulant_optimal_coupling(gram_psk(n, a))
+            assert np.max(np.abs(row - c.c[0])) <= 1e-15, a
+
+    def test_unequal_priors_refused(self):
+        ens = Ensemble(3, gram_psk(3, 0.5).gram, [0.5, 0.3, 0.2])
+        with pytest.raises(UnsupportedPriorsError):
+            circulant_optimal_coupling(ens)
+
+    def test_non_circulant_refused(self):
+        g = np.eye(3, dtype=complex)
+        g[0, 1], g[1, 0] = 0.3, 0.3
+        with pytest.raises(NotCirculantError):
+            circulant_optimal_coupling(Ensemble(3, g, np.full(3, 1 / 3)))
+
+    def test_missed_overlap_constraints_raise(self, monkeypatch):
+        roots = coupling_mod._circulant_roots
+        monkeypatch.setattr(coupling_mod, "_circulant_roots", lambda e: 1.001 * roots(e))
+        with pytest.raises(NoSolutionError, match="overlap constraints"):
+            circulant_optimal_coupling(gram_psk(5, 1.0))
+
+
 class TestCouplingFromUnitary:
     def test_identity_gives_sqrt(self):
         ens = gram_symmetric(3, 0.4)
@@ -224,6 +297,11 @@ class TestCouplingMatrixValidation:
     def test_shape_enforced(self):
         with pytest.raises(ValidationError):
             CouplingMatrix(np.eye(3, dtype=complex), gram_binary(0.0, 0.5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_refused(self, bad):
+        with pytest.raises(ValidationError, match="unit vectors"):
+            CouplingMatrix(np.array([[bad, 0.0], [0.0, 1.0]]), gram_symmetric(2, 0.0))
 
 
 class TestBuildDilation:

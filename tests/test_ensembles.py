@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsd.ensembles import (
+    MAX_STATES,
     Ensemble,
     circulant_eigenvalues,
     ensemble_from_json,
@@ -275,6 +277,27 @@ class TestJsonInterface:
     def test_malformed_rejected(self, bad):
         with pytest.raises(ValidationError):
             ensemble_from_json(bad)
+
+    @pytest.mark.parametrize("n", ["Infinity", "-Infinity", "NaN", "1e400"])
+    def test_non_finite_state_count_rejected(self, n):
+        with pytest.raises(ValidationError, match="malformed"):
+            ensemble_from_json(f'{{"kind":"psk","n":{n},"alpha_sq":0.5}}')
+
+
+class TestSizeLimit:
+    @pytest.mark.parametrize(
+        "build", [lambda n: gram_psk(n, 1.0), lambda n: gram_symmetric(n, 0.5)], ids=["psk", "symmetric"]
+    )
+    @pytest.mark.parametrize("n", [MAX_STATES + 1, 100_000, 2**63])
+    def test_refused_before_allocating(self, build, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=str(MAX_STATES)):
+                build(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 @settings(max_examples=60, deadline=None)

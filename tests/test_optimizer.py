@@ -14,6 +14,7 @@ from qsd.closed_form import (
 from qsd.coupling import (
     _polar_orthonormal,
     binary_optimal_coupling,
+    circulant_optimal_coupling,
     coupling_from_unitary,
     feasibility_residual,
     success_probability,
@@ -33,7 +34,6 @@ from qsd.optimizer import (
     optimize_general,
     psk3_solve,
     psk4_solve,
-    psk_coupling,
 )
 
 
@@ -422,7 +422,7 @@ class TestPsk3:
 
     def test_coupling_feasible(self):
         params, p_err = psk3_solve(1.2)
-        c = psk_coupling(3, 1.2, params)
+        c = circulant_optimal_coupling(gram_psk(3, 1.2))
         assert feasibility_residual(c) <= 1e-8
         assert abs((1.0 - success_probability(c)) - p_err) <= 1e-10
 
@@ -455,7 +455,7 @@ class TestPsk4:
 
     def test_coupling_feasible(self):
         params, p_err = psk4_solve(0.6)
-        c = psk_coupling(4, 0.6, params)
+        c = circulant_optimal_coupling(gram_psk(4, 0.6))
         assert feasibility_residual(c) <= 1e-8
         assert abs((1.0 - success_probability(c)) - p_err) <= 1e-10
 
@@ -485,7 +485,7 @@ PSK_GRID = [float(a) for a in np.geomspace(0.05, 20.0, 60)]
 def test_psk_solvers_cover_the_whole_intensity_range(n, solve):
     for a in PSK_GRID:
         params, p_err = solve(a)
-        assert feasibility_residual(psk_coupling(n, a, params)) <= 1e-10, a
+        assert feasibility_residual(circulant_optimal_coupling(gram_psk(n, a))) <= 1e-10, a
         assert abs(p_err - srm_error_circulant(gram_psk(n, a))) <= 1e-8, a
 
 

@@ -11,12 +11,13 @@ from qsd.coupling import (
     CouplingMatrix,
     _dilation_block,
     binary_optimal_coupling,
+    circulant_optimal_coupling,
     feasibility_residual,
     symmetric_optimal_coupling,
 )
-from qsd.ensembles import Ensemble, gram_binary, gram_symmetric
+from qsd.ensembles import Ensemble, gram_binary, gram_psk, gram_symmetric
 from qsd.errors import InfeasibleCouplingError, InfeasibleSequentialError, ValidationError
-from qsd.optimizer import psk3_solve, psk_coupling
+from qsd.optimizer import psk3_solve
 from qsd.simulate import (
     SimulationReport,
     TwoStageParams,
@@ -57,7 +58,7 @@ class TestRunMonteCarlo:
     def test_small_analytic_error_keeps_relative_accuracy(self):
         # 1 - p_succ cancels to 0 or 2.2e-16 here; the true error is 1.43e-20
         params, p_err = psk3_solve(15.0)
-        rpt = run_monte_carlo(psk_coupling(3, 15.0, params), 1000, 2)
+        rpt = run_monte_carlo(circulant_optimal_coupling(gram_psk(3, 15.0)), 1000, 2)
         assert abs(rpt.analytic_error / p_err - 1.0) <= 1e-6
 
     def test_reproducible_same_seed(self):
