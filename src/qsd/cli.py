@@ -72,16 +72,26 @@ def _solver_config(args) -> optimizer.SolverConfig:
 def _optimal_coupling(ensemble: Ensemble) -> coupling_mod.CouplingMatrix:
     """Best-known coupling for an ensemble: the closed form of the first
     structure it has (two states; equal priors with equal real overlaps;
-    equal priors with a circulant Gram matrix), else the general search."""
+    equal priors with a circulant Gram matrix), else the general search.
+
+    The search also takes over when a closed form refuses the ensemble:
+    ``Ensemble`` admits Gram matrices up to its own tolerances (eigenvalues
+    down to -1e-10, circulant to 1e-10), beyond the closed forms' tighter ones.
+    """
     n, gram = ensemble.n, ensemble.gram
-    if n == 2:
-        return coupling_mod.binary_optimal_coupling(float(ensemble.priors[0]), complex(gram[0, 1]))
-    if ensemble.equal_priors:
-        off = gram[~np.eye(n, dtype=bool)]
-        if n > 2 and np.all(off == off[0]) and off[0].imag == 0.0:
-            return coupling_mod.symmetric_optimal_coupling(n, off[0].real)
-        if is_circulant(gram):
-            return coupling_mod.circulant_optimal_coupling(ensemble)
+    try:
+        if n == 2:
+            return coupling_mod.binary_optimal_coupling(
+                float(ensemble.priors[0]), complex(gram[0, 1])
+            )
+        if ensemble.equal_priors:
+            off = gram[~np.eye(n, dtype=bool)]
+            if n > 2 and np.all(off == off[0]) and off[0].imag == 0.0:
+                return coupling_mod.symmetric_optimal_coupling(n, off[0].real)
+            if is_circulant(gram):
+                return coupling_mod.circulant_optimal_coupling(ensemble)
+    except QsdError:
+        pass
     return optimizer.optimize_general(ensemble).coupling
 
 
@@ -261,8 +271,16 @@ def _sweep_row(family, n, axis, value, outputs, fixed_s, fixed_eta1) -> str:
             srm = closed_form.srm_error_general(ens) if ens.equal_priors else None
         if "optimizer" in outputs:
             opt = optimizer.optimize_general(gram_binary(s, eta1)).p_error
-    cells = [family, str(n), axis, fmt_float(value, CSV_DIGITS)]
-    return ",".join(cells + [_sweep_cell(x) for x in (closed, srm, opt)])
+    cells = [
+        family,
+        str(n),
+        axis,
+        fmt_float(value, CSV_DIGITS),
+        _sweep_cell(closed),
+        _sweep_cell(srm),
+        _sweep_cell(opt),
+    ]
+    return ",".join(cells)
 
 
 def cmd_sweep(args) -> int:

@@ -61,7 +61,8 @@ def binary_individual_errors(eta1: float, overlap: complex) -> BinarySolution:
     continuous limit r1 = r2 = 1/2.
     """
     eta1, overlap = check_binary(eta1, overlap)
-    s, eta2 = min(abs(overlap), 1.0), 1.0 - eta1
+    s = min(abs(overlap), 1.0)
+    eta2 = 1.0 - eta1
     disc = 1.0 - 4.0 * eta1 * eta2 * s * s
     if disc <= 0.0:
         # only reachable at eta1 = eta2 = 1/2, s = 1

@@ -135,19 +135,25 @@ class SpectralFactor:
         )
 
 
+def check_prior(eta1: float) -> float:
+    """eta1 as a float in [0, 1]."""
+    eta1 = float(eta1)
+    if not 0.0 <= eta1 <= 1.0:  # also rejects NaN
+        raise ValidationError(f"eta1 must lie in [0, 1], got {eta1!r}")
+    return eta1
+
+
 def check_binary(eta1: float, overlap: complex) -> tuple[float, complex]:
     """Validated ``(eta1, overlap)``: a prior in [0, 1], ``|overlap| <= 1``."""
-    eta1, overlap = float(eta1), complex(overlap)
-    if not 0.0 <= eta1 <= 1.0:  # these comparisons also reject NaN
-        raise ValidationError(f"eta1 must lie in [0, 1], got {eta1!r}")
-    if not abs(overlap) <= 1.0 + 1e-12:
+    eta1, overlap = check_prior(eta1), complex(overlap)
+    if not abs(overlap) <= 1.0 + 1e-12:  # also rejects NaN
         raise ValidationError(f"|overlap| must be <= 1, got {abs(overlap)!r}")
     return eta1, overlap
 
 
-def check_symmetric(n: int, s: float, max_n: float = np.inf) -> tuple[int, float]:
-    """Validated ``(n, s)``: ``2 <= n <= max_n`` and s in ``[-1/(n-1), 1]``."""
-    n, s = check_state_count(n, max_n), float(s)
+def check_symmetric(n: int, s: float) -> tuple[int, float]:
+    """Validated ``(n, s)``: ``n >= 2`` and s in ``[-1/(n-1), 1]``."""
+    n, s = check_state_count(n), float(s)
     if not -1.0 / (n - 1) - 1e-12 <= s <= 1.0 + 1e-12:
         raise ValidationError(
             f"s={s!r} outside the positive-semidefinite range [{-1.0/(n-1)}, 1]"
@@ -155,14 +161,18 @@ def check_symmetric(n: int, s: float, max_n: float = np.inf) -> tuple[int, float
     return n, s
 
 
-def check_state_count(n: int, max_n: float = np.inf) -> int:
-    """n as an int with ``2 <= n <= max_n``."""
+def check_state_count(n: int) -> int:
+    """n as an int, at least 2."""
     n = int(n)
     if n < 2:
         raise ValidationError("n must be at least 2")
-    if n > max_n:
-        raise ValidationError(f"n={n} is above the limit of {max_n} states for a dense Gram")
     return n
+
+
+def _check_dense(n: int) -> None:
+    """Refuse, before anything is allocated, a dense Gram matrix above MAX_STATES."""
+    if n > MAX_STATES:
+        raise ValidationError(f"n={n} is above the limit of {MAX_STATES} states for a dense Gram")
 
 
 def check_seed(seed: int) -> int:
@@ -196,7 +206,8 @@ def gram_symmetric(n: int, s: float) -> Ensemble:
     case where the states become linearly dependent.  n is capped at
     ``MAX_STATES``.
     """
-    n, s = check_symmetric(n, s, MAX_STATES)
+    n, s = check_symmetric(n, s)
+    _check_dense(n)
     gram = np.full((n, n), s, dtype=complex)
     np.fill_diagonal(gram, 1.0)
     return Ensemble(n, gram, np.full(n, 1.0 / n))
@@ -210,7 +221,8 @@ def gram_psk(n: int, alpha_sq: float) -> Ensemble:
     Gram matrix ``G[j, l] = exp(-alpha_sq * (1 - w**(l - j)))`` with
     ``w = exp(2 pi i / n)``.  n is capped at ``MAX_STATES``.
     """
-    n = check_state_count(n, MAX_STATES)
+    n = check_state_count(n)
+    _check_dense(n)
     alpha_sq = float(alpha_sq)
     if not 0.0 <= alpha_sq < np.inf:
         raise ValidationError(f"alpha_sq must be finite and nonnegative, got {alpha_sq!r}")

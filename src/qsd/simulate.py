@@ -17,7 +17,7 @@ import numpy as np
 
 from .closed_form import helstrom_bound
 from .coupling import CouplingMatrix, _dilation_block, error_probability
-from .ensembles import _frozen, check_binary, check_seed, gram_binary
+from .ensembles import _frozen, check_prior, check_seed, gram_binary
 from .errors import InfeasibleSequentialError, ValidationError
 
 # numpy's multinomial takes the shot count as a signed 64-bit integer
@@ -163,7 +163,8 @@ def two_stage_binary(eta1: float, s: float, params: TwoStageParams) -> TwoStageR
     constructions (optimal first stage with t1 = t2 = 1, or a vacuous
     first stage deferring everything to stage two).
     """
-    eta1, s = check_binary(eta1, s)[0], float(s)
+    eta1 = check_prior(eta1)
+    s = float(s)
     if not 0.0 <= s <= 1.0:
         raise ValidationError("s must lie in [0, 1]")
     if preservation_residual(s, params) > 1e-10:

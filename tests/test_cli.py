@@ -8,8 +8,14 @@ import pytest
 from conftest import cli_json, mp_psk_error, run_cli
 from qsd.cli import _optimal_coupling
 from qsd.closed_form import symmetric_min_error
-from qsd.coupling import circulant_optimal_coupling, symmetric_optimal_coupling
-from qsd.ensembles import Ensemble, gram_psk, gram_symmetric
+from qsd.coupling import (
+    FEASIBILITY_TOL,
+    circulant_optimal_coupling,
+    feasibility_residual,
+    symmetric_optimal_coupling,
+)
+from qsd.ensembles import Ensemble, circulant, gram_psk, gram_symmetric, is_circulant
+from qsd.errors import QsdError
 from qsd.optimizer import optimize_general
 
 BINARY_UNEQ = '{"kind":"binary","overlap":{"re":0.6,"im":0.0},"eta1":0.25}'
@@ -350,6 +356,42 @@ def test_optimal_coupling_dispatches_on_the_ensemble():
     assert np.array_equal(_optimal_coupling(as_gram).c, symmetric_optimal_coupling(4, 0.3).c)
     unequal = Ensemble(5, psk.gram, [0.3, 0.2, 0.2, 0.2, 0.1])
     assert np.array_equal(_optimal_coupling(unequal).c, optimize_general(unequal).coupling.c)
+
+
+def _fallback_coupling(ensemble, closed_form):
+    # the closed form refuses this ensemble, which Ensemble itself accepts
+    with pytest.raises(QsdError):
+        closed_form(ensemble)
+    cpl = _optimal_coupling(ensemble)
+    assert feasibility_residual(cpl) <= FEASIBILITY_TOL
+    return cpl
+
+
+def test_optimal_coupling_falls_back_below_the_symmetric_range():
+    # s 2e-11 below -1/(n-1): inside Ensemble's eigenvalue floor (-1e-10),
+    # outside check_symmetric's 1e-12 margin
+    s = -0.5 - 2e-11
+    gram = np.full((3, 3), s, dtype=complex)
+    np.fill_diagonal(gram, 1.0)
+    ensemble = Ensemble(3, gram, np.full(3, 1.0 / 3.0))
+    cpl = _fallback_coupling(ensemble, lambda e: symmetric_optimal_coupling(3, s))
+    assert np.allclose(cpl.c, optimize_general(ensemble).coupling.c)
+    gram_json = json.dumps({"kind": "gram", "matrix": gram.real.tolist(), "priors": [1 / 3] * 3})
+    code, out, err = run_cli("simulate", "--ensemble", gram_json, "--shots", "1000")
+    assert code == 0, err
+
+
+def test_optimal_coupling_falls_back_off_a_near_circulant():
+    # circulant to 9.5e-11 (is_circulant accepts 1e-10) and with an
+    # eigenvalue of -5e-11, so C C^H misses G by 1.04e-10 > ROOT_RESIDUAL_TOL
+    row = np.fft.ifft([2.0, 1.0, -5e-11])
+    gram = circulant(row / row[0])
+    gram = 0.5 * (gram + gram.conj().T)
+    gram[1, 2] += 9.5e-11
+    gram[2, 1] = np.conj(gram[1, 2])
+    ensemble = Ensemble(3, gram, np.full(3, 1.0 / 3.0))
+    assert is_circulant(ensemble.gram)
+    _fallback_coupling(ensemble, circulant_optimal_coupling)
 
 
 class TestDilation:
