@@ -35,26 +35,38 @@ EXIT_NUMERICAL = 4
 
 SWEEP_HEADER = "family,n,axis,value,p_err_closed,p_err_srm,p_err_opt"
 SWEEP_OUTPUTS = ("closed_form", "srm_oracle", "optimizer")
+# grid points per state count in one sweep, checked before the grid is built
+MAX_SWEEP_STEPS = 10**6
+
+
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"malformed {what} JSON: {exc}") from exc
 
 
 def _load_ensemble(text: str) -> Ensemble:
     """Parse an --ensemble argument: inline JSON or a path to a JSON file."""
     raw = text.strip()
-    if not raw.startswith("{"):
-        with open(raw, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    return ensemble_from_json(raw)
+    return ensemble_from_json(raw if raw.startswith("{") else _read_text(raw))
 
 
 def _solver_config(args) -> optimizer.SolverConfig:
     values = asdict(optimizer.SolverConfig())
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            try:
-                overrides = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"malformed solver config JSON: {exc}") from exc
+        overrides = _read_json(config_path, "solver config")
+        if not isinstance(overrides, dict):
+            raise ValidationError("solver config JSON must be an object")
         unknown = set(overrides) - set(values)
         if unknown:
             raise ValidationError(f"unknown solver config keys: {sorted(unknown)}")
@@ -63,9 +75,13 @@ def _solver_config(args) -> optimizer.SolverConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    values["max_iters"] = int(values["max_iters"])
-    values["restarts"] = int(values["restarts"])
-    values["seed"] = int(values["seed"])
+    try:
+        for key in ("max_iters", "restarts", "seed"):
+            values[key] = int(values[key])
+        for key in ("grad_tol", "rank_tol"):
+            values[key] = float(values[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"solver config {key} must be a number: {exc}") from exc
     return optimizer.SolverConfig(**values)
 
 
@@ -100,12 +116,7 @@ def _coupling_arg(source: str, ensemble: Ensemble) -> coupling_mod.CouplingMatri
     holding a coupling that must be feasible for the ensemble."""
     if source == "optimal":
         return _optimal_coupling(ensemble)
-    with open(source, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed coupling JSON: {exc}") from exc
-    cpl = coupling_mod.coupling_from_json(obj, ensemble)
+    cpl = coupling_mod.coupling_from_json(_read_json(source, "coupling"), ensemble)
     residual = coupling_mod.feasibility_residual(cpl)
     if not residual <= coupling_mod.FEASIBILITY_TOL:
         raise ValidationError(
@@ -285,8 +296,8 @@ def _sweep_row(family, n, axis, value, outputs, fixed_s, fixed_eta1) -> str:
 
 def cmd_sweep(args) -> int:
     outputs = _sweep_outputs(args.outputs)
-    if args.steps < 2:
-        raise ValidationError("steps must be at least 2")
+    if not 2 <= args.steps <= MAX_SWEEP_STEPS:
+        raise ValidationError(f"steps must lie in [2, {MAX_SWEEP_STEPS}], got {args.steps}")
     if not args.min < args.max:
         raise ValidationError("min must be strictly less than max")
 
@@ -380,7 +391,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", required=True, choices=("s", "alpha_sq", "eta1"))
     p.add_argument("--min", type=float, required=True)
     p.add_argument("--max", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument(
+        "--steps", type=int, required=True, help=f"grid points, 2 to {MAX_SWEEP_STEPS}"
+    )
     p.add_argument("--outputs", default="closed_form,srm_oracle")
     p.add_argument("--s", type=float, default=0.0, help="fixed overlap for binary eta1 sweeps")
     p.add_argument("--eta1", type=float, default=0.5, help="fixed prior for binary s sweeps")

@@ -4,8 +4,10 @@ Two routes to the same objective ``sum_j eta_j |c_jj|**2``:
 
 * :func:`optimize_general` searches all feasible couplings ``C = B V``
   by Riemannian ascent over row-orthonormal V (polar fixed-point steps,
-  and Newton steps where those stall), with a square-root-measurement
-  warm start plus seeded random restarts.
+  and Newton steps where those stall), plus seeded random restarts.  Its
+  first start is a square-root measurement: for a full-rank Gram with
+  positive priors that of the reweighted priors found by damped Newton
+  on n weights, which is the optimum, otherwise the plain one.
 * :func:`psk3_solve` / :func:`psk4_solve` need no search: they read the
   parameters of the circulant ``G^{1/2}`` from
   :func:`~qsd.coupling.circulant_optimal_coupling`, which is optimal for
@@ -38,13 +40,19 @@ CERT_TOL = 1e-10
 CERT_EVERY = 5
 # steps the ascent may take past the gradient test towards the certificate
 GRAD_EXTRA_STEPS = 3
+# Newton on the reweighted square-root-measurement weights (full rank):
+# the step in log q below which it stops, and the shortest fraction of a
+# step its backtracking tries
+NEWTON_STEP_TOL = 1e-8
+NEWTON_MIN_DAMPING = 0.25
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the Riemannian ascent.  All fields have safe defaults.
 
-    ``rank_tol`` is the relative eigenvalue cut of the spectral factor:
+    ``rank_tol`` is the relative eigenvalue cut of the spectral factor,
+    below 1 so that the largest eigenvalue is kept:
     the ascent and its duality gap see the Gram matrix without the modes
     below it, so a certificate holds for that truncated Gram only.  Such
     a mode can move the optimum by far more than ``CERT_TOL``: 16-PSK at
@@ -61,8 +69,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError("max_iters must be positive")
-        if not all(0 < x < math.inf for x in (self.grad_tol, self.rank_tol)):
-            raise ValidationError("grad_tol and rank_tol must be positive and finite")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValidationError("grad_tol must be positive and finite")
+        if not 0 < self.rank_tol < 1:
+            raise ValidationError("rank_tol must lie in (0, 1)")
         if self.restarts < 1:
             raise ValidationError("restarts must be at least 1")
         check_seed(self.seed)
@@ -248,7 +258,91 @@ def _polar_step(b, priors, v, grad, gnorm):
     return _polar_orthonormal(b.conj().T * (priors * diag)[None, :])
 
 
-def _ascend(b, priors, v, config):
+def _srm_residual(gram, log_eta, u):
+    """``F(u) = u - log diag S - log eta`` with ``S = (Q^{1/2} G Q^{1/2})^{1/2}``
+    and ``Q = diag(exp(u))``, and the eigendecomposition ``W diag(lam) W^H``
+    of ``Q^{1/2} G Q^{1/2}`` (lam clamped at 0) behind it; None where any
+    of them is not finite."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        root_q = np.exp(0.5 * u)
+        a = root_q[:, None] * gram * root_q[None, :]
+        if not np.isfinite(a).all():
+            return None
+        lam, w = np.linalg.eigh(a)
+        lam = np.clip(lam, 0.0, None)
+        s_diag = (np.abs(w) ** 2) @ np.sqrt(lam)
+        f = u - np.log(s_diag) - log_eta
+    return (f, lam, w, s_diag) if np.isfinite(f).all() else None
+
+
+def _srm_jacobian(lam, w, s_diag):
+    """Jacobian of :func:`_srm_residual` in u (Daleckii-Krein):
+    ``dS_jj/du_k = 1/2 sum_ab W_ja conj(W_ka) conj(W_jb) W_kb K_ab`` with
+    ``K_ab = (lam_a + lam_b) / (sqrt(lam_a) + sqrt(lam_b))``, 0 where both
+    eigenvalues are 0.  The sum over b is n stacked n x n products, which
+    stay on one BLAS thread where one n x n^2 product would not."""
+    root = np.sqrt(lam)
+    den = root[:, None] + root[None, :]
+    kern = np.divide(lam[:, None] + lam[None, :], den, out=np.zeros_like(den), where=den > 0.0)
+    w_bar = w.conj()
+    # z[j, a, k] = sum_b K_ab conj(W_jb) W_kb
+    z = kern @ np.einsum("jb,kb->jbk", w_bar, w)
+    ds = 0.5 * np.einsum("ja,ka,jak->jk", w, w_bar, z).real
+    return np.eye(len(lam)) - ds / s_diag[:, None]
+
+
+def _reweighted_srm_weights(gram, priors, max_steps):
+    """Weights q whose square-root measurement is optimal, by damped Newton.
+
+    For linearly independent states the optimum is the square-root
+    measurement of some reweighted priors q (Mochon 2006): with
+    ``S = (Q^{1/2} G Q^{1/2})^{1/2}`` the coupling ``Q^{-1/2} S`` has
+    ``c_jj = S_jj / sqrt(q_j)``, and it is a fixed point of the polar step
+    when ``q_j / S_jj`` is proportional to ``eta_j``, i.e. at a root of
+    ``F(u) = u - log diag S - log eta`` in ``u = log q`` (``F(u + c) =
+    F(u) + c / 2`` fixes the scale).  Newton starts at ``q = eta**2`` and
+    halves its step down to ``NEWTON_MIN_DAMPING`` until ``|F|`` decreases
+    (Armijo); non-finite trial points count as no decrease.  It stops
+    after a step below ``NEWTON_STEP_TOL`` in every ``u_j``, when
+    backtracking finds no decrease or the Jacobian is singular, or after
+    ``max_steps`` steps.  ``|F|`` is no stopping test: it has a roundoff
+    floor, 1e-13 to 1e-11 with priors of similar size and up to 1e-4 where
+    one is ~1e-5, and a longer backtracking search would wander on it.
+    Returns q (None when F is not finite at the start) and the number of
+    Newton steps taken.
+    """
+    log_eta = np.log(priors)
+    u = 2.0 * log_eta
+    point = _srm_residual(gram, log_eta, u)
+    if point is None:
+        return None, 0
+    fnorm = float(np.linalg.norm(point[0]))
+    steps = 0
+    while steps < max_steps:
+        steps += 1
+        f, lam, w, s_diag = point
+        try:
+            du = np.linalg.solve(_srm_jacobian(lam, w, s_diag), -f)
+        except np.linalg.LinAlgError:
+            break
+        if float(np.max(np.abs(du))) < NEWTON_STEP_TOL:
+            u = u + du
+            break
+        t = 1.0
+        while t >= NEWTON_MIN_DAMPING:
+            trial = _srm_residual(gram, log_eta, u + t * du)
+            if trial is not None:
+                tnorm = float(np.linalg.norm(trial[0]))
+                if tnorm <= (1.0 - 1e-4 * t) * fnorm:
+                    break
+            t *= 0.5
+        else:
+            break
+        u, point, fnorm = u + t * du, trial, tnorm
+    return np.exp(u), steps
+
+
+def _ascend(b, priors, v, config, spent=0):
     """Riemannian ascent from one starting isometry.
 
     Each iteration takes the polar fixed-point step.  It never decreases
@@ -268,12 +362,13 @@ def _ascend(b, priors, v, config):
     wherever the gradient test holds; the ascent returns once it is at
     most ``CERT_TOL``.  After the gradient test first holds, at most
     ``GRAD_EXTRA_STEPS`` more steps are taken towards the certificate.
-    Returns the objective, the isometry, the trace, whether the gradient
-    test holds at the returned point, and the gap there.
+    The ascent has ``config.max_iters - spent`` iterations.  Returns the
+    objective, the isometry, the trace, whether the gradient test holds
+    at the returned point, and the gap there.
     """
     f, grad, prev = _objective(b, priors, v), _riemannian_grad(b, priors, v), math.inf
     gnorm, trace, extra = float(np.linalg.norm(grad)), [f], GRAD_EXTRA_STEPS
-    for it in range(config.max_iters):
+    for it in range(config.max_iters - spent):
         grad_ok = gnorm <= config.grad_tol
         if grad_ok or (it and it % CERT_EVERY == 0 and _gap_may_certify(v, grad)):
             gap = dual_gap(b, priors, v)
@@ -305,14 +400,19 @@ def _ascend(b, priors, v, config):
 def optimize_general(ensemble: Ensemble, config: SolverConfig | None = None) -> OptimizeResult:
     """Gradient ascent over all feasible couplings of an ensemble.
 
-    Restart 0 starts from the square-root-measurement coupling (already
-    optimal on symmetric and PSK sets); the remaining restarts use
-    seeded random isometries.  The best restart wins, ties broken by
-    lowest index.  ``config.restarts`` is an upper bound: restarting
-    stops as soon as the best restart is certified optimal by its
-    duality gap.  A best-effort result with ``converged=False`` is
-    returned when no restart meets the gradient tolerance or the
-    certificate.
+    Restart 0 starts from a square-root-measurement coupling.  For a
+    full-rank Gram with all priors positive it is that of the reweighted
+    priors q from :func:`_reweighted_srm_weights`, ``V = polar(B^H
+    diag(sqrt(q)))``, which is optimal once Newton has converged, so the
+    duality gap usually certifies it before any ascent step; each Newton
+    step counts against ``config.max_iters``.  Otherwise it is the plain
+    square-root measurement (optimal on symmetric and PSK sets).  The
+    remaining restarts use seeded random isometries.  The best restart
+    wins, ties broken by lowest index.  ``config.restarts`` is an upper
+    bound: restarting stops as soon as the best restart is certified
+    optimal by its duality gap.  A best-effort result with
+    ``converged=False`` is returned when no restart meets the gradient
+    tolerance or the certificate.
     """
     config = config or SolverConfig()
     sf = spectral_factor(ensemble, config.rank_tol)
@@ -323,12 +423,16 @@ def optimize_general(ensemble: Ensemble, config: SolverConfig | None = None) -> 
     best = None
     restarts_used = 0
     for i in range(config.restarts):
+        spent = 0
         if i == 0:
-            v0 = _polar_orthonormal(b.conj().T @ sf.sqrt)
+            q = None
+            if rank == n and priors.min() > 0.0:
+                q, spent = _reweighted_srm_weights(ensemble.gram, priors, config.max_iters)
+            v0 = _polar_orthonormal(b.conj().T @ sf.sqrt if q is None else b.conj().T * np.sqrt(q))
         else:
             rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
             v0 = _random_isometry(rng, rank, n)
-        run = _ascend(b, priors, v0, config)
+        run = _ascend(b, priors, v0, config, spent)
         restarts_used += 1
         if best is None or run[0] > best[0] + 1e-12:
             best = run

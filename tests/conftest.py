@@ -72,3 +72,51 @@ def mp_psk_error(n, alpha_sq):
         ]
         p = (mpmath.fsum(mpmath.sqrt(x) for x in lam) / n) ** 2
         return 1 - p
+
+
+def mp_psk_min_error(n, alpha_sq, priors, tol=1e-40, max_iters=20000):
+    """Minimum error of n-PSK with any positive priors, at 60 digits.
+
+    The optimum for linearly independent states is the square-root
+    measurement of reweighted priors q (Mochon, PRA 73, 032328, 2006):
+    with ``S = (Q^{1/2} G Q^{1/2})^{1/2}`` the coupling is ``Q^{-1/2} S``,
+    and q is a fixed point of ``q <- eta * diag(S)`` (normalized).  That
+    plain iteration runs here until q moves by less than ``tol``
+    relatively; the error is the coupling's off-diagonal mass
+    ``sum_j eta_j sum_{k != j} |S_jk|**2 / q_j``.
+    """
+    with mpmath.workdps(60):
+        a = mpmath.mpf(alpha_sq)
+        omega = [mpmath.expjpi(mpmath.mpf(2 * d) / n) for d in range(n)]
+        gram = mpmath.matrix(n, n)
+        for j in range(n):
+            for k in range(n):
+                gram[j, k] = mpmath.exp(-a * (1 - omega[(k - j) % n]))
+        eta = [mpmath.mpf(p) for p in priors]
+
+        def sqrt_a(q):
+            r = [mpmath.sqrt(x) for x in q]
+            mat = mpmath.matrix(n, n)
+            for j in range(n):
+                for k in range(n):
+                    mat[j, k] = r[j] * gram[j, k] * r[k]
+            lam, w = mpmath.eigh(mat)
+            root = mpmath.diag([mpmath.sqrt(max(x, 0)) for x in lam])
+            return w * root * w.transpose_conj()
+
+        q = list(eta)
+        for _ in range(max_iters):
+            s = sqrt_a(q)
+            new = [eta[j] * mpmath.re(s[j, j]) for j in range(n)]
+            total = mpmath.fsum(new)
+            new = [x / total for x in new]
+            moved = max(abs(new[j] / q[j] - 1) for j in range(n))
+            q = new
+            if moved < tol:
+                break
+        else:
+            raise AssertionError("reweighting fixed point did not converge")
+        s = sqrt_a(q)
+        return mpmath.fsum(
+            eta[j] * abs(s[j, k]) ** 2 / q[j] for j in range(n) for k in range(n) if k != j
+        )

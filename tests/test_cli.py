@@ -178,6 +178,18 @@ class TestOptimize:
         assert code == 2
         assert "walkers" in err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [("5", "must be an object"), ('{"max_iters": "x"}', "max_iters"), ('{"rank_tol": 1.0}', "rank_tol")],
+    )
+    def test_malformed_config_values_exit_2(self, tmp_path, content, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        code, _, err = run_cli("optimize", "--config", str(cfg), "--show-config")
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert message in err
+
     def test_removed_step_init_key_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"step_init": 0.1}')
@@ -596,6 +608,8 @@ class TestSweep:
         "extra",
         [
             ("--steps", "1"),
+            ("--steps", "1000001"),
+            ("--steps", "1000000000000"),
             ("--min", "0.9", "--max", "0.1"),
             ("--axis", "alpha_sq"),
         ],

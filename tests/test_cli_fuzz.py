@@ -2,9 +2,10 @@
 
 Every input must end in exit 0 (with JSON on stdout for the JSON
 commands), 2, 3 or 4, or in argparse's ``SystemExit(2)``; any other
-exception escaping ``qsd.cli.main`` is a defect.  State counts are drawn
-either small or above the dense-matrix limit, never in between, so that
-no example builds a large matrix.
+exception escaping ``qsd.cli.main`` is a defect, and so is an exit 2, 3
+or 4 whose stderr is not a one-line ``error:`` message.  State counts
+and sweep steps are drawn either small or above their limits, never in
+between, so that no example builds a large matrix or grid.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qsd.cli import main
+from qsd.cli import MAX_SWEEP_STEPS, main
 
 # absurd magnitudes overflow in numpy on their way to a typed error
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -84,12 +85,17 @@ ENSEMBLE = st.one_of(
 def run(argv):
     """Exit code and stdout of ``qsd argv``; other exceptions propagate."""
     out, err = io.StringIO(), io.StringIO()
+    usage = False
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+            code, usage = exc.code, True
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    if code and not usage:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
     if code == 0 and argv[0] != "sweep":
         json.loads(out.getvalue())
     return code
@@ -172,3 +178,47 @@ def test_sweep_and_size_arguments(family, tokens, axis, bounds, outputs, psk_n):
     )
     run(["psk", "--n", psk_n, "--alpha-sq", "0.5"])
     run(["symmetric", "--n", psk_n, "--s", "0.25", "--emit-coupling"])
+
+
+CONFIG_KEYS = ("max_iters", "grad_tol", "restarts", "seed", "rank_tol", "walkers")
+CONFIG_FILE = st.one_of(
+    st.dictionaries(st.sampled_from(CONFIG_KEYS), FIELD, max_size=3).map(json.dumps),
+    st.one_of(NUMBER, JUNK).map(json.dumps),
+    st.text(max_size=6),
+).map(str.encode) | st.binary(max_size=6)
+# identical states: every restart-0 start is certified at once, so no
+# drawn restart or iteration count can make the run long
+IDENTITY = json.dumps({"kind": "symmetric", "n": 2, "s": 0.0})
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs")
+
+
+@FUZZ
+@given(content=CONFIG_FILE, show=st.booleans())
+def test_config_files(config_dir, content, show):
+    path = config_dir / "config.json"
+    path.write_bytes(content)
+    argv = ["optimize", "--config", str(path)]
+    run(argv + (["--show-config"] if show else ["--ensemble", IDENTITY]))
+
+
+COUNT_TOKEN = st.sampled_from(
+    ["1", "2", "3", "0", "-4", "", "x", "2.5", "1e3", "nan", "0x10", " 3"]
+    + [str(MAX_SWEEP_STEPS + 1), "1000000000000", "9" * 30]
+)
+SHOTS_TOKEN = COUNT_TOKEN | st.sampled_from(["1000", "1000000", "9223372036854775807", "9223372036854775808"])
+
+
+@FUZZ
+@given(steps=COUNT_TOKEN, shots=SHOTS_TOKEN, family=st.sampled_from(["symmetric", "binary"]))
+def test_steps_and_shots_tokens(steps, shots, family):
+    run(
+        [
+            "sweep", "--family", family, "--n", "3", "--axis", "s",
+            "--min", "0.1", "--max", "0.5", f"--steps={steps}",
+        ]
+    )
+    run(["simulate", "--ensemble", IDENTITY, f"--shots={shots}"])

@@ -3,8 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import coupling_gap, coupling_isometry, mp_psk_error
+from conftest import coupling_gap, coupling_isometry, mp_psk_error, mp_psk_min_error
 from qsd.closed_form import (
     helstrom_bound,
     srm_error_circulant,
@@ -229,6 +231,67 @@ def test_slow_tail_certified_on_restart_0(k):
 def test_whole_corpus_certified_on_restart_0():
     for k in range(320):
         assert_certified_on_restart_0(k)
+
+
+def full_rank_ensemble(seed, n, prior):
+    rng = np.random.default_rng(seed)
+    gram = random_gram(rng, n, n)
+    priors = np.full(n, 1.0 / n) if prior == "equal" else rng.dirichlet(np.ones(n))
+    return Ensemble(n, gram, priors)
+
+
+class TestReweightedSrmStart:
+    """Restart 0 on full-rank Grams starts at the square-root measurement
+    of reweighted priors, whose weights come from damped Newton."""
+
+    def test_tiny_prior_and_small_gram_eigenvalue(self):
+        # the residual of the weights' Newton iteration sits on a roundoff
+        # floor of ~1e-6 here, far above that of well-spread priors
+        ens = full_rank_ensemble(4140, 24, "dirichlet")
+        assert 2.5e-5 < ens.priors.min() < 3.5e-5
+        assert 1e-4 < np.linalg.eigvalsh(ens.gram)[0] < 1.5e-4
+        assert spectral_factor(ens).rank == 24
+        res = optimize_general(ens)
+        assert res.certified and res.converged
+        assert res.restarts_used == 1
+        assert feasibility_residual(res.coupling) <= 1e-8
+
+    def test_zero_prior_takes_plain_srm_start(self):
+        ens = Ensemble(4, random_gram(np.random.default_rng(3), 4, 4), np.array([0.5, 0.3, 0.2, 0.0]))
+        sf = spectral_factor(ens)
+        assert sf.rank == 4
+        res = optimize_general(ens)
+        # the plain start is C = G^{1/2}
+        srm_objective = float(np.dot(ens.priors, np.abs(np.diag(sf.sqrt)) ** 2))
+        assert res.objective_trace[0] == pytest.approx(srm_objective, abs=1e-14)
+        assert res.certified and res.converged
+        assert res.restarts_used == 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        prior=st.sampled_from(["equal", "dirichlet"]),
+    )
+    def test_full_rank_certified_on_restart_0(self, seed, n, prior):
+        ens = full_rank_ensemble(seed, n, prior)
+        assert spectral_factor(ens).rank == n
+        res = optimize_general(ens)
+        assert res.certified and res.converged
+        assert res.restarts_used == 1
+        assert feasibility_residual(res.coupling) <= 1e-8
+        if prior == "equal":
+            assert res.p_error <= srm_error_general(ens) + 1e-9
+
+    @pytest.mark.parametrize("alpha_sq", [8.0, 12.0, 15.0])
+    def test_unequal_prior_psk_matches_mpmath(self, alpha_sq):
+        # the equal-prior square-root measurement is 0.11 above the
+        # optimum at alpha_sq = 15, and its duality gap is already below
+        # CERT_TOL there, so only the reweighted start finds the optimum
+        priors = (0.5, 0.3, 0.2)
+        res = optimize_general(Ensemble(3, gram_psk(3, alpha_sq).gram, np.array(priors)))
+        reference = float(mp_psk_min_error(3, alpha_sq, priors))
+        assert abs(res.p_error / reference - 1.0) <= 1e-5
 
 
 class TestDualGap:
