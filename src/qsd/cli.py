@@ -333,8 +333,16 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line with exit code 2, like
+    every other input error, in place of argparse's usage text."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsd",
         description="Minimum-error discrimination of pure-state ensembles "
         "via nondestructive ancilla couplings.",
@@ -404,9 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except NoSolutionError as exc:
         print(f"error: {exc}", file=sys.stderr)

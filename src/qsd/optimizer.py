@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import (
+    ROW_NORM_TOL,
     CouplingMatrix,
     _checked_isometry,
     _polar_orthonormal,
@@ -38,6 +39,12 @@ PLATEAU_BAND = 1e-14
 # number of ascent iterations between two gap evaluations
 CERT_TOL = 1e-10
 CERT_EVERY = 5
+# Newton on the gap's secular equations stops once every step is below
+# this fraction of the root's distance to the lowest pole with weight
+# (its steps shrink quadratically, so the last one leaves an error far
+# below it); the step cap only bounds a stall on roundoff
+SECULAR_STEP_TOL = 1e-12
+SECULAR_MAX_STEPS = 50
 # steps the ascent may take past the gradient test towards the certificate
 GRAD_EXTRA_STEPS = 3
 # Newton on the reweighted square-root-measurement weights (full rank):
@@ -45,6 +52,8 @@ GRAD_EXTRA_STEPS = 3
 # step its backtracking tries
 NEWTON_STEP_TOL = 1e-8
 NEWTON_MIN_DAMPING = 0.25
+# complex entries in one block of the Jacobian's eigen-index sum
+JACOBIAN_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -159,16 +168,79 @@ def dual_gap(b: np.ndarray, priors: np.ndarray, v: np.ndarray) -> float:
     1973; Yuen, Kennedy & Lax 1975), so ``Tr Z - P_succ = rank * t``
     bounds the distance to the optimum.  It is 0 exactly at the optimum,
     where Gamma is Hermitian and each ``Gamma - eta_j psi_j psi_j^H`` is
-    positive semidefinite.  Cost: one batched eigvalsh of n rank x rank
-    matrices.
+    positive semidefinite.
+
+    Cost: one rank x rank eigh, ``H = W diag(lam) W^H``.  Each
+    ``H - eta_j psi_j psi_j^H`` is a rank-one downdate of it, whose lowest
+    eigenvalue :func:`_lowest_downdated_eigenvalue` reads from the weights
+    ``z_ji = eta_j |(B W)_ji|**2`` (Golub 1973; Bunch, Nielsen & Sorensen
+    1978) in O(n rank) per Newton step.
     """
     diag = np.einsum("ij,ji->i", b, v)
     gamma = (b.conj().T * (priors * diag)) @ v.conj().T
-    h = 0.5 * (gamma + gamma.conj().T)
-    # H - eta_j psi_j psi_j^H for every j, stacked along the first axis
-    stacked = h - priors[:, None, None] * np.einsum("ja,jb->jab", b.conj(), b)
-    lam_min = float(np.linalg.eigvalsh(stacked)[:, 0].min())
-    return b.shape[1] * max(0.0, -lam_min)
+    lam, w = np.linalg.eigh(0.5 * (gamma + gamma.conj().T))
+    z = priors[:, None] * np.abs(b @ w) ** 2
+    # 0.0 - x, not -x: the latter is -0.0 where the gap is 0
+    return b.shape[1] * (0.0 - _lowest_downdated_eigenvalue(lam, z))
+
+
+def _lowest_downdated_eigenvalue(lam: np.ndarray, z: np.ndarray) -> float:
+    """``min(0, min_j lambda_min(diag(lam) - u_j u_j^H))`` for ascending lam
+    and row weights ``z_ji = |u_ji|**2``.
+
+    By interlacing each lowest eigenvalue is ``min(lam_1, r_j)``, with r_j
+    the root below the lowest pole of the secular function
+    ``g_j(x) = sum_i z_ji / (lam_i - x) = 1``.  g_j increases there, so
+    with ``x_c = min(0, lam_1)`` only rows with ``g_j(x_c) > 1`` have
+    ``r_j < x_c`` and can lower the result.  (At an optimum
+    ``g_j(0) = 1`` for every state with a nonzero measurement vector, by
+    complementary slackness, and roundoff passes about half of those
+    rows.)  For the rows that pass, Newton runs on ``1/g_j - 1`` in
+    ``y = x_c - x``.  That function is concave and increasing in y, so
+    from a start left of the root the iterates rise monotonically to it.
+
+    The thresholds below are absolute: for unit states and priors summing
+    to 1, ``|lam_i| <= 1`` and ``sum z <= 1``.  When lam_1 is above
+    roundoff the start is ``y = 0``.  Otherwise a pole lies at or within
+    roundoff of x_c: weights below ``eps**2`` are deflated (dropped), so
+    that no reciprocal distance to a pole overflows, and the start is the
+    root of the two-pole minorant ``z_a / (lam_a - x) + (sum_{i != a}
+    z_ji) / (lam_n - x)`` of g_j, a the lowest undeflated pole.
+    """
+    eps = np.finfo(float).eps
+    if lam[0] > eps:
+        x_c, dist, d_low = 0.0, lam, lam[0]
+        z = z[z @ (1.0 / lam) > 1.0]
+        y = np.zeros(len(z))
+    else:
+        x_c = min(0.0, float(lam[0]))
+        dist = lam - x_c
+        z = np.where(z > eps * eps, z, 0.0)
+        with np.errstate(divide="ignore"):
+            g = np.divide(z, dist, out=np.zeros_like(z), where=z > 0.0).sum(axis=1)
+        z = z[g > 1.0]
+        pole = np.argmax(z > 0.0, axis=1)
+        z_a, d_low = z[np.arange(len(z)), pole], dist[pole]
+        spread = dist[-1] - d_low
+        p = z.sum(axis=1) - spread
+        disc = np.sqrt(p * p + 4.0 * z_a * spread)
+        # positive root e of z_a / e + (sum z - z_a) / (e + spread) = 1, the
+        # distance of the minorant's root below pole a, free of cancellation
+        e = 0.5 * (p + disc)
+        neg = p < 0.0
+        e[neg] = 2.0 * z_a[neg] * spread[neg] / (disc[neg] - p[neg])
+        y = e - d_low
+    if not len(z):
+        return x_c
+    for _ in range(SECULAR_MAX_STEPS):
+        r = 1.0 / (dist + y[:, None])
+        zr = z * r
+        g = zr.sum(axis=1)
+        step = np.maximum((g - 1.0) * g / (zr * r).sum(axis=1), 0.0)
+        y += step
+        if np.all(step <= SECULAR_STEP_TOL * (d_low + y)):
+            break
+    return x_c - float(y.max())
 
 
 def _random_isometry(rng: np.random.Generator, rank: int, n: int) -> np.ndarray:
@@ -198,7 +270,7 @@ def _gap_may_certify(v: np.ndarray, grad: np.ndarray) -> bool:
     ``Re(mu_j^H grad_j) / 2`` is minus the Rayleigh quotient of mu_j for
     ``H - eta_j psi_j psi_j^H``.  Each ratio to ``|mu_j|^2`` is a lower
     bound on t, and rank times the largest is one on the gap, at O(rank n)
-    cost against the gap's n eigenvalue problems.  For square V every
+    cost against the gap's eigendecomposition.  For square V every
     quotient vanishes and the test always passes.
     """
     rank = v.shape[0]
@@ -279,16 +351,28 @@ def _srm_jacobian(lam, w, s_diag):
     """Jacobian of :func:`_srm_residual` in u (Daleckii-Krein):
     ``dS_jj/du_k = 1/2 sum_ab W_ja conj(W_ka) conj(W_jb) W_kb K_ab`` with
     ``K_ab = (lam_a + lam_b) / (sqrt(lam_a) + sqrt(lam_b))``, 0 where both
-    eigenvalues are 0.  The sum over b is n stacked n x n products, which
-    stay on one BLAS thread where one n x n^2 product would not."""
+    eigenvalues are 0.
+
+    With ``Q_j[a, b] = W_ja conj(W_jb)`` the sum is
+    ``Re <Q_j o K, Q_k>``, a real product of the n x n**2 matrices of
+    rows ``Q_j o K`` and ``Q_j`` (complex entries read as interleaved
+    real pairs).  It runs over blocks of the eigen-index a of at most
+    ``JACOBIAN_BLOCK`` complex entries, so that no temporary holds n**3
+    entries and each product stays below OpenBLAS's threading threshold
+    (m n k <= 2**18, for n up to 50).
+    """
     root = np.sqrt(lam)
     den = root[:, None] + root[None, :]
     kern = np.divide(lam[:, None] + lam[None, :], den, out=np.zeros_like(den), where=den > 0.0)
+    n = len(lam)
     w_bar = w.conj()
-    # z[j, a, k] = sum_b K_ab conj(W_jb) W_kb
-    z = kern @ np.einsum("jb,kb->jbk", w_bar, w)
-    ds = 0.5 * np.einsum("ja,ka,jak->jk", w, w_bar, z).real
-    return np.eye(len(lam)) - ds / s_diag[:, None]
+    ds = np.zeros((n, n))
+    width = max(1, JACOBIAN_BLOCK // (n * n))
+    for start in range(0, n, width):
+        block = slice(start, start + width)
+        q = w[:, block, None] * w_bar[:, None, :]
+        ds += (q * kern[block]).view(float).reshape(n, -1) @ q.view(float).reshape(n, -1).T
+    return np.eye(n) - 0.5 * ds / s_diag[:, None]
 
 
 def _reweighted_srm_weights(gram, priors, max_steps):
@@ -412,13 +496,24 @@ def optimize_general(ensemble: Ensemble, config: SolverConfig | None = None) -> 
     bound: restarting stops as soon as the best restart is certified
     optimal by its duality gap.  A best-effort result with
     ``converged=False`` is returned when no restart meets the gradient
-    tolerance or the certificate.
+    tolerance or the certificate.  A ``rank_tol`` that cuts modes heavy
+    enough to leave the rows of every coupling ``B V`` more than
+    ``ROW_NORM_TOL`` short of unit norm raises ValidationError.
     """
     config = config or SolverConfig()
     sf = spectral_factor(ensemble, config.rank_tol)
     b = sf.factor
     priors = ensemble.priors
     n, rank = ensemble.n, sf.rank
+    if rank < n:
+        # every coupling B V has the row norms of B: 1 less the cut modes
+        cut = sf.eigenvalues[: n - rank]
+        lost = float(np.max((np.abs(sf.eigenvectors[:, : n - rank]) ** 2) @ cut))
+        if lost > ROW_NORM_TOL:
+            raise ValidationError(
+                f"rank_tol {config.rank_tol:g} cuts Gram eigenvalues up to {cut[-1]:.3e}, "
+                f"which leaves coupling rows {lost:.3e} short of unit norm"
+            )
 
     best = None
     restarts_used = 0

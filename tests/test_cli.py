@@ -214,6 +214,13 @@ class TestOptimize:
         assert payload["converged"] is False
         assert payload["p_error"] < 0.5
 
+    def test_rank_tol_cutting_real_eigenvalues_exit_2(self):
+        # the symmetric n = 3, s = 0.5 Gram has eigenvalues 0.5, 0.5 and 2
+        code, out, err = run_cli("optimize", "--ensemble", SYM_3_HALF, "--rank-tol", "0.5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "rank_tol" in err and "5.000e-01" in err
+
     def test_payload_reports_certificate(self):
         out = cli_json("optimize", "--ensemble", BINARY_UNEQ)
         assert out["certified"] is True
@@ -660,14 +667,34 @@ class TestSweep:
         assert run_cli(*args) == run_cli(*args)
 
 
+def assert_one_line_usage_error(args, message):
+    code, out, err = run_cli(*args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert message in err
+
+
 class TestTopLevel:
     def test_no_args_exit_2(self):
-        code, _, _ = run_cli()
-        assert code == 2
+        assert_one_line_usage_error((), "required: command")
 
     def test_unknown_command_exit_2(self):
-        code, _, _ = run_cli("frobnicate")
-        assert code == 2
+        assert_one_line_usage_error(("frobnicate",), "invalid choice")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("optimize", "--bogus"), "unrecognized arguments: --bogus"),
+            (("symmetric", "--n", "x", "--s", "0.5"), "invalid int value"),
+        ],
+    )
+    def test_subcommand_usage_error_is_one_line_exit_2(self, args, message):
+        assert_one_line_usage_error(args, message)
+
+    def test_help_prints_usage_exit_0(self):
+        code, out, err = run_cli("optimize", "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: qsd optimize")
 
     def test_malformed_inline_json_exit_2(self):
         code, _, err = run_cli("optimize", "--ensemble", '{"kind":')

@@ -1,9 +1,9 @@
 """Property-based fuzz of the command line, run in-process.
 
 Every input must end in exit 0 (with JSON on stdout for the JSON
-commands), 2, 3 or 4, or in argparse's ``SystemExit(2)``; any other
-exception escaping ``qsd.cli.main`` is a defect, and so is an exit 2, 3
-or 4 whose stderr is not a one-line ``error:`` message.  State counts
+commands), 2, 3 or 4; any exception escaping ``qsd.cli.main`` is a
+defect, and so is an exit 2, 3 or 4 whose stderr is not a one-line
+``error:`` message, a usage error included.  State counts
 and sweep steps are drawn either small or above their limits, never in
 between, so that no example builds a large matrix or grid.
 """
@@ -85,15 +85,11 @@ ENSEMBLE = st.one_of(
 def run(argv):
     """Exit code and stdout of ``qsd argv``; other exceptions propagate."""
     out, err = io.StringIO(), io.StringIO()
-    usage = False
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code, usage = exc.code, True
+        code = main(argv)
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
-    if code and not usage:
+    if code:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
     if code == 0 and argv[0] != "sweep":

@@ -1,12 +1,19 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import coupling_gap, coupling_isometry, mp_psk_error, mp_psk_min_error
+from conftest import (
+    coupling_gap,
+    coupling_isometry,
+    mp_psk_error,
+    mp_psk_min_error,
+    reference_dual_gap,
+)
 from qsd.closed_form import (
     helstrom_bound,
     srm_error_circulant,
@@ -294,6 +301,25 @@ class TestReweightedSrmStart:
         assert abs(res.p_error / reference - 1.0) <= 1e-5
 
 
+def test_full_rank_solve_allocates_no_cubic_temporaries():
+    # one n**3 complex temporary at n = 48 is 1.7 MiB; the Newton start's
+    # Jacobian and the gap's eigenvalue problems need none
+    ens = full_rank_ensemble(4801, 48, "dirichlet")
+    optimize_general(ens)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        res = optimize_general(ens)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert res.certified and res.restarts_used == 1
+    assert peak < 2**20, peak
+
+
 class TestDualGap:
     """The Holevo / Yuen-Kennedy-Lax certificate, evaluated on hand-built
     couplings; nothing here runs the ascent."""
@@ -366,6 +392,94 @@ class TestDualGap:
             cpl = coupling_from_unitary(ens, random_isometry(rng, 2, 2))
             shortfall = (1.0 - helstrom_bound(eta1, overlap)) - success_probability(cpl)
             assert -1e-12 <= shortfall <= coupling_gap(cpl) + 1e-12
+
+
+def gap_hermitian_part(b, priors, v):
+    """H = (Gamma + Gamma^H) / 2 of :func:`dual_gap`."""
+    gamma = (b.conj().T * (priors * np.einsum("ij,ji->i", b, v))) @ v.conj().T
+    return 0.5 * (gamma + gamma.conj().T)
+
+
+def gap_block(rng, n, rank, certified, small_prior):
+    """(B, priors, V) of a random ensemble at a random or an optimized V;
+    with ``small_prior`` set, some priors take that value."""
+    priors = rng.dirichlet(np.ones(n))
+    if small_prior is not None and n > 1:
+        priors[rng.permutation(n)[: int(rng.integers(1, n))]] = small_prior
+        priors /= priors.sum()
+    ens = Ensemble(n, random_gram(rng, n, rank), priors)
+    sf = spectral_factor(ens)
+    if certified:
+        v = coupling_isometry(optimize_general(ens).coupling)
+    else:
+        v = random_isometry(rng, sf.rank, n)
+    return sf.factor, ens.priors, v
+
+
+def direct_sum(first, second):
+    """Two ensembles side by side at half their priors: H = H_1 + H_2."""
+    (b1, p1, v1), (b2, p2, v2) = first, second
+    b = np.zeros((b1.shape[0] + b2.shape[0], b1.shape[1] + b2.shape[1]), dtype=complex)
+    v = np.zeros((v1.shape[0] + v2.shape[0], v1.shape[1] + v2.shape[1]), dtype=complex)
+    b[: b1.shape[0], : b1.shape[1]], b[b1.shape[0] :, b1.shape[1] :] = b1, b2
+    v[: v1.shape[0], : v1.shape[1]], v[v1.shape[0] :, v1.shape[1] :] = v1, v2
+    return b, 0.5 * np.concatenate([p1, p2]), v
+
+
+GAP_CASES = ("random", "certified", "indefinite", "zero coupling", "degenerate", "orthogonal")
+
+
+class TestSecularGap:
+    """``dual_gap`` reads each lowest eigenvalue from one eigh of H and a
+    secular equation; the batched-eigvalsh reference forms every
+    ``H - eta_j psi_j psi_j^H``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        case=st.sampled_from(GAP_CASES),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        small_prior=st.sampled_from([None, 0.0, 1e-310]),
+        certified=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_batched_reference(self, case, seed, n, small_prior, certified, data):
+        rng = np.random.default_rng(seed)
+        if case in ("random", "certified"):
+            rank = data.draw(st.integers(1, n))
+            b, priors, v = gap_block(rng, n, rank, case == "certified", small_prior)
+        elif case == "indefinite":
+            n = max(n, 3)
+            b, priors, v = gap_block(rng, n, n, False, small_prior)
+            assume(np.linalg.eigvalsh(gap_hermitian_part(b, priors, v))[0] <= 0.0)
+        elif case == "zero coupling":
+            # c_jj = 0 for every j, so H = 0: every pole sits at x = 0
+            n, rank = max(n, 2), data.draw(st.integers(1, max(n, 2)))
+            q = random_isometry(rng, rank, rank)
+            b = np.eye(n, rank) @ q
+            v = q.conj().T @ np.roll(np.eye(rank, n), 1, axis=1)
+            _, priors, _ = gap_block(rng, n, 1, False, small_prior)
+            assert np.max(np.abs(gap_hermitian_part(b, priors, v))) <= 1e-15
+        elif case == "degenerate":
+            # two copies of one ensemble: every eigenvalue of H is doubled
+            rank = data.draw(st.integers(1, n))
+            b, priors, v = direct_sum(*[gap_block(rng, n, rank, certified, small_prior)] * 2)
+            lam = np.linalg.eigvalsh(gap_hermitian_part(b, priors, v))
+            assert lam[1] - lam[0] <= 1e-12
+        else:
+            # two different ensembles: the states of one are orthogonal to
+            # H's lowest eigenvector, which lies in the other
+            n = max(n, 2)
+            n1 = data.draw(st.integers(1, n - 1))
+            b, priors, v = direct_sum(
+                gap_block(rng, n1, data.draw(st.integers(1, n1)), certified, small_prior),
+                gap_block(rng, n - n1, data.draw(st.integers(1, n - n1)), certified, small_prior),
+            )
+            lam, w = np.linalg.eigh(gap_hermitian_part(b, priors, v))
+            assume(lam[1] - lam[0] > 1e-9)
+            overlaps = np.abs(b @ w[:, 0]) / np.linalg.norm(b, axis=1)
+            assert np.min(overlaps) <= 1e-12
+        assert abs(dual_gap(b, priors, v) - reference_dual_gap(b, priors, v)) <= 1e-13
 
 
 class TestObjectiveGradient:
