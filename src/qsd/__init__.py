@@ -27,7 +27,6 @@ from .coupling import (
     dilation_residuals,
     error_probability,
     feasibility_residual,
-    outcome_amplitudes,
     post_measurement_state,
     success_probability,
     symmetric_optimal_coupling,
@@ -117,7 +116,6 @@ __all__ = [
     "helstrom_bound",
     "objective_gradient",
     "optimize_general",
-    "outcome_amplitudes",
     "post_measurement_state",
     "preservation_residual",
     "psk3_solve",

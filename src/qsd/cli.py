@@ -221,23 +221,9 @@ def cmd_simulate(args) -> int:
 def cmd_dilation(args) -> int:
     ensemble = _load_ensemble(args.ensemble)
     cpl = _coupling_arg(args.coupling, ensemble)
-    dilation = coupling_mod.build_dilation(cpl)
-    u = dilation.joint_unitary
-    coords = dilation.state_coords
-    checks = coupling_mod.dilation_residuals(dilation)
-    residuals = {
-        "unitary_residual": float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))),
-        "map_residual": checks["map_residual"],
-        "gram_residual": float(np.max(np.abs(coords @ coords.conj().T - ensemble.gram))),
-        "outcome_prob_residual": checks["outcome_prob_residual"],
-    }
+    residuals = coupling_mod.dilation_residuals(cpl)
     ok = all(value <= 1e-10 for value in residuals.values())
-    payload = {
-        "system_dim": dilation.system_dim,
-        "ancilla_dim": dilation.ancilla_dim,
-        **residuals,
-        "ok": ok,
-    }
+    payload = {"system_dim": cpl.n, "ancilla_dim": cpl.n, **residuals, "ok": ok}
     print(dumps(payload))
     if args.check and not ok:
         return EXIT_NUMERICAL
@@ -387,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts-csv", dest="counts_csv")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("dilation", help="build the joint unitary and verify it")
+    p = sub.add_parser("dilation", help="verify the joint unitary from its N x N block")
     p.add_argument("--ensemble", required=True)
     p.add_argument("--coupling", default="optimal", help='"optimal" or a JSON file')
     p.add_argument("--check", action="store_true")

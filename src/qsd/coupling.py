@@ -6,7 +6,8 @@ realizable exactly when ``C C^H`` equals the ensemble's Gram matrix;
 every feasible C arises as ``B V`` with ``B B^H = G`` and V
 row-orthonormal, which is the search space of the optimizer module.
 ``build_dilation`` turns a feasible coupling into concrete coordinates:
-state vectors, the joint unitary, and the post-measurement states.
+state vectors, the joint unitary, and the post-measurement states;
+``dilation_residuals`` checks that unitary from its n x n block alone.
 """
 
 from __future__ import annotations
@@ -121,10 +122,14 @@ def error_probability(coupling: CouplingMatrix) -> float:
     return float(np.dot(coupling.ensemble.priors, mass.sum(axis=1)))
 
 
+def _gram_residual(rows: np.ndarray, gram: np.ndarray) -> float:
+    """Max entrywise deviation of ``R R^H`` from a Gram matrix."""
+    return float(np.max(np.abs(rows @ rows.conj().T - gram)))
+
+
 def feasibility_residual(coupling: CouplingMatrix) -> float:
     """Max entrywise deviation of ``C C^H`` from the target Gram matrix."""
-    c = coupling.c
-    return float(np.max(np.abs(c @ c.conj().T - coupling.ensemble.gram)))
+    return _gram_residual(coupling.c, coupling.ensemble.gram)
 
 
 def binary_optimal_coupling(eta1: float, overlap: complex) -> CouplingMatrix:
@@ -177,7 +182,7 @@ def circulant_optimal_coupling(ensemble: Ensemble) -> CouplingMatrix:
     ``ROOT_RESIDUAL_TOL``, a check that does not use the DFT.
     """
     c = circulant(np.fft.ifft(_circulant_roots(ensemble)))
-    residual = float(np.max(np.abs(c @ c.conj().T - ensemble.gram)))
+    residual = _gram_residual(c, ensemble.gram)
     if not residual <= ROOT_RESIDUAL_TOL:
         raise NoSolutionError(
             f"circulant coupling misses the overlap constraints (residual {residual:.3e})"
@@ -320,70 +325,32 @@ def build_dilation(coupling: CouplingMatrix) -> DilationModel:
     )
 
 
-def _basis_vec(dim: int, index: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=complex)
-    e[index] = 1.0
-    return e
+def dilation_residuals(coupling: CouplingMatrix) -> dict:
+    """Unitarity, state-map, Gram and outcome-probability residuals of the
+    dilation that :func:`build_dilation` would build, from its n x n block.
 
+    Input j enters U only through the columns ``m*n`` and reaches the
+    outcome slots ``k*n + k`` only through the block, and U is a 0/1
+    permutation elsewhere, so ``U (state_j (x) e_0)`` is row j of
+    ``state_coords @ block`` on the outcome slots and 0 on all others:
 
-def dilation_input_vector(dilation: DilationModel, input_j: int) -> np.ndarray:
-    """Joint-space vector ``state_j (x) e_init`` for input j."""
-    return np.kron(
-        dilation.state_coords[input_j],
-        _basis_vec(dilation.ancilla_dim, dilation.ancilla_init_index),
-    )
+    * ``unitary_residual``: ``max|block block^H - I|``, the part of
+      ``max|U^H U - I|`` the permutation does not make exact;
+    * ``map_residual``: ``max|state_coords @ block - C|``;
+    * ``gram_residual``: ``max|state_coords state_coords^H - G|``;
+    * ``outcome_prob_residual``: ``max||state_coords @ block|**2 - |C|**2|``.
 
-
-def dilation_target_vector(dilation: DilationModel, input_j: int) -> np.ndarray:
-    """Joint-space vector ``sum_k c[j, k] (post_k (x) e_k)`` for input j."""
-    n = dilation.system_dim
-    out = np.zeros(n * n, dtype=complex)
-    for k in range(n):
-        out += dilation.coupling.c[input_j, k] * np.kron(
-            dilation.post_states[:, k], _basis_vec(n, k)
-        )
-    return out
-
-
-def outcome_amplitudes(dilation: DilationModel, input_j: int) -> np.ndarray:
-    """Amplitudes ``<post_k (x) e_k | U (state_j (x) e_init)>`` for all k.
-
-    Their squared magnitudes must match ``|c[j, k]|**2``; this is the
-    consistency check between the coupling and its dilation.
+    O(n^3) time and nothing of size n^2 allocated.  Raises
+    InfeasibleCouplingError when ``C C^H`` misses the Gram matrix by more
+    than ``FEASIBILITY_TOL``.
     """
-    n = dilation.system_dim
-    mapped = dilation.joint_unitary @ dilation_input_vector(dilation, input_j)
-    amps = np.zeros(n, dtype=complex)
-    for k in range(n):
-        target = np.kron(dilation.post_states[:, k], _basis_vec(n, k))
-        amps[k] = np.vdot(target, mapped)
-    return amps
-
-
-def dilation_residuals(dilation: DilationModel) -> dict:
-    """State-map and outcome-probability residuals of a dilation.
-
-    ``map_residual`` is the max deviation of ``U (state_j (x) e_init)``
-    from ``sum_k c[j, k] (post_k (x) e_k)``; ``outcome_prob_residual``
-    that of ``|<post_k (x) e_k | U (state_j (x) e_init)>|**2`` from
-    ``|c[j, k]|**2``.  All n inputs are mapped at once through the columns
-    of U that the ancilla's initial slot selects, so U^H U is never formed.
-    The product is taken as n stacked n x n products, one per system
-    index: a single n^2 x n product is large enough for OpenBLAS to hand
-    half of it to a second thread (from n = 16), and waiting for that
-    thread cost 0.5-8 ms per call on a loaded 2-vCPU machine against
-    ~0.1 ms for the whole product on one thread.
-    """
-    n = dilation.system_dim
-    c = dilation.coupling.c
-    post = dilation.post_states
-    # mapped[m, k, j]: component (system m, ancilla k) of U (state_j (x) e_init)
-    columns = dilation.joint_unitary[:, dilation.ancilla_init_index :: n]
-    mapped = columns.reshape(n, n, n) @ dilation.state_coords.T
-    target = np.einsum("mk,jk->mkj", post, c)
-    amps = np.einsum("mk,mkj->jk", post.conj(), mapped)
+    state_coords, block = _dilation_block(coupling)
+    c = coupling.c
+    amps = state_coords @ block
     return {
-        "map_residual": float(np.max(np.abs(mapped - target))),
+        "unitary_residual": _gram_residual(block, np.eye(coupling.n)),
+        "map_residual": float(np.max(np.abs(amps - c))),
+        "gram_residual": _gram_residual(state_coords, coupling.ensemble.gram),
         "outcome_prob_residual": float(np.max(np.abs(np.abs(amps) ** 2 - np.abs(c) ** 2))),
     }
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import helstrom_bound
-from .coupling import CouplingMatrix, _dilation_block, error_probability
+from .coupling import CouplingMatrix, dilation_residuals, error_probability
 from .ensembles import _frozen, check_prior, check_seed, gram_binary
 from .errors import InfeasibleSequentialError, ValidationError
 
@@ -89,18 +89,16 @@ def check_against_dilation(coupling: CouplingMatrix) -> float:
     """Recompute outcome probabilities from the dilation and compare with
     ``|c[j, k]|**2``.  Returns the max deviation.
 
-    Input j enters the joint unitary only through the columns ``m*n`` and
-    reaches the outcome slots ``k*n + k`` only through the n x n block, so
-    the amplitudes are ``state_coords @ block`` and the dense n^2 x n^2
-    unitary is never built: O(n^2) memory and O(n^3) time at any n.  Raises
+    The residuals come from :func:`~qsd.coupling.dilation_residuals`,
+    which reads the dilation's n x n block and never builds the dense
+    n^2 x n^2 unitary: O(n^2) memory and O(n^3) time at any n.  Raises
     ValidationError when the probabilities or the block's unitarity
-    ``max|block^H block - I|`` are off by more than ``DILATION_CHECK_TOL``,
+    ``max|block block^H - I|`` are off by more than ``DILATION_CHECK_TOL``,
     and InfeasibleCouplingError when the coupling misses its Gram matrix.
     """
-    state_coords, block = _dilation_block(coupling)
-    amps = state_coords @ block
-    worst = float(np.max(np.abs(np.abs(amps) ** 2 - np.abs(coupling.c) ** 2)))
-    unitarity = float(np.max(np.abs(block.conj().T @ block - np.eye(coupling.n))))
+    residuals = dilation_residuals(coupling)
+    worst = residuals["outcome_prob_residual"]
+    unitarity = residuals["unitary_residual"]
     # written so that a NaN residual fails too
     if not worst <= DILATION_CHECK_TOL:
         raise ValidationError(

@@ -68,6 +68,73 @@ def reference_dual_gap(b, priors, v) -> float:
     return b.shape[1] * max(0.0, -lam_min)
 
 
+def _basis_vec(dim: int, index: int) -> np.ndarray:
+    e = np.zeros(dim, dtype=complex)
+    e[index] = 1.0
+    return e
+
+
+def dilation_input_vector(dilation, input_j: int) -> np.ndarray:
+    """Joint-space vector ``state_j (x) e_init`` for input j."""
+    return np.kron(
+        dilation.state_coords[input_j],
+        _basis_vec(dilation.ancilla_dim, dilation.ancilla_init_index),
+    )
+
+
+def dilation_target_vector(dilation, input_j: int) -> np.ndarray:
+    """Joint-space vector ``sum_k c[j, k] (post_k (x) e_k)`` for input j."""
+    n = dilation.system_dim
+    out = np.zeros(n * n, dtype=complex)
+    for k in range(n):
+        out += dilation.coupling.c[input_j, k] * np.kron(
+            dilation.post_states[:, k], _basis_vec(n, k)
+        )
+    return out
+
+
+def outcome_amplitudes(dilation, input_j: int) -> np.ndarray:
+    """Amplitudes ``<post_k (x) e_k | U (state_j (x) e_init)>`` for all k,
+    from the dense joint unitary one Kronecker vector at a time."""
+    n = dilation.system_dim
+    mapped = dilation.joint_unitary @ dilation_input_vector(dilation, input_j)
+    return np.array(
+        [np.vdot(np.kron(dilation.post_states[:, k], _basis_vec(n, k)), mapped) for k in range(n)]
+    )
+
+
+def reference_residuals(dilation) -> dict:
+    """Reference for :func:`qsd.coupling.dilation_residuals`, by brute force.
+
+    Unitarity is ``max|U^H U - I|`` over the dense n^2 x n^2 matrix; the
+    map and outcome-probability residuals go one input at a time through
+    the Kronecker-product vectors above; the library reads all four from
+    the n x n block.
+    """
+    ensemble = dilation.coupling.ensemble
+    n = ensemble.n
+    u = dilation.joint_unitary
+    coords = dilation.state_coords
+    out = {
+        "unitary_residual": float(np.max(np.abs(u.conj().T @ u - np.eye(n * n)))),
+        "map_residual": 0.0,
+        "gram_residual": float(np.max(np.abs(coords @ coords.conj().T - ensemble.gram))),
+        "outcome_prob_residual": 0.0,
+    }
+    for j in range(n):
+        mapped = u @ dilation_input_vector(dilation, j)
+        out["map_residual"] = max(
+            out["map_residual"],
+            float(np.max(np.abs(mapped - dilation_target_vector(dilation, j)))),
+        )
+        probs = np.abs(outcome_amplitudes(dilation, j)) ** 2
+        out["outcome_prob_residual"] = max(
+            out["outcome_prob_residual"],
+            float(np.max(np.abs(probs - np.abs(dilation.coupling.c[j]) ** 2))),
+        )
+    return out
+
+
 def coupling_gap(coupling) -> float:
     """Duality gap of any feasible coupling C = B V, by the reference."""
     sf = spectral_factor(coupling.ensemble)

@@ -11,7 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import coupling_gap
+from conftest import (
+    coupling_gap,
+    dilation_input_vector,
+    dilation_target_vector,
+    outcome_amplitudes,
+)
 from qsd.closed_form import (
     binary_constraint_residual,
     binary_individual_errors,
@@ -24,11 +29,8 @@ from qsd.coupling import (
     binary_optimal_coupling,
     circulant_optimal_coupling,
     coupling_from_unitary,
-    dilation_input_vector,
-    dilation_target_vector,
     build_dilation,
     feasibility_residual,
-    outcome_amplitudes,
     symmetric_optimal_coupling,
 )
 from qsd.ensembles import (

@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import cli_json, mp_psk_error, run_cli
-from qsd.cli import _optimal_coupling
+from qsd.cli import _optimal_coupling, main
 from qsd.closed_form import symmetric_min_error
 from qsd.coupling import (
     FEASIBILITY_TOL,
@@ -432,13 +434,30 @@ class TestDilation:
         assert out["system_dim"] == 3
         assert out["ancilla_dim"] == 3
 
-    def test_oversized_exit_2(self):
+    def test_n128_checked_from_the_block(self):
+        # the dense joint unitary would need 4 GiB; the check needs n x n arrays
         code, out, err = run_cli(
-            "dilation", "--ensemble", '{"kind":"symmetric","n":91,"s":0.5}', "--check"
+            "dilation", "--ensemble", '{"kind":"symmetric","n":128,"s":0.5}', "--check"
         )
-        assert code == 2
-        assert out == ""
-        assert "GiB" in err
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["system_dim"], payload["ok"]) == (128, True)
+
+    def test_n64_in_process_memory_and_time(self, capsys):
+        # the dense joint unitary would be 268 MB at n = 64
+        argv = ["dilation", "--ensemble", '{"kind":"symmetric","n":64,"s":0.5}', "--check"]
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = main(argv)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert peak < 16 << 20
+        assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("command", ["simulate", "dilation"])

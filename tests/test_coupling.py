@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from conftest import coupling_gap, mp_psk_error
+from conftest import (
+    coupling_gap,
+    dilation_input_vector,
+    dilation_target_vector,
+    mp_psk_error,
+    outcome_amplitudes,
+    reference_residuals,
+)
 from qsd import coupling as coupling_mod
 from qsd.closed_form import helstrom_bound, symmetric_min_error
 from qsd.coupling import (
@@ -21,12 +28,9 @@ from qsd.coupling import (
     coupling_from_json,
     coupling_from_unitary,
     coupling_to_json,
-    dilation_input_vector,
     dilation_residuals,
-    dilation_target_vector,
     error_probability,
     feasibility_residual,
-    outcome_amplitudes,
     post_measurement_state,
     success_probability,
     symmetric_optimal_coupling,
@@ -358,31 +362,6 @@ class TestBuildDilation:
             assert np.max(np.abs(overlaps - ens.gram)) <= 1e-10
 
 
-def reference_residuals(d):
-    """Unitarity, map, outcome-probability and Gram residuals, one input
-    at a time through the Kronecker-product vector helpers."""
-    ensemble = d.coupling.ensemble
-    n = ensemble.n
-    u = d.joint_unitary
-    out = {
-        "unitary": float(np.max(np.abs(u.conj().T @ u - np.eye(n * n)))),
-        "map": 0.0,
-        "prob": 0.0,
-        "gram": float(
-            np.max(np.abs(d.state_coords @ d.state_coords.conj().T - ensemble.gram))
-        ),
-    }
-    for j in range(n):
-        lhs = u @ dilation_input_vector(d, j)
-        out["map"] = max(out["map"], float(np.max(np.abs(lhs - dilation_target_vector(d, j)))))
-        amps = outcome_amplitudes(d, j)
-        out["prob"] = max(
-            out["prob"],
-            float(np.max(np.abs(np.abs(amps) ** 2 - np.abs(d.coupling.c[j]) ** 2))),
-        )
-    return out
-
-
 def random_rank_ensemble(rng, n, rank):
     """n unit vectors drawn in a rank-dimensional space, random priors."""
     m = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
@@ -416,7 +395,7 @@ class TestDilationConstruction:
         d = build_dilation(coupling)
         ref = reference_residuals(d)
         assert max(ref.values()) <= 1e-10, ref
-        assert max(dilation_residuals(d).values()) <= 1e-10
+        assert max(dilation_residuals(coupling).values()) <= 1e-10
 
         dim = n * n
         input_slots = np.arange(n) * n
@@ -446,16 +425,6 @@ class TestDilationConstruction:
         assert max(ref.values()) <= 1e-10, ref
         assert elapsed < 1.0
 
-    def test_residual_helper_matches_reference(self):
-        d = build_dilation(symmetric_optimal_coupling(4, 0.3))
-        noise = np.random.default_rng(3).standard_normal(d.joint_unitary.shape)
-        bad = dataclasses.replace(d, joint_unitary=d.joint_unitary + 1e-6 * noise)
-        ref = reference_residuals(bad)
-        fast = dilation_residuals(bad)
-        assert fast["map_residual"] > 1e-10
-        assert fast["map_residual"] == pytest.approx(ref["map"], rel=1e-9)
-        assert fast["outcome_prob_residual"] == pytest.approx(ref["prob"], rel=1e-6)
-
     def test_size_limit_refused_before_allocating(self):
         # 16 * 91^4 bytes is just above the 1 GiB limit
         coupling = CouplingMatrix(np.eye(91, dtype=complex), gram_symmetric(91, 0.0))
@@ -479,8 +448,8 @@ class TestDilationConstruction:
 
 
 class TestBlockCheck:
-    """The Monte Carlo check reads the dilation's n x n block; the dense
-    joint unitary is the independent reference."""
+    """The residuals and the Monte Carlo check read the dilation's n x n
+    block; the dense joint unitary is the independent reference."""
 
     @settings(max_examples=120, deadline=None)
     @given(sizes_and_ranks())
@@ -489,8 +458,31 @@ class TestBlockCheck:
         rng = np.random.default_rng(seed)
         ens = random_rank_ensemble(rng, n, rank)
         coupling = coupling_from_unitary(ens, random_isometry(rng, rank, n))
-        dense = dilation_residuals(build_dilation(coupling))["outcome_prob_residual"]
-        assert abs(check_against_dilation(coupling) - dense) <= 1e-13
+        dense = reference_residuals(build_dilation(coupling))
+        block = dilation_residuals(coupling)
+        assert list(block) == list(dense)
+        for key, value in dense.items():
+            assert abs(block[key] - value) <= 1e-13, (key, block[key], value)
+        assert check_against_dilation(coupling) == block["outcome_prob_residual"]
+
+    def test_corrupted_block_matches_reference(self, monkeypatch):
+        # build_dilation and dilation_residuals both read the skewed block,
+        # so the dense reference sees the same faulty unitary
+        coupling = symmetric_optimal_coupling(4, 0.3)
+        noise = np.random.default_rng(3).standard_normal((4, 4, 2)) @ [1, 1j]
+        original = coupling_mod._dilation_block
+
+        def skewed(cpl):
+            coords, block = original(cpl)
+            return coords, block + 1e-6 * noise
+
+        monkeypatch.setattr(coupling_mod, "_dilation_block", skewed)
+        dense = reference_residuals(build_dilation(coupling))
+        block = dilation_residuals(coupling)
+        for key in ("unitary_residual", "map_residual", "outcome_prob_residual"):
+            assert block[key] > 1e-10
+            assert block[key] == pytest.approx(dense[key], rel=1e-6), key
+        assert block["gram_residual"] == pytest.approx(dense["gram_residual"], abs=1e-13)
 
 
 class TestPostMeasurementState:

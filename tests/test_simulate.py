@@ -229,7 +229,7 @@ class TestCheckAgainstDilation:
             coords, block = _dilation_block(cpl)
             return coords, block + 1e-6 * np.outer(null, null @ block)
 
-        monkeypatch.setattr("qsd.simulate._dilation_block", skewed)
+        monkeypatch.setattr("qsd.coupling._dilation_block", skewed)
         with pytest.raises(ValidationError, match="not unitary"):
             check_against_dilation(coupling)
 
