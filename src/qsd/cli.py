@@ -222,7 +222,7 @@ def cmd_dilation(args) -> int:
     ensemble = _load_ensemble(args.ensemble)
     cpl = _coupling_arg(args.coupling, ensemble)
     residuals = coupling_mod.dilation_residuals(cpl)
-    ok = all(value <= 1e-10 for value in residuals.values())
+    ok = all(value <= coupling_mod.DILATION_CHECK_TOL for value in residuals.values())
     payload = {"system_dim": cpl.n, "ancilla_dim": cpl.n, **residuals, "ok": ok}
     print(dumps(payload))
     if args.check and not ok:

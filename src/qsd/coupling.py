@@ -33,6 +33,13 @@ ISOMETRY_TOL = 1e-8
 ROOT_RESIDUAL_TOL = 1e-10
 # largest dense joint unitary build_dilation will allocate (16 n^4 bytes)
 MAX_DILATION_BYTES = 1 << 30
+# ||X X^H - I||_F up to which _polar_orthonormal iterates instead of
+# taking the SVD; two Newton-Schulz steps reach roundoff from there.  The
+# iteration converges from 1/4 as well, but its three to five steps there
+# cost more than the SVD of the optimizer's 2 x n to 8 x n inputs: with
+# 1/4 the `solve` workload took 1-4 % longer on a 2-vCPU Xeon, with 1e-4
+# within 1.6 %
+POLAR_NS_BOUND = 1e-4
 
 
 @dataclass(frozen=True)
@@ -213,22 +220,40 @@ def _checked_isometry(v, rank: int, n: int) -> np.ndarray:
     return v
 
 
-def _polar_orthonormal(m: np.ndarray) -> np.ndarray:
-    """Closest matrix with orthonormal rows/columns (unitary polar factor)."""
-    u, _, vh = np.linalg.svd(m, full_matrices=False)
-    return u @ vh
+def _polar_orthonormal(m: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Closest matrix with orthonormal rows/columns: the unitary polar
+    factor of ``diag(weights) @ m``, or of m when weights is None.
 
-
-def _complement(dim: int, slots: np.ndarray) -> np.ndarray:
-    """Sorted indices in range(dim) not in slots.
-
-    A boolean mask, not ``np.setdiff1d``: numpy 2.4's setdiff1d imports
-    ``numpy.ma`` on first use, 15-28 ms that would land in the first
-    build_dilation of a process.
+    A wide input whose rows are nearly orthonormal,
+    ``d = ||X X^H - I||_F <= POLAR_NS_BOUND``, takes the Newton-Schulz
+    iteration ``X <- X - (X X^H - I) X / 2`` (Bjorck & Bowie 1971;
+    Higham 1986), each step mapping d to at most ``0.8 d**2``, until d is
+    within ``4 r eps``, the roundoff floor of r orthonormal rows.  With
+    weights, entry (i, j) of ``X X^H - I`` goes ``w_j / (w_i + w_j)`` to
+    row i and the rest to row j, not half to each: the smallest
+    w-weighted change that makes the rows orthonormal to first order, so
+    the result is the weighted polar factor to first order in d.  Every
+    other input, and one still above the floor after three steps, takes
+    the SVD.
     """
-    mask = np.ones(dim, dtype=bool)
-    mask[slots] = False
-    return np.flatnonzero(mask)
+    rows = m.shape[0]
+    # |row 0|^2 - 1 is one entry of X X^H - I: far inputs, such as the
+    # optimizer's gradients, go to the SVD without the r x r product
+    if abs(np.vdot(m[0], m[0]).real - 1.0) <= POLAR_NS_BOUND:
+        eye = np.eye(rows)
+        floor_sq = (4 * rows * np.finfo(float).eps) ** 2
+        x = m
+        for _ in range(4):
+            gap = x @ x.conj().T - eye
+            dist_sq = np.vdot(gap, gap).real
+            if dist_sq <= floor_sq:
+                return x
+            if not dist_sq <= POLAR_NS_BOUND**2:  # NaN entries go to the SVD too
+                break
+            share = 0.5 if weights is None else weights / (weights[:, None] + weights)
+            x = x - (gap * share) @ x
+    u, _, vh = np.linalg.svd(m if weights is None else weights[:, None] * m, full_matrices=False)
+    return u @ vh
 
 
 def _dilation_block(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -237,13 +262,24 @@ def _dilation_block(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
     Raises InfeasibleCouplingError when ``C C^H`` misses the Gram matrix
     by more than ``FEASIBILITY_TOL``.  With G = W diag(lam) W^H from
     :func:`spectral_factor` (kept eigenvectors W_r, dropped ones W_perp),
-    V the row-orthonormal Procrustes factor of ``thin^H C`` and ``V_full``
-    V's rows completed to a unitary by one QR, the block is
-    ``[W_r | W_perp] V_full``.  Row j, column k of ``state_coords @ block``
-    is the amplitude of input j on output slot ``k*n + k``; nothing of
-    size n^2 is allocated.  ``state_coords`` is the Gram square root on
-    the rank support: dropped modes contribute 0, so rank-deficient Grams
-    do not leak sqrt(ulp)-size mass along them.
+    V is the row-orthonormal Procrustes factor of ``thin^H C`` with
+    ``thin = W_r Lam_r^{1/2}``: the V that minimizes ``||thin V - C||``.
+    It is computed as the Lam_r-weighted polar factor of
+    ``X0 = Lam_r^{-1/2} W_r^H C``.  For an exactly feasible C, X0 is V
+    itself, and ``X0 X0^H - I = Lam_r^{-1/2} W_r^H (C C^H - G) W_r
+    Lam_r^{-1/2}``, so its rows are orthonormal up to the feasibility
+    residual scaled by the smallest kept eigenvalue; the polar factor is
+    then a Newton-Schulz step or two, with no SVD.  The weights matter on
+    ill-conditioned Grams: the unweighted polar factor of X0 spreads an
+    error of a light row over the heavy ones, which multiplies the map
+    residual by up to ``sqrt(lam_max / lam_min)``.  At full rank the
+    block is ``W V``.  Otherwise one QR completes V's rows to a unitary
+    ``V_full`` and the block is ``[W_r | W_perp] V_full``.  Row j,
+    column k of ``state_coords @ block`` is the amplitude of input j on
+    output slot ``k*n + k``; nothing of size n^2 is allocated.
+    ``state_coords`` is the Gram square root on the rank support: dropped
+    modes contribute 0, so rank-deficient Grams do not leak
+    sqrt(ulp)-size mass along them.
     """
     residual = feasibility_residual(coupling)
     if not residual <= FEASIBILITY_TOL:
@@ -255,14 +291,13 @@ def _dilation_block(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
     # eigenvalues ascend, so the kept modes are the last rank columns
     cut = coupling.n - sf.rank
     w_r = sf.eigenvectors[:, cut:]
-    thin = w_r * np.sqrt(sf.eigenvalues[cut:])  # n x r, thin = W_r sqrt(Lam_r)
-
-    # row-orthonormal V with thin @ V ~= C (orthogonal Procrustes)
-    v_iso = _polar_orthonormal(thin.conj().T @ coupling.c)
-    # rows r.. of V_full span the orthogonal complement of V's rows
+    lam = sf.eigenvalues[cut:]
+    v_iso = _polar_orthonormal((w_r.conj().T @ coupling.c) / np.sqrt(lam)[:, None], lam)
+    if cut == 0:
+        return sf.sqrt, w_r @ v_iso
+    # the last n - r columns of Q span the orthogonal complement of V's rows
     q, _ = np.linalg.qr(v_iso.conj().T, mode="complete")
-    v_full = np.vstack([v_iso, q[:, sf.rank :].conj().T])
-    block = np.hstack([w_r, sf.eigenvectors[:, :cut]]) @ v_full
+    block = w_r @ v_iso + sf.eigenvectors[:, :cut] @ q[:, sf.rank :].conj().T
     return sf.sqrt, block
 
 
@@ -275,11 +310,12 @@ def build_dilation(coupling: CouplingMatrix) -> DilationModel:
     ``sum_k c[j, k] (e_k (x) e_k)``.  Both sides are already confined to
     n-dimensional coordinate subspaces: with G = W diag(lam) W^H (kept
     eigenvectors first) and V the row-orthonormal Procrustes factor of
-    ``thin^H C``, the inputs expand along ``conj(w_alpha) (x) e_0`` (slots
-    ``m*n``) and the targets along ``sum_k V[alpha, k] (e_k (x) e_k)``
-    (slots ``k*n + k``).  Completing V's rows to an n x n unitary
-    ``V_full`` with one QR maps the first frame onto the second exactly,
-    so U consists of
+    ``thin^H C`` (``thin = W_r Lam_r^{1/2}``), the inputs expand along
+    ``conj(w_alpha) (x) e_0`` (slots ``m*n``) and the targets along
+    ``sum_k V[alpha, k] (e_k (x) e_k)`` (slots ``k*n + k``).  V is
+    already n x n at full rank; for a rank-deficient Gram one QR completes
+    its rows to an n x n unitary ``V_full``.  That unitary maps the first
+    frame onto the second exactly, so U consists of
 
     * the n x n unitary block ``(W V_full)^T`` (from
       :func:`_dilation_block`) at rows ``k*n + k`` and columns ``m*n``,
@@ -287,10 +323,10 @@ def build_dilation(coupling: CouplingMatrix) -> DilationModel:
     * a 0/1 permutation pairing the remaining n^2 - n input slots with
       the remaining n^2 - n output slots in sorted order.
 
-    Beyond the O(n^3) eigendecomposition and QR, the cost is filling the
-    dense O(n^4) matrix.  Couplings whose unitary would need more than
-    ``MAX_DILATION_BYTES`` (1 GiB, so n >= 91) are refused with a
-    ValidationError before anything is allocated.
+    Beyond the O(n^3) eigendecomposition (and the QR when rank < n), the
+    cost is filling the dense O(n^4) matrix.  Couplings whose unitary
+    would need more than ``MAX_DILATION_BYTES`` (1 GiB, so n >= 91) are
+    refused with a ValidationError before anything is allocated.
 
     Inner products here are conjugate-linear in the second slot:
     ``<x, y> = sum_i x_i conj(y_i)``, so coordinate rows satisfy
@@ -308,11 +344,18 @@ def build_dilation(coupling: CouplingMatrix) -> DilationModel:
         )
     state_coords, block = _dilation_block(coupling)
 
-    input_slots = np.arange(n) * n
-    output_slots = np.arange(n) * (n + 1)
     joint_unitary = np.zeros((dim, dim), dtype=complex)
-    joint_unitary[np.ix_(output_slots, input_slots)] = block.T
-    joint_unitary[_complement(dim, output_slots), _complement(dim, input_slots)] = 1.0
+    flat = joint_unitary.reshape(-1)
+    # the block at rows k*n + k and columns m*n
+    flat[np.arange(n)[:, None] * ((n + 1) * dim) + np.arange(n) * n] = block.T
+    # the other rows and columns in sorted order, in closed form: the
+    # output slots leave runs of n rows between them, the input slots runs
+    # of n - 1 columns.  Not np.setdiff1d: numpy 2.4's setdiff1d imports
+    # numpy.ma on first use, 15-28 ms that would land in the first
+    # build_dilation of a process.
+    rows = np.arange(n - 1)[:, None] * (n + 1) + np.arange(1, n + 1)
+    cols = np.arange(n)[:, None] * n + np.arange(1, n)
+    flat[rows.ravel() * dim + cols.ravel()] = 1.0
 
     return DilationModel(
         system_dim=n,
@@ -323,6 +366,11 @@ def build_dilation(coupling: CouplingMatrix) -> DilationModel:
         post_states=np.eye(n, dtype=complex),
         coupling=coupling,
     )
+
+
+# largest dilation residual that `qsd dilation` reports as ok and that a
+# long Monte Carlo run accepts
+DILATION_CHECK_TOL = 1e-10
 
 
 def dilation_residuals(coupling: CouplingMatrix) -> dict:

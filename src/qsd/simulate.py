@@ -16,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import helstrom_bound
-from .coupling import CouplingMatrix, dilation_residuals, error_probability
+from .coupling import DILATION_CHECK_TOL, CouplingMatrix, dilation_residuals, error_probability
 from .ensembles import _frozen, check_prior, check_seed, gram_binary
 from .errors import InfeasibleSequentialError, ValidationError
 
 # numpy's multinomial takes the shot count as a signed 64-bit integer
 MAX_SHOTS = 2**63
-DILATION_CHECK_TOL = 1e-10
 # outcome probabilities below this are treated as an impossible branch
 NEGLIGIBLE_PROB = 1e-15
 

@@ -1,12 +1,14 @@
+import collections
 import dataclasses
 import math
 import time
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -21,7 +23,9 @@ from conftest import (
 from qsd import coupling as coupling_mod
 from qsd.closed_form import helstrom_bound, symmetric_min_error
 from qsd.coupling import (
+    POLAR_NS_BOUND,
     CouplingMatrix,
+    _polar_orthonormal,
     binary_optimal_coupling,
     build_dilation,
     circulant_optimal_coupling,
@@ -483,6 +487,165 @@ class TestBlockCheck:
             assert block[key] > 1e-10
             assert block[key] == pytest.approx(dense[key], rel=1e-6), key
         assert block["gram_residual"] == pytest.approx(dense["gram_residual"], abs=1e-13)
+
+
+def ill_conditioned_ensemble(rng, n, lam_min):
+    """Full-rank equal-prior ensemble whose Gram has one eigenvalue near
+    lam_min and the others in [0.5, 1.5] (before the unit diagonal is
+    restored, which moves them by a factor of order 1)."""
+    w, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    g = (w * np.concatenate([[lam_min], rng.uniform(0.5, 1.5, n - 1)])) @ w.conj().T
+    d = np.sqrt(np.diag(g).real)
+    g = g / np.outer(d, d)
+    g = 0.5 * (g + g.conj().T)
+    np.fill_diagonal(g, 1.0)
+    return Ensemble(n, g, np.full(n, 1.0 / n))
+
+
+def perturbed_coupling(ens, rng, light_row_scale=1.0, noise=0.0):
+    """``C = W Lam^{1/2} X`` for a random unitary X whose lightest row is
+    scaled by light_row_scale, plus complex noise of that size, with the
+    rows normalized again: a coupling that misses the Gram matrix by about
+    ``lam_min (light_row_scale**2 - 1) + noise``."""
+    sf = spectral_factor(ens)
+    x = random_isometry(rng, ens.n, ens.n)
+    x[0] *= light_row_scale
+    c = (sf.eigenvectors * np.sqrt(sf.eigenvalues)) @ x
+    c = c + noise * (rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape))
+    return CouplingMatrix(c / np.linalg.norm(c, axis=1, keepdims=True), ens)
+
+
+def procrustes_map_residual(coupling) -> float:
+    """max|thin V - C| for the exact Procrustes V = polar(thin^H C), by SVD."""
+    sf = spectral_factor(coupling.ensemble)
+    cut = coupling.n - sf.rank
+    thin = sf.eigenvectors[:, cut:] * np.sqrt(sf.eigenvalues[cut:])
+    u, _, vh = np.linalg.svd(thin.conj().T @ coupling.c, full_matrices=False)
+    return float(np.max(np.abs(thin @ (u @ vh) - coupling.c)))
+
+
+def lapack_spies(monkeypatch) -> collections.Counter:
+    """Count the np.linalg eigh, svd and qr calls made from here on."""
+    calls = collections.Counter()
+    for name in ("eigh", "svd", "qr"):
+        original = getattr(np.linalg, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+@st.composite
+def wide_isometries(draw):
+    """A random r x n isometry (r <= n <= 10) and a unit-Frobenius complex
+    perturbation direction of the same shape."""
+    n = draw(st.integers(1, 10))
+    r = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+    return random_isometry(rng, r, n), e / np.linalg.norm(e)
+
+
+class TestPolarOrthonormal:
+    """Newton-Schulz within POLAR_NS_BOUND of orthonormal rows, the SVD
+    beyond it; the SVD polar factor is the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_isometries(), st.floats(-16.0, math.log10(POLAR_NS_BOUND / 3)))
+    def test_newton_schulz_matches_svd(self, case, log_size):
+        v, e = case
+        # ||X X^H - I||_F <= 2 t + t**2 < POLAR_NS_BOUND for a perturbation
+        # t <= POLAR_NS_BOUND / 3
+        x = v + 10.0**log_size * e
+        u, _, vh = np.linalg.svd(x, full_matrices=False)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            polar = _polar_orthonormal(x)
+        assert svd.call_count == 0
+        assert np.max(np.abs(polar - u @ vh)) <= 1e-13
+        assert np.max(np.abs(polar @ polar.conj().T - np.eye(len(x)))) <= 1e-14
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_isometries(), st.floats(math.log10(POLAR_NS_BOUND), 2.0))
+    def test_svd_beyond_bound(self, case, log_size):
+        v, e = case
+        x = v + 10.0**log_size * e
+        assume(np.linalg.norm(x @ x.conj().T - np.eye(len(x))) > POLAR_NS_BOUND)
+        u, _, vh = np.linalg.svd(x, full_matrices=False)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            polar = _polar_orthonormal(x)
+        assert svd.call_count == 1
+        assert np.max(np.abs(polar - u @ vh)) <= 1e-14
+
+
+class TestDilationFactorizations:
+    """The block comes from spectral_factor's one eigh: no SVD for a
+    feasible coupling and a QR only to complete a rank-deficient V."""
+
+    @pytest.mark.parametrize(
+        "make, qr_calls",
+        [
+            (lambda rng: symmetric_optimal_coupling(16, 0.4), 0),
+            (lambda rng: circulant_optimal_coupling(gram_psk(8, 1.0)), 0),
+            (lambda rng: perturbed_coupling(random_rank_ensemble(rng, 12, 12), rng), 0),
+            (lambda rng: symmetric_optimal_coupling(5, -0.25), 1),
+            (
+                lambda rng: coupling_from_unitary(
+                    random_rank_ensemble(rng, 9, 5), random_isometry(rng, 5, 9)
+                ),
+                1,
+            ),
+        ],
+    )
+    def test_lapack_calls(self, monkeypatch, make, qr_calls):
+        coupling = make(np.random.default_rng(19))
+        calls = lapack_spies(monkeypatch)
+        dilation_residuals(coupling)
+        assert calls == collections.Counter(eigh=1, qr=qr_calls)
+        calls.clear()
+        build_dilation(coupling)
+        assert calls == collections.Counter(eigh=1, qr=qr_calls)
+
+
+class TestIllConditionedDilation:
+    """Near-singular, rank-deficient and near-infeasible couplings against
+    the dense Kronecker reference, as in TestBlockCheck."""
+
+    @pytest.mark.parametrize(
+        "make, svd_calls",
+        [
+            (lambda rng: symmetric_optimal_coupling(3, 1.0 - 1e-9), 0),
+            (lambda rng: symmetric_optimal_coupling(3, -0.5), 0),
+            (lambda rng: symmetric_optimal_coupling(4, -1.0 / 3.0), 0),
+            (lambda rng: symmetric_optimal_coupling(7, -1.0 / 6.0), 0),
+            # C C^H misses G by ~1e-9 along a ~1e-9 eigenvalue: the light
+            # row of X0 is sqrt(2) long, beyond POLAR_NS_BOUND
+            (lambda rng: perturbed_coupling(ill_conditioned_ensemble(rng, 4, 1e-9), rng, 2**0.5), 1),
+        ],
+    )
+    def test_matches_dense_dilation(self, monkeypatch, make, svd_calls):
+        coupling = make(np.random.default_rng(23))
+        calls = lapack_spies(monkeypatch)
+        block = dilation_residuals(coupling)
+        assert calls["svd"] == svd_calls
+        dense = reference_residuals(build_dilation(coupling))
+        assert list(block) == list(dense)
+        for key, value in dense.items():
+            assert abs(block[key] - value) <= 1e-13, (key, block[key], value)
+        if svd_calls == 0:
+            assert max(block.values()) <= 1e-10, block
+
+    @pytest.mark.parametrize("lam_min, noise", [(1e-11, 1e-16), (1e-11, 1e-13), (1e-9, 1e-9)])
+    def test_map_residual_as_small_as_procrustes(self, lam_min, noise):
+        # an error along a light eigenvalue must stay on the light row of V;
+        # spread over all rows it would grow by sqrt(lam_max / lam_min)
+        rng = np.random.default_rng(29)
+        for n in (4, 8, 12):
+            coupling = perturbed_coupling(ill_conditioned_ensemble(rng, n, lam_min), rng, noise=noise)
+            best = procrustes_map_residual(coupling)
+            assert dilation_residuals(coupling)["map_residual"] <= 2 * best + 1e-15, (n, best)
 
 
 class TestPostMeasurementState:
