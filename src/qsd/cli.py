@@ -76,10 +76,8 @@ def _solver_config(args) -> optimizer.SolverConfig:
         if flag is not None:
             values[key] = flag
     try:
-        for key in ("max_iters", "restarts", "seed"):
-            values[key] = int(values[key])
-        for key in ("grad_tol", "rank_tol"):
-            values[key] = float(values[key])
+        for key, kind in (("max_iters", int), ("rank_tol", float)):
+            values[key] = kind(values[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"solver config {key} must be a number: {exc}") from exc
     return optimizer.SolverConfig(**values)
@@ -88,9 +86,10 @@ def _solver_config(args) -> optimizer.SolverConfig:
 def _optimal_coupling(ensemble: Ensemble) -> coupling_mod.CouplingMatrix:
     """Best-known coupling for an ensemble: the closed form of the first
     structure it has (two states; equal priors with equal real overlaps;
-    equal priors with a circulant Gram matrix), else the general search.
+    equal priors with a circulant Gram matrix), else the weight solve of
+    :func:`~qsd.optimizer.optimize_general`.
 
-    The search also takes over when a closed form refuses the ensemble:
+    The weight solve also takes over when a closed form refuses the ensemble:
     ``Ensemble`` admits Gram matrices up to its own tolerances (eigenvalues
     down to -1e-10, circulant to 1e-10), beyond the closed forms' tighter ones.
     """
@@ -353,12 +352,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-coupling", action="store_true")
     p.set_defaults(func=cmd_psk)
 
-    p = sub.add_parser("optimize", help="gradient ascent over feasible couplings")
+    p = sub.add_parser("optimize", help="optimal coupling from square-root-measurement weights")
     p.add_argument("--ensemble")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--grad-tol", type=float, dest="grad_tol")
     p.add_argument("--rank-tol", type=float, dest="rank_tol")
     p.add_argument("--config", help="JSON file with solver config overrides")
     p.add_argument("--show-config", action="store_true")

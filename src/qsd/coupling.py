@@ -4,7 +4,7 @@ A coupling matrix C holds the amplitudes ``c[j, k]`` for finding the
 ancilla in outcome k when the input was state j.  C is physically
 realizable exactly when ``C C^H`` equals the ensemble's Gram matrix;
 every feasible C arises as ``B V`` with ``B B^H = G`` and V
-row-orthonormal, which is the search space of the optimizer module.
+row-orthonormal, the form in which the optimizer module builds its couplings.
 ``build_dilation`` turns a feasible coupling into concrete coordinates:
 state vectors, the joint unitary, and the post-measurement states;
 ``dilation_residuals`` checks that unitary from its n x n block alone.
@@ -35,10 +35,9 @@ ROOT_RESIDUAL_TOL = 1e-10
 MAX_DILATION_BYTES = 1 << 30
 # ||X X^H - I||_F up to which _polar_orthonormal iterates instead of
 # taking the SVD; two Newton-Schulz steps reach roundoff from there.  The
-# iteration converges from 1/4 as well, but its three to five steps there
-# cost more than the SVD of the optimizer's 2 x n to 8 x n inputs: with
-# 1/4 the `solve` workload took 1-4 % longer on a 2-vCPU Xeon, with 1e-4
-# within 1.6 %
+# dilation inputs of feasible couplings lie far inside it (at most 7e-14
+# on the benchmark's `dilation` rounds), so it only decides where an
+# input that is barely feasible on an ill-conditioned Gram goes
 POLAR_NS_BOUND = 1e-4
 
 
@@ -237,21 +236,18 @@ def _polar_orthonormal(m: np.ndarray, weights: np.ndarray | None = None) -> np.n
     the SVD.
     """
     rows = m.shape[0]
-    # |row 0|^2 - 1 is one entry of X X^H - I: far inputs, such as the
-    # optimizer's gradients, go to the SVD without the r x r product
-    if abs(np.vdot(m[0], m[0]).real - 1.0) <= POLAR_NS_BOUND:
-        eye = np.eye(rows)
-        floor_sq = (4 * rows * np.finfo(float).eps) ** 2
-        x = m
-        for _ in range(4):
-            gap = x @ x.conj().T - eye
-            dist_sq = np.vdot(gap, gap).real
-            if dist_sq <= floor_sq:
-                return x
-            if not dist_sq <= POLAR_NS_BOUND**2:  # NaN entries go to the SVD too
-                break
-            share = 0.5 if weights is None else weights / (weights[:, None] + weights)
-            x = x - (gap * share) @ x
+    eye = np.eye(rows)
+    floor_sq = (4 * rows * np.finfo(float).eps) ** 2
+    x = m
+    for _ in range(4):
+        gap = x @ x.conj().T - eye
+        dist_sq = np.vdot(gap, gap).real
+        if dist_sq <= floor_sq:
+            return x
+        if not dist_sq <= POLAR_NS_BOUND**2:  # NaN entries go to the SVD too
+            break
+        share = 0.5 if weights is None else weights / (weights[:, None] + weights)
+        x = x - (gap * share) @ x
     u, _, vh = np.linalg.svd(m if weights is None else weights[:, None] * m, full_matrices=False)
     return u @ vh
 

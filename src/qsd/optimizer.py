@@ -2,12 +2,12 @@
 
 Two routes to the same objective ``sum_j eta_j |c_jj|**2``:
 
-* :func:`optimize_general` searches all feasible couplings ``C = B V``
-  by Riemannian ascent over row-orthonormal V (polar fixed-point steps,
-  and Newton steps where those stall), plus seeded random restarts.  Its
-  first start is a square-root measurement: for a full-rank Gram with
-  positive priors that of the reweighted priors found by damped Newton
-  on n weights, which is the optimum, otherwise the plain one.
+* :func:`optimize_general` solves for the weights of the optimal
+  square-root measurement, which exist for every Gram matrix (Mochon
+  2006), some of them possibly 0.  For a full-rank Gram with positive
+  priors damped Newton on n log-weights finds them first; every other
+  input, and any such result the duality gap does not certify, goes to
+  projected Newton on the concave weight function Phi.
 * :func:`psk3_solve` / :func:`psk4_solve` need no search: they read the
   parameters of the circulant ``G^{1/2}`` from
   :func:`~qsd.coupling.circulant_optimal_coupling`, which is optimal for
@@ -25,66 +25,61 @@ from .coupling import (
     ROW_NORM_TOL,
     CouplingMatrix,
     _checked_isometry,
-    _polar_orthonormal,
     circulant_optimal_coupling,
     error_probability,
 )
-from .ensembles import Ensemble, check_seed, gram_psk, spectral_factor
+from .ensembles import Ensemble, gram_psk, spectral_factor
 from .errors import ValidationError
 
-# objective band (absolute, objective lies in [0, 1]) inside which a step
-# counts as an objective tie and may be accepted on gradient-norm decrease
-PLATEAU_BAND = 1e-14
-# duality gap below which a coupling counts as certified optimal, and the
-# number of ascent iterations between two gap evaluations
+# duality gap below which a coupling counts as certified optimal
 CERT_TOL = 1e-10
-CERT_EVERY = 5
 # Newton on the gap's secular equations stops once every step is below
 # this fraction of the root's distance to the lowest pole with weight
 # (its steps shrink quadratically, so the last one leaves an error far
 # below it); the step cap only bounds a stall on roundoff
 SECULAR_STEP_TOL = 1e-12
 SECULAR_MAX_STEPS = 50
-# steps the ascent may take past the gradient test towards the certificate
-GRAD_EXTRA_STEPS = 3
 # Newton on the reweighted square-root-measurement weights (full rank):
 # the step in log q below which it stops, and the shortest fraction of a
 # step its backtracking tries
 NEWTON_STEP_TOL = 1e-8
 NEWTON_MIN_DAMPING = 0.25
-# complex entries in one block of the Jacobian's eigen-index sum
+# complex entries in one block of a Daleckii-Krein eigen-index sum
 JACOBIAN_BLOCK = 4096
+# projected Newton on Phi: the norm of its projected gradient below which
+# the duality gap is evaluated, and below which the weights count as
+# converged; the regularization of its Hessian per unit of that norm;
+# the shortest step its backtracking tries; and the absolute roundoff of
+# Phi (sums of terms of at most 1) that its Armijo test forgives
+GAP_SCREEN = 1e-7
+WEIGHT_GRAD_TOL = 1e-10
+WEIGHT_DAMPING = 1e-2
+WEIGHT_MIN_STEP = 2.0**-30
+PHI_ROUNDOFF = 1e-15
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the Riemannian ascent.  All fields have safe defaults.
+    """Knobs for :func:`optimize_general`.  Both fields have safe defaults.
 
-    ``rank_tol`` is the relative eigenvalue cut of the spectral factor,
-    below 1 so that the largest eigenvalue is kept:
-    the ascent and its duality gap see the Gram matrix without the modes
-    below it, so a certificate holds for that truncated Gram only.  Such
-    a mode can move the optimum by far more than ``CERT_TOL``: 16-PSK at
-    ``alpha_sq = 1`` loses a 4.5e-12 eigenvalue, and its certified
-    p_error is 1.4e-7 above the optimum.
+    ``max_iters`` caps the Newton steps on the weights, both phases
+    together.  ``rank_tol`` is the relative eigenvalue cut of the
+    spectral factor, below 1 so that the largest eigenvalue is kept:
+    the weight solve and its duality gap see the Gram matrix without the
+    modes below it, so a certificate holds for that truncated Gram only.
+    Such a mode can move the optimum by far more than ``CERT_TOL``:
+    16-PSK at ``alpha_sq = 1`` loses a 4.5e-12 eigenvalue, and its
+    certified p_error is 1.4e-7 above the optimum.
     """
 
     max_iters: int = 2000
-    grad_tol: float = 1e-10
-    restarts: int = 8
-    seed: int = 0
     rank_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be positive")
-        if not 0 < self.grad_tol < math.inf:
-            raise ValidationError("grad_tol must be positive and finite")
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+            raise ValidationError("max_iters must be a positive integer")
         if not 0 < self.rank_tol < 1:
             raise ValidationError("rank_tol must lie in (0, 1)")
-        if self.restarts < 1:
-            raise ValidationError("restarts must be at least 1")
-        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -125,13 +120,18 @@ class PskParams:
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Best coupling found, its error, and the winning restart's trace.
+    """Coupling found, its error, and the trace of the weight solve.
 
-    ``dual_gap`` bounds how far the success probability of the returned
-    coupling lies below the optimum of the Gram matrix truncated at
+    ``objective_trace`` holds the success probability at the weights
+    Phi's ascent starts from (the log-weight result, or ``q = 1``) and
+    after each of its steps that raised it.  ``dual_gap``
+    bounds how far the success probability of the returned coupling lies
+    below the optimum of the Gram matrix truncated at
     ``SolverConfig.rank_tol`` (see :func:`dual_gap`), which may miss the
     input's optimum; ``certified`` is ``dual_gap <= CERT_TOL``.
-    ``converged`` holds when the gradient test or the certificate does.
+    ``converged`` holds when the certificate does, or when the projected
+    gradient of the weight function is below ``WEIGHT_GRAD_TOL``.
+    ``restarts_used`` is always 1: the solve has one start.
     """
 
     coupling: CouplingMatrix
@@ -141,11 +141,6 @@ class OptimizeResult:
     converged: bool
     dual_gap: float
     certified: bool
-
-
-def _objective(b: np.ndarray, priors: np.ndarray, v: np.ndarray) -> float:
-    diag = np.einsum("ij,ji->i", b, v)
-    return float(np.dot(priors, np.abs(diag) ** 2))
 
 
 def _riemannian_grad(b: np.ndarray, priors: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -214,7 +209,9 @@ def _lowest_downdated_eigenvalue(lam: np.ndarray, z: np.ndarray) -> float:
         y = np.zeros(len(z))
     else:
         x_c = min(0.0, float(lam[0]))
-        dist = lam - x_c
+        # abs: lam_i - x_c is -0.0 where lam_i = -0.0 and x_c = 0.0, and a
+        # weight over it would be -inf
+        dist = np.abs(lam - x_c)
         z = np.where(z > eps * eps, z, 0.0)
         with np.errstate(divide="ignore"):
             g = np.divide(z, dist, out=np.zeros_like(z), where=z > 0.0).sum(axis=1)
@@ -243,15 +240,6 @@ def _lowest_downdated_eigenvalue(lam: np.ndarray, z: np.ndarray) -> float:
     return x_c - float(y.max())
 
 
-def _random_isometry(rng: np.random.Generator, rank: int, n: int) -> np.ndarray:
-    m = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    q, r_mat = np.linalg.qr(m)
-    d = np.diag(r_mat)
-    d = np.where(np.abs(d) < 1e-300, 1.0, d)
-    q = q * (d / np.abs(d)).conj()
-    return q.conj().T
-
-
 def objective_gradient(ensemble: Ensemble, v: np.ndarray) -> np.ndarray:
     """Riemannian gradient of the success probability at isometry v.
 
@@ -263,77 +251,10 @@ def objective_gradient(ensemble: Ensemble, v: np.ndarray) -> np.ndarray:
     return _riemannian_grad(sf.factor, ensemble.priors, _checked_isometry(v, sf.rank, ensemble.n))
 
 
-def _gap_may_certify(v: np.ndarray, grad: np.ndarray) -> bool:
-    """False when the Riemannian gradient alone proves ``dual_gap > CERT_TOL``.
-
-    Column j of the gradient is ``2 (eta_j c_jj psi_j - H mu_j)``, so
-    ``Re(mu_j^H grad_j) / 2`` is minus the Rayleigh quotient of mu_j for
-    ``H - eta_j psi_j psi_j^H``.  Each ratio to ``|mu_j|^2`` is a lower
-    bound on t, and rank times the largest is one on the gap, at O(rank n)
-    cost against the gap's eigendecomposition.  For square V every
-    quotient vanishes and the test always passes.
-    """
-    rank = v.shape[0]
-    quotients = np.einsum("aj,aj->j", v.conj(), grad).real
-    norms = np.einsum("aj,aj->j", v.conj(), v).real
-    return not np.any(rank * quotients > 2.0 * CERT_TOL * norms)
-
-
-def _riemannian_hessian(b: np.ndarray, priors: np.ndarray, v: np.ndarray):
-    """Riemannian Hessian at isometry v (embedded metric; Absil, Mahony &
-    Sepulchre 2008) as a map on tangent d: ``P_V(ehess[d] - S d)`` with
-    ``ehess[d]_j = 2 eta_j conj(b_j) (b_j^T d_j)``, ``S = sym(egrad V^H)``,
-    ``P_V(Z) = Z - sym(Z V^H) V``.  The objective is block-diagonal in the
-    columns of V, so a product costs about one gradient."""
-    bh, vh = 2.0 * b.conj().T * priors, v.conj().T
-    x = (bh * np.einsum("ij,ji->i", b, v)) @ vh
-    s = 0.5 * (x + x.conj().T)
-
-    def hess(d):
-        z = bh * np.einsum("ij,ji->i", b, d) - s @ d
-        y = z @ vh
-        return z - 0.5 * (y + y.conj().T) @ v
-
-    return hess
-
-
-def _newton_step(b, priors, v, grad, gnorm):
-    """Truncated-CG Newton candidate ``polar(v + d)`` with ``-Hess[d] = grad``.
-
-    CG stops at a residual of ``min(0.1, sqrt(|grad|)) |grad|``, at
-    non-positive curvature or after ``2 rank n`` iterations.  Returns v
-    itself, which is never accepted, when the first CG direction already
-    has non-positive curvature.
-    """
-    hess = _riemannian_hessian(b, priors, v)
-    d, r, p = np.zeros_like(v), grad, grad
-    rr, tol = gnorm * gnorm, min(0.1, math.sqrt(gnorm)) * gnorm
-    for _ in range(2 * v.size):
-        hp = -hess(p)
-        curv = float(np.vdot(p, hp).real)
-        if curv <= 0.0:
-            break
-        alpha = rr / curv
-        d, r = d + alpha * p, r - alpha * hp
-        rr_new = float(np.vdot(r, r).real)
-        if math.sqrt(rr_new) <= tol:
-            break
-        p, rr = r + (rr_new / rr) * p, rr_new
-    return _polar_orthonormal(v + d) if np.any(d) else v
-
-
-def _polar_step(b, priors, v, grad, gnorm):
-    """Polar fixed-point candidate: the polar factor of the Euclidean
-    gradient, which maximizes the linearized objective over the whole
-    manifold (Jezek, Rehacek & Fiurasek 2002)."""
-    diag = np.einsum("ij,ji->i", b, v)
-    return _polar_orthonormal(b.conj().T * (priors * diag)[None, :])
-
-
 def _srm_residual(gram, log_eta, u):
-    """``F(u) = u - log diag S - log eta`` with ``S = (Q^{1/2} G Q^{1/2})^{1/2}``
-    and ``Q = diag(exp(u))``, and the eigendecomposition ``W diag(lam) W^H``
-    of ``Q^{1/2} G Q^{1/2}`` (lam clamped at 0) behind it; None where any
+    """``F(u) = u - log diag S - log eta`` with ``S = (P^{1/2} G P^{1/2})^{1/2}``
+    and ``P = diag(exp(u))``, and the eigendecomposition ``W diag(lam) W^H``
+    of ``P^{1/2} G P^{1/2}`` (lam clamped at 0) behind it; None where any
     of them is not finite."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         root_q = np.exp(0.5 * u)
@@ -347,44 +268,51 @@ def _srm_residual(gram, log_eta, u):
     return (f, lam, w, s_diag) if np.isfinite(f).all() else None
 
 
-def _srm_jacobian(lam, w, s_diag):
-    """Jacobian of :func:`_srm_residual` in u (Daleckii-Krein):
-    ``dS_jj/du_k = 1/2 sum_ab W_ja conj(W_ka) conj(W_jb) W_kb K_ab`` with
-    ``K_ab = (lam_a + lam_b) / (sqrt(lam_a) + sqrt(lam_b))``, 0 where both
-    eigenvalues are 0.
+def _daleckii_krein(w, kern):
+    """``Re sum_ab W_ja conj(W_jb) conj(W_ka) W_kb K_ab`` for every j, k:
+    the real n x n matrix of a Daleckii-Krein sum over the rows of the
+    n x m eigenvector matrix W, with a real symmetric m x m kernel K.
 
     With ``Q_j[a, b] = W_ja conj(W_jb)`` the sum is
-    ``Re <Q_j o K, Q_k>``, a real product of the n x n**2 matrices of
+    ``Re <Q_j o K, Q_k>``, a real product of the n x n m matrices of
     rows ``Q_j o K`` and ``Q_j`` (complex entries read as interleaved
     real pairs).  It runs over blocks of the eigen-index a of at most
     ``JACOBIAN_BLOCK`` complex entries, so that no temporary holds n**3
     entries and each product stays below OpenBLAS's threading threshold
     (m n k <= 2**18, for n up to 50).
     """
+    n, m = w.shape
+    w_bar = w.conj()
+    out = np.zeros((n, n))
+    width = max(1, JACOBIAN_BLOCK // max(1, n * m))
+    for start in range(0, m, width):
+        block = slice(start, start + width)
+        q = w[:, block, None] * w_bar[:, None, :]
+        out += (q * kern[block]).view(float).reshape(n, -1) @ q.view(float).reshape(n, -1).T
+    return out
+
+
+def _srm_jacobian(lam, w, s_diag):
+    """Jacobian of :func:`_srm_residual` in u: ``dS_jj/du_k`` is half the
+    :func:`_daleckii_krein` sum with kernel
+    ``K_ab = (lam_a + lam_b) / (sqrt(lam_a) + sqrt(lam_b))``, 0 where both
+    eigenvalues are 0."""
     root = np.sqrt(lam)
     den = root[:, None] + root[None, :]
     kern = np.divide(lam[:, None] + lam[None, :], den, out=np.zeros_like(den), where=den > 0.0)
-    n = len(lam)
-    w_bar = w.conj()
-    ds = np.zeros((n, n))
-    width = max(1, JACOBIAN_BLOCK // (n * n))
-    for start in range(0, n, width):
-        block = slice(start, start + width)
-        q = w[:, block, None] * w_bar[:, None, :]
-        ds += (q * kern[block]).view(float).reshape(n, -1) @ q.view(float).reshape(n, -1).T
-    return np.eye(n) - 0.5 * ds / s_diag[:, None]
+    return np.eye(len(lam)) - 0.5 * _daleckii_krein(w, kern) / s_diag[:, None]
 
 
 def _reweighted_srm_weights(gram, priors, max_steps):
-    """Weights q whose square-root measurement is optimal, by damped Newton.
+    """Weights p whose square-root measurement is optimal, by damped Newton.
 
     For linearly independent states the optimum is the square-root
-    measurement of some reweighted priors q (Mochon 2006): with
-    ``S = (Q^{1/2} G Q^{1/2})^{1/2}`` the coupling ``Q^{-1/2} S`` has
-    ``c_jj = S_jj / sqrt(q_j)``, and it is a fixed point of the polar step
-    when ``q_j / S_jj`` is proportional to ``eta_j``, i.e. at a root of
-    ``F(u) = u - log diag S - log eta`` in ``u = log q`` (``F(u + c) =
-    F(u) + c / 2`` fixes the scale).  Newton starts at ``q = eta**2`` and
+    measurement of some reweighted priors p (Mochon 2006): with
+    ``S = (P^{1/2} G P^{1/2})^{1/2}`` the coupling ``P^{-1/2} S`` has
+    ``c_jj = S_jj / sqrt(p_j)``, and it meets Mochon's optimality
+    conditions when ``p_j / S_jj`` is proportional to ``eta_j``, i.e. at
+    a root of ``F(u) = u - log diag S - log eta`` in ``u = log p``
+    (``F(u + c) = F(u) + c / 2`` fixes the scale).  Newton starts at ``p = eta**2`` and
     halves its step down to ``NEWTON_MIN_DAMPING`` until ``|F|`` decreases
     (Armijo); non-finite trial points count as no decrease.  It stops
     after a step below ``NEWTON_STEP_TOL`` in every ``u_j``, when
@@ -392,7 +320,7 @@ def _reweighted_srm_weights(gram, priors, max_steps):
     ``max_steps`` steps.  ``|F|`` is no stopping test: it has a roundoff
     floor, 1e-13 to 1e-11 with priors of similar size and up to 1e-4 where
     one is ~1e-5, and a longer backtracking search would wander on it.
-    Returns q (None when F is not finite at the start) and the number of
+    Returns p (None when F is not finite at the start) and the number of
     Newton steps taken.
     """
     log_eta = np.log(priors)
@@ -426,79 +354,134 @@ def _reweighted_srm_weights(gram, priors, max_steps):
     return np.exp(u), steps
 
 
-def _ascend(b, priors, v, config, spent=0):
-    """Riemannian ascent from one starting isometry.
+def _weight_point(b, priors, w, rank=None):
+    """Phi, its KKT residual and the square-root measurement at weights w.
 
-    Each iteration takes the polar fixed-point step.  It never decreases
-    the objective (which is convex in v) and its fixed points are exactly
-    the stationary points, but its rate is linear, which is slow on
-    rank-deficient Grams.  Once it stalls (the last step shrank the
-    gradient norm by less than half), the truncated-CG Newton step is
-    tried first, with the polar step as its fallback.
+    With the states psi_j the columns of ``B^H``, weights ``q >= 0`` and
+    ``M = sum_j q_j eta_j psi_j psi_j^H``, the function
+    ``Phi(q) = 2 Tr M^{1/2} - sum_j q_j`` is concave (Tr sqrt is), its
+    maximum is the optimal success probability, and the square-root
+    measurement ``V = M^{-1/2} B^H diag(sqrt(p))`` of ``p = eta q`` at a
+    maximizer is an optimal coupling (Mochon 2006; Eldar, Megretski &
+    Verghese 2003).  Its gradient is the KKT residual
+    ``g_j = eta_j psi_j^H M^{-1/2} psi_j - 1``, which Mochon's theorem
+    asks to be 0 where ``q_j > 0`` and at most 0 elsewhere.  Here the
+    weights are ``w = q / eta`` (``p = eta**2 w``; 0 where eta is), in
+    which a state orthogonal to all others has ``w_j = 1`` whatever its
+    prior; the gradient in w is ``eta g``.
 
-    A candidate is accepted when it strictly increases the objective, or
-    when it stays within ``PLATEAU_BAND`` and strictly shrinks the
-    gradient norm: near the optimum the objective flattens out in float
-    arithmetic long before the gradient does.  The trace records only
-    strict increases.  The ascent ends when no candidate is accepted.
-
-    The duality gap is evaluated every ``CERT_EVERY`` iterations and
-    wherever the gradient test holds; the ascent returns once it is at
-    most ``CERT_TOL``.  After the gradient test first holds, at most
-    ``GRAD_EXTRA_STEPS`` more steps are taken towards the certificate.
-    The ascent has ``config.max_iters - spent`` iterations.  Returns the
-    objective, the isometry, the trace, whether the gradient test holds
-    at the returned point, and the gap there.
+    Everything comes from the SVD ``X = B^H diag(eta sqrt(w)) = U diag(s)
+    Vh``, not from an eigh of ``M = X X^H``, whose eigenvalues lose all
+    digits below ``eps ||M||`` where a weight is tiny: ``Tr M^{1/2} =
+    sum s``, ``g_j = eta_j sum_a |(B U)_ja|**2 / s_a - 1`` over the
+    singular values above ``len(s) eps s_max``, and ``V = U Vh``, whose
+    rows the SVD keeps orthonormal even where M is singular.  Returns
+    ``(Phi, g, success probability, s, Y, U, Vh)`` with s and
+    ``Y = B U`` cut to those singular values, or None where X is not
+    finite or fewer than ``rank`` of them are left.
     """
-    f, grad, prev = _objective(b, priors, v), _riemannian_grad(b, priors, v), math.inf
-    gnorm, trace, extra = float(np.linalg.norm(grad)), [f], GRAD_EXTRA_STEPS
-    for it in range(config.max_iters - spent):
-        grad_ok = gnorm <= config.grad_tol
-        if grad_ok or (it and it % CERT_EVERY == 0 and _gap_may_certify(v, grad)):
-            gap = dual_gap(b, priors, v)
-            if gap <= CERT_TOL:
-                return f, v, trace, grad_ok, gap
-        if grad_ok or extra < GRAD_EXTRA_STEPS:
-            if extra == 0:
-                break
-            extra -= 1
-        stalled = gnorm > 0.5 * prev
-        for step in (_newton_step, _polar_step) if stalled else (_polar_step,):
-            v_new = step(b, priors, v, grad, gnorm)
-            f_new = _objective(b, priors, v_new)
-            if f_new < f - PLATEAU_BAND:
-                continue
-            g_new = _riemannian_grad(b, priors, v_new)
-            gn_new = float(np.linalg.norm(g_new))
-            if f_new > f or gn_new < gnorm:
-                break
-        else:
-            # no uphill step and no gradient contraction left
+    x = b.conj().T * (priors * np.sqrt(w))
+    if not np.isfinite(x).all():
+        return None
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    kept = int(np.count_nonzero(s > len(s) * np.finfo(float).eps * s[0]))
+    if kept == 0 or kept < (rank or 0):
+        return None
+    y = b @ u
+    success = float(np.dot(priors, np.abs(np.einsum("ja,aj->j", y, vh)) ** 2))
+    s, y = s[:kept], y[:, :kept]
+    kkt = priors * ((np.abs(y) ** 2) @ (1.0 / s)) - 1.0
+    return 2.0 * float(s.sum()) - float(priors @ w), kkt, success, s, y, u, vh
+
+
+def _weight_hessian(priors, s, y):
+    """Hessian of Phi in w, from the s and Y of :func:`_weight_point`: the
+    :func:`_daleckii_krein` sum over Y with kernel
+    ``K_ab = -1 / (s_a s_b (s_a + s_b))``, the divided difference of
+    ``m**(-1/2)`` at ``m = s**2``, scaled by ``eta_j**2 eta_k**2``.  It is
+    negative semidefinite, of rank at most ``len(s)**2``."""
+    kern = -1.0 / (s[:, None] * s * (s[:, None] + s))
+    return np.outer(priors**2, priors**2) * _daleckii_krein(y, kern)
+
+
+def _ascend_weights(b, priors, w, point, max_steps):
+    """Projected Newton on Phi in w (Bertsekas 1982) from weights w, with
+    ``point`` their :func:`_weight_point`.
+
+    Weights within ``eps_k = |w - max(w + grad, 0)|`` of 0 whose gradient
+    points out of the feasible set are active and move along the
+    gradient.  The free ones take the regularized Newton step
+    ``(lambda I - H) d = grad``, lambda ``WEIGHT_DAMPING`` times the
+    projected gradient's norm: H is singular whenever more than rank**2
+    weights are free (every rank-2 Gram with n > 4), and a lambda that
+    shrinks with the gradient keeps Newton's fast local rate.  Each step
+    backtracks by halves, down to ``WEIGHT_MIN_STEP``, along the
+    projection arc ``max(w + t d, 0)`` until Armijo's test holds within
+    ``PHI_ROUNDOFF`` (near the optimum Phi changes by less than its
+    roundoff while the gradient still shrinks) and no singular value of
+    the start is lost: Phi's gradient is infinite where M turns singular.
+    A zero weight is a bound here, so the ascent reaches the zero
+    weights that log-weights only approach.
+
+    The duality gap is evaluated at the start and wherever the projected
+    KKT residual pg is at most ``GAP_SCREEN``.  The ascent stops once the
+    gap certifies, ``|pg| <= WEIGHT_GRAD_TOL``, backtracking fails or
+    ``max_steps`` steps are taken.  Returns the isometry, whether
+    ``|pg| <= WEIGHT_GRAD_TOL``, the gap and the trace: the success
+    probability at the start and after each step that raised it.
+    """
+    rank, trace = len(point[3]), [point[2]]
+    for step in range(max_steps + 1):
+        phi, kkt, _, s, y, u, vh = point
+        pg = np.where(w > 0.0, kkt, np.maximum(kkt, 0.0))
+        pgn, v = float(np.linalg.norm(pg)), u @ vh
+        gap = dual_gap(b, priors, v) if step == 0 or pgn <= GAP_SCREEN else None
+        if (gap is not None and gap <= CERT_TOL) or pgn <= WEIGHT_GRAD_TOL or step == max_steps:
             break
-        v, f, grad, gnorm, prev = v_new, f_new, g_new, gn_new, gnorm
-        if f > trace[-1]:
-            trace.append(f)
-    return f, v, trace, gnorm <= config.grad_tol, dual_gap(b, priors, v)
+        grad = priors * kkt
+        eps_k = float(np.linalg.norm(w - np.maximum(w + grad, 0.0)))
+        free = (w > eps_k) | (grad >= 0.0)
+        hess = _weight_hessian(priors[free], s, y[free])
+        lam = WEIGHT_DAMPING * float(np.linalg.norm(priors * pg))
+        d = grad.copy()
+        try:
+            d[free] = np.linalg.solve(lam * np.eye(len(hess)) - hess, grad[free])
+        except np.linalg.LinAlgError:
+            break
+        t, floor = 1.0, phi - PHI_ROUNDOFF * (abs(phi) + float(priors @ w))
+        while t >= WEIGHT_MIN_STEP:
+            trial_w = np.maximum(w + t * d, 0.0)
+            trial = _weight_point(b, priors, trial_w, rank)
+            if trial is not None and trial[0] >= floor + 1e-4 * float(np.dot(grad, trial_w - w)):
+                break
+            t *= 0.5
+        else:
+            break
+        w, point = trial_w, trial
+        if point[2] > trace[-1]:
+            trace.append(point[2])
+    return v, pgn <= WEIGHT_GRAD_TOL, dual_gap(b, priors, v) if gap is None else gap, trace
 
 
 def optimize_general(ensemble: Ensemble, config: SolverConfig | None = None) -> OptimizeResult:
-    """Gradient ascent over all feasible couplings of an ensemble.
+    """Optimal coupling of an ensemble: the square-root measurement of
+    the weights that maximize Phi (:func:`_weight_point`).
 
-    Restart 0 starts from a square-root-measurement coupling.  For a
-    full-rank Gram with all priors positive it is that of the reweighted
-    priors q from :func:`_reweighted_srm_weights`, ``V = polar(B^H
-    diag(sqrt(q)))``, which is optimal once Newton has converged, so the
-    duality gap usually certifies it before any ascent step; each Newton
-    step counts against ``config.max_iters``.  Otherwise it is the plain
-    square-root measurement (optimal on symmetric and PSK sets).  The
-    remaining restarts use seeded random isometries.  The best restart
-    wins, ties broken by lowest index.  ``config.restarts`` is an upper
-    bound: restarting stops as soon as the best restart is certified
-    optimal by its duality gap.  A best-effort result with
-    ``converged=False`` is returned when no restart meets the gradient
-    tolerance or the certificate.  A ``rank_tol`` that cuts modes heavy
-    enough to leave the rows of every coupling ``B V`` more than
-    ``ROW_NORM_TOL`` short of unit norm raises ValidationError.
+    For a full-rank Gram with all priors positive the weights come first
+    from :func:`_reweighted_srm_weights` (damped Newton in log-weights),
+    and the duality gap usually certifies their measurement at once.
+    Every other input (a rank-deficient Gram, a zero prior) starts at
+    ``q = 1`` on the states with positive priors, the plain square-root
+    measurement, scaled along the ray to Phi's maximum there,
+    ``(Tr M^{1/2} / sum q)**2``; so does a full-rank one whose
+    log-weights give no finite point.  Either start that the gap does
+    not certify goes on with :func:`_ascend_weights`.  All Newton
+    steps count against ``config.max_iters``.  No random numbers are
+    drawn.  A best-effort result with ``converged=False`` is returned
+    when neither the certificate nor the gradient test is met.  A
+    ``rank_tol`` that cuts modes heavy enough to leave the rows of every
+    coupling ``B V`` more than ``ROW_NORM_TOL`` short of unit norm
+    raises ValidationError.
     """
     config = config or SolverConfig()
     sf = spectral_factor(ensemble, config.rank_tol)
@@ -515,33 +498,30 @@ def optimize_general(ensemble: Ensemble, config: SolverConfig | None = None) -> 
                 f"which leaves coupling rows {lost:.3e} short of unit norm"
             )
 
-    best = None
-    restarts_used = 0
-    for i in range(config.restarts):
-        spent = 0
-        if i == 0:
-            q = None
-            if rank == n and priors.min() > 0.0:
-                q, spent = _reweighted_srm_weights(ensemble.gram, priors, config.max_iters)
-            v0 = _polar_orthonormal(b.conj().T @ sf.sqrt if q is None else b.conj().T * np.sqrt(q))
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
-            v0 = _random_isometry(rng, rank, n)
-        run = _ascend(b, priors, v0, config, spent)
-        restarts_used += 1
-        if best is None or run[0] > best[0] + 1e-12:
-            best = run
-        if best[4] <= CERT_TOL:
-            break
-
-    _, v, trace, grad_ok, gap = best
+    spent, point = 0, None
+    if rank == n and priors.min() > 0.0:
+        p, spent = _reweighted_srm_weights(ensemble.gram, priors, config.max_iters)
+        if p is not None:
+            w = p / priors / priors
+            point = _weight_point(b, priors, w)
+    if point is None:
+        # q = 1 where 1 / eta is finite, then c q with c the maximizer
+        # (Tr M^{1/2} / sum q)**2 of Phi along that ray; scaling leaves V,
+        # Y and the success probability as they are
+        used = priors >= np.finfo(float).tiny
+        w = np.divide(1.0, priors, out=np.zeros_like(priors), where=used)
+        _, kkt, success, s, y, u, vh = _weight_point(b, priors, w)
+        root_c = float(s.sum()) / np.count_nonzero(used)
+        w *= root_c**2
+        point = (root_c * float(s.sum()), (kkt + 1.0) / root_c - 1.0, success, root_c * s, y, u, vh)
+    v, grad_ok, gap, trace = _ascend_weights(b, priors, w, point, config.max_iters - spent)
     coupling = CouplingMatrix(b @ v, ensemble)
     certified = gap <= CERT_TOL
     return OptimizeResult(
         coupling=coupling,
         p_error=error_probability(coupling),
         objective_trace=tuple(trace),
-        restarts_used=restarts_used,
+        restarts_used=1,
         converged=grad_ok or certified,
         dual_gap=gap,
         certified=certified,

@@ -42,7 +42,6 @@ from qsd.ensembles import (
 )
 from qsd.optimizer import (
     CERT_TOL,
-    SolverConfig,
     objective_gradient,
     optimize_general,
     psk3_solve,
@@ -113,7 +112,6 @@ def test_criterion_2_symmetric_srm_equivalence():
 def test_criterion_3_general_optimizer():
     start = time.perf_counter()
     rng = np.random.default_rng(20240915)
-    config = SolverConfig(restarts=4)
     worst_binary = 0.0
     worst_symmetric = 0.0
     worst_feasibility = 0.0
@@ -121,14 +119,14 @@ def test_criterion_3_general_optimizer():
     for _ in range(50):
         eta1 = float(rng.uniform(0.02, 0.98))
         overlap = float(rng.uniform(0.0, 0.98)) * np.exp(1j * rng.uniform(0, 2 * math.pi))
-        res = optimize_general(gram_binary(overlap, eta1), config)
+        res = optimize_general(gram_binary(overlap, eta1))
         worst_binary = max(worst_binary, abs(res.p_error - helstrom_bound(eta1, overlap)))
         worst_feasibility = max(worst_feasibility, feasibility_residual(res.coupling))
         worst_dual_gap = max(worst_dual_gap, coupling_gap(res.coupling))
     for _ in range(30):
         n = int(rng.integers(2, 7))
         s = float(rng.uniform(-1.0 / (n - 1) + 0.02, 0.98))
-        res = optimize_general(gram_symmetric(n, s), config)
+        res = optimize_general(gram_symmetric(n, s))
         worst_symmetric = max(worst_symmetric, abs(res.p_error - symmetric_min_error(n, s)))
         worst_feasibility = max(worst_feasibility, feasibility_residual(res.coupling))
         worst_dual_gap = max(worst_dual_gap, coupling_gap(res.coupling))

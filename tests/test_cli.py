@@ -136,7 +136,7 @@ class TestPsk:
 
 class TestOptimize:
     def test_binary_converges_exit_0(self):
-        code, out, err = run_cli("optimize", "--ensemble", BINARY_UNEQ, "--restarts", "2")
+        code, out, err = run_cli("optimize", "--ensemble", BINARY_UNEQ)
         assert code == 0, err
         payload = json.loads(out)
         assert payload["converged"] is True
@@ -148,7 +148,7 @@ class TestOptimize:
     def test_ensemble_from_file(self, tmp_path):
         path = tmp_path / "ens.json"
         path.write_text(SYM_3_HALF)
-        out = cli_json("optimize", "--ensemble", str(path), "--restarts", "2")
+        out = cli_json("optimize", "--ensemble", str(path))
         assert out["p_error"] == pytest.approx(1 / 9, abs=1e-6)
 
     def test_missing_ensemble_file_exit_3(self):
@@ -157,21 +157,18 @@ class TestOptimize:
 
     def test_show_config_defaults(self):
         out = cli_json("optimize", "--show-config")
+        assert list(out) == ["max_iters", "rank_tol"]
         assert out["max_iters"] == 2000
-        assert out["grad_tol"] == pytest.approx(1e-10)
-        assert "step_init" not in out
-        assert out["restarts"] == 8
-        assert out["seed"] == 0
         assert out["rank_tol"] == pytest.approx(1e-12)
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"restarts": 3, "seed": 5}')
+        cfg.write_text('{"max_iters": 30, "rank_tol": 1e-10}')
         out = cli_json(
-            "optimize", "--config", str(cfg), "--seed", "9", "--show-config"
+            "optimize", "--config", str(cfg), "--rank-tol", "1e-9", "--show-config"
         )
-        assert out["restarts"] == 3
-        assert out["seed"] == 9
+        assert out["max_iters"] == 30
+        assert out["rank_tol"] == pytest.approx(1e-9)
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -201,13 +198,23 @@ class TestOptimize:
         code, _, _ = run_cli("optimize", "--step-init", "0.1", "--show-config")
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["restarts", "seed", "grad_tol"])
+    def test_removed_search_knobs_exit_2(self, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        code, _, err = run_cli("optimize", "--config", str(cfg), "--show-config")
+        assert code == 2
+        assert key in err
+        flag = "--" + key.replace("_", "-")
+        code, out, err = run_cli("optimize", "--ensemble", BINARY_UNEQ, flag, "1")
+        assert (code, out) == (2, "")
+        assert flag in err
+
     def test_exhausted_iterations_exit_4(self):
         code, out, _ = run_cli(
             "optimize",
             "--ensemble",
             BINARY_UNEQ,
-            "--restarts",
-            "1",
             "--max-iters",
             "1",
         )
@@ -231,7 +238,7 @@ class TestOptimize:
 
     def test_emit_coupling_round_trip(self, tmp_path):
         code, out, _ = run_cli(
-            "optimize", "--ensemble", SYM_3_HALF, "--restarts", "2", "--emit-coupling"
+            "optimize", "--ensemble", SYM_3_HALF, "--emit-coupling"
         )
         assert code == 0
         c = json.loads(out)["coupling"]["c"]
@@ -241,7 +248,7 @@ class TestOptimize:
         assert diag_gain == pytest.approx(8 / 9, abs=1e-6)
 
     def test_deterministic(self):
-        args = ("optimize", "--ensemble", PSK_3_HALF, "--restarts", "3", "--seed", "4")
+        args = ("optimize", "--ensemble", PSK_3_HALF)
         assert run_cli(*args) == run_cli(*args)
 
 
@@ -310,7 +317,7 @@ class TestSimulate:
 
     def test_coupling_from_file(self, tmp_path):
         code, out, _ = run_cli(
-            "optimize", "--ensemble", BINARY_UNEQ, "--restarts", "2", "--emit-coupling"
+            "optimize", "--ensemble", BINARY_UNEQ, "--emit-coupling"
         )
         coupling = json.loads(out)["coupling"]
         path = tmp_path / "coupling.json"

@@ -107,8 +107,6 @@ def test_ensemble_inputs(ensemble, command, shots):
     argv = [command, "--ensemble", json.dumps(ensemble)]
     if command == "simulate":
         argv += ["--shots", shots]
-    if command == "optimize":
-        argv += ["--restarts", "1"]
     run(argv)
 
 
@@ -176,14 +174,14 @@ def test_sweep_and_size_arguments(family, tokens, axis, bounds, outputs, psk_n):
     run(["symmetric", "--n", psk_n, "--s", "0.25", "--emit-coupling"])
 
 
-CONFIG_KEYS = ("max_iters", "grad_tol", "restarts", "seed", "rank_tol", "walkers")
+CONFIG_KEYS = ("max_iters", "rank_tol", "restarts", "walkers")
 CONFIG_FILE = st.one_of(
     st.dictionaries(st.sampled_from(CONFIG_KEYS), FIELD, max_size=3).map(json.dumps),
     st.one_of(NUMBER, JUNK).map(json.dumps),
     st.text(max_size=6),
 ).map(str.encode) | st.binary(max_size=6)
-# identical states: every restart-0 start is certified at once, so no
-# drawn restart or iteration count can make the run long
+# identical states: the first weights are certified at once, so no drawn
+# iteration count can make the run long
 IDENTITY = json.dumps({"kind": "symmetric", "n": 2, "s": 0.0})
 
 
