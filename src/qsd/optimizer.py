@@ -49,13 +49,19 @@ JACOBIAN_BLOCK = 4096
 # projected Newton on Phi: the norm of its projected gradient below which
 # the duality gap is evaluated, and below which the weights count as
 # converged; the regularization of its Hessian per unit of that norm;
-# the shortest step its backtracking tries; and the absolute roundoff of
-# Phi (sums of terms of at most 1) that its Armijo test forgives
+# the shortest step its backtracking tries; the absolute roundoff of Phi
+# (sums of terms of at most 1) that its Armijo test forgives; and the
+# factor by which one step may shrink the smallest singular value of
+# B^H diag(sqrt p): a step that shrinks it more heads for a singular M,
+# where Phi's gradient is infinite and Newton's model fails (with
+# sqrt(eps) in its place, one of 6,000 rank-deficient Grams with three
+# priors of 1e-9 ended uncertified at a gap of 0.09)
 GAP_SCREEN = 1e-7
-WEIGHT_GRAD_TOL = 1e-10
-WEIGHT_DAMPING = 1e-2
+WEIGHT_GRAD_TOL = 1e-12
+WEIGHT_DAMPING = 1e-1
 WEIGHT_MIN_STEP = 2.0**-30
 PHI_ROUNDOFF = 1e-15
+SINGULAR_DROP = 1e-2
 
 
 @dataclass(frozen=True)
@@ -190,9 +196,11 @@ def _lowest_downdated_eigenvalue(lam: np.ndarray, z: np.ndarray) -> float:
     ``r_j < x_c`` and can lower the result.  (At an optimum
     ``g_j(0) = 1`` for every state with a nonzero measurement vector, by
     complementary slackness, and roundoff passes about half of those
-    rows.)  For the rows that pass, Newton runs on ``1/g_j - 1`` in
-    ``y = x_c - x``.  That function is concave and increasing in y, so
-    from a start left of the root the iterates rise monotonically to it.
+    rows.)  For the rows that pass, Newton runs on ``1/g_j - 1`` in the
+    root's distance delta below the row's lowest weighted pole a (not in
+    ``x_c - x``, which loses a root within an ulp of that pole).  That
+    function is concave and increasing in delta, so from a start left of
+    the root the iterates rise monotonically to it.
 
     The thresholds below are absolute: for unit states and priors summing
     to 1, ``|lam_i| <= 1`` and ``sum z <= 1``.  When lam_1 is above
@@ -206,7 +214,8 @@ def _lowest_downdated_eigenvalue(lam: np.ndarray, z: np.ndarray) -> float:
     if lam[0] > eps:
         x_c, dist, d_low = 0.0, lam, lam[0]
         z = z[z @ (1.0 / lam) > 1.0]
-        y = np.zeros(len(z))
+        delta = np.full(len(z), d_low)
+        offset = lam - d_low
     else:
         x_c = min(0.0, float(lam[0]))
         # abs: lam_i - x_c is -0.0 where lam_i = -0.0 and x_c = 0.0, and a
@@ -226,18 +235,20 @@ def _lowest_downdated_eigenvalue(lam: np.ndarray, z: np.ndarray) -> float:
         e = 0.5 * (p + disc)
         neg = p < 0.0
         e[neg] = 2.0 * z_a[neg] * spread[neg] / (disc[neg] - p[neg])
-        y = e - d_low
+        # poles without weight drop out: the root may lie above those below
+        # a row's lowest weighted pole
+        delta, offset = e, np.where(z > 0.0, dist - d_low[:, None], np.inf)
     if not len(z):
         return x_c
     for _ in range(SECULAR_MAX_STEPS):
-        r = 1.0 / (dist + y[:, None])
+        r = 1.0 / (offset + delta[:, None])
         zr = z * r
         g = zr.sum(axis=1)
         step = np.maximum((g - 1.0) * g / (zr * r).sum(axis=1), 0.0)
-        y += step
-        if np.all(step <= SECULAR_STEP_TOL * (d_low + y)):
+        delta += step
+        if np.all(step <= SECULAR_STEP_TOL * delta):
             break
-    return x_c - float(y.max())
+    return x_c - float((delta - d_low).max())
 
 
 def objective_gradient(ensemble: Ensemble, v: np.ndarray) -> np.ndarray:
@@ -354,8 +365,8 @@ def _reweighted_srm_weights(gram, priors, max_steps):
     return np.exp(u), steps
 
 
-def _weight_point(b, priors, w, rank=None):
-    """Phi, its KKT residual and the square-root measurement at weights w.
+def _weight_point(b, priors, w):
+    """Phi, its gradient and the square-root measurement at weights w.
 
     With the states psi_j the columns of ``B^H``, weights ``q >= 0`` and
     ``M = sum_j q_j eta_j psi_j psi_j^H``, the function
@@ -376,22 +387,22 @@ def _weight_point(b, priors, w, rank=None):
     sum s``, ``g_j = eta_j sum_a |(B U)_ja|**2 / s_a - 1`` over the
     singular values above ``len(s) eps s_max``, and ``V = U Vh``, whose
     rows the SVD keeps orthonormal even where M is singular.  Returns
-    ``(Phi, g, success probability, s, Y, U, Vh)`` with s and
+    ``(Phi, eta g, success probability, s, Y, U, Vh)`` with s and
     ``Y = B U`` cut to those singular values, or None where X is not
-    finite or fewer than ``rank`` of them are left.
+    finite or all of them are 0.
     """
     x = b.conj().T * (priors * np.sqrt(w))
     if not np.isfinite(x).all():
         return None
     u, s, vh = np.linalg.svd(x, full_matrices=False)
     kept = int(np.count_nonzero(s > len(s) * np.finfo(float).eps * s[0]))
-    if kept == 0 or kept < (rank or 0):
+    if kept == 0:
         return None
     y = b @ u
     success = float(np.dot(priors, np.abs(np.einsum("ja,aj->j", y, vh)) ** 2))
     s, y = s[:kept], y[:, :kept]
-    kkt = priors * ((np.abs(y) ** 2) @ (1.0 / s)) - 1.0
-    return 2.0 * float(s.sum()) - float(priors @ w), kkt, success, s, y, u, vh
+    grad = priors * (priors * ((np.abs(y) ** 2) @ (1.0 / s)) - 1.0)
+    return 2.0 * float(s.sum()) - float(priors @ w), grad, success, s, y, u, vh
 
 
 def _weight_hessian(priors, s, y):
@@ -404,55 +415,62 @@ def _weight_hessian(priors, s, y):
     return np.outer(priors**2, priors**2) * _daleckii_krein(y, kern)
 
 
-def _ascend_weights(b, priors, w, point, max_steps):
+def _ascend_weights(b, priors, eta, w, point, max_steps):
     """Projected Newton on Phi in w (Bertsekas 1982) from weights w, with
-    ``point`` their :func:`_weight_point`.
+    ``point`` their :func:`_weight_point` for the priors eta; the duality
+    gap takes the ensemble's priors.
 
     Weights within ``eps_k = |w - max(w + grad, 0)|`` of 0 whose gradient
     points out of the feasible set are active and move along the
     gradient.  The free ones take the regularized Newton step
-    ``(lambda I - H) d = grad``, lambda ``WEIGHT_DAMPING`` times the
-    projected gradient's norm: H is singular whenever more than rank**2
-    weights are free (every rank-2 Gram with n > 4), and a lambda that
-    shrinks with the gradient keeps Newton's fast local rate.  Each step
-    backtracks by halves, down to ``WEIGHT_MIN_STEP``, along the
+    ``(lambda I - H) d = grad``, lambda ``WEIGHT_DAMPING`` times the norm
+    of the projected gradient pg: H is singular whenever more than
+    rank**2 weights are free (every rank-2 Gram with n > 4), and a lambda
+    that shrinks with the gradient keeps Newton's fast local rate.  Each
+    step backtracks by halves, down to ``WEIGHT_MIN_STEP``, along the
     projection arc ``max(w + t d, 0)`` until Armijo's test holds within
     ``PHI_ROUNDOFF`` (near the optimum Phi changes by less than its
-    roundoff while the gradient still shrinks) and no singular value of
-    the start is lost: Phi's gradient is infinite where M turns singular.
-    A zero weight is a bound here, so the ascent reaches the zero
-    weights that log-weights only approach.
+    roundoff while the gradient still shrinks) and M stays clear of
+    singular: no singular value above roundoff is lost, and the smallest
+    shrinks by at most ``SINGULAR_DROP``.  A zero weight is a bound here,
+    so the ascent reaches the zero weights that log-weights only
+    approach.  In w the gradient is ``eta g``, so pg weighs each state's
+    KKT residual by its prior, as the duality gap does.
 
-    The duality gap is evaluated at the start and wherever the projected
-    KKT residual pg is at most ``GAP_SCREEN``.  The ascent stops once the
-    gap certifies, ``|pg| <= WEIGHT_GRAD_TOL``, backtracking fails or
-    ``max_steps`` steps are taken.  Returns the isometry, whether
+    The duality gap is evaluated at the start and wherever
+    ``|pg| <= GAP_SCREEN``.  The ascent stops once the gap certifies,
+    ``|pg| <= WEIGHT_GRAD_TOL``, backtracking fails or ``max_steps``
+    steps are taken.  Returns the isometry, whether
     ``|pg| <= WEIGHT_GRAD_TOL``, the gap and the trace: the success
     probability at the start and after each step that raised it.
     """
-    rank, trace = len(point[3]), [point[2]]
+    trace = [point[2]]
     for step in range(max_steps + 1):
-        phi, kkt, _, s, y, u, vh = point
-        pg = np.where(w > 0.0, kkt, np.maximum(kkt, 0.0))
-        pgn, v = float(np.linalg.norm(pg)), u @ vh
+        phi, grad, _, s, y, u, vh = point
+        pgn = float(np.linalg.norm(np.where(w > 0.0, grad, np.maximum(grad, 0.0))))
+        v = u @ vh
         gap = dual_gap(b, priors, v) if step == 0 or pgn <= GAP_SCREEN else None
         if (gap is not None and gap <= CERT_TOL) or pgn <= WEIGHT_GRAD_TOL or step == max_steps:
             break
-        grad = priors * kkt
         eps_k = float(np.linalg.norm(w - np.maximum(w + grad, 0.0)))
         free = (w > eps_k) | (grad >= 0.0)
-        hess = _weight_hessian(priors[free], s, y[free])
-        lam = WEIGHT_DAMPING * float(np.linalg.norm(priors * pg))
+        hess = _weight_hessian(eta[free], s, y[free])
+        lam = WEIGHT_DAMPING * pgn
         d = grad.copy()
         try:
             d[free] = np.linalg.solve(lam * np.eye(len(hess)) - hess, grad[free])
         except np.linalg.LinAlgError:
             break
-        t, floor = 1.0, phi - PHI_ROUNDOFF * (abs(phi) + float(priors @ w))
+        t, floor = 1.0, phi - PHI_ROUNDOFF * (abs(phi) + float(eta @ w))
         while t >= WEIGHT_MIN_STEP:
             trial_w = np.maximum(w + t * d, 0.0)
-            trial = _weight_point(b, priors, trial_w, rank)
-            if trial is not None and trial[0] >= floor + 1e-4 * float(np.dot(grad, trial_w - w)):
+            trial = _weight_point(b, eta, trial_w)
+            if (
+                trial is not None
+                and len(trial[3]) >= len(s)
+                and trial[3][len(s) - 1] >= SINGULAR_DROP * s[-1]
+                and trial[0] >= floor + 1e-4 * float(np.dot(grad, trial_w - w))
+            ):
                 break
             t *= 0.5
         else:
@@ -467,16 +485,19 @@ def optimize_general(ensemble: Ensemble, config: SolverConfig | None = None) -> 
     """Optimal coupling of an ensemble: the square-root measurement of
     the weights that maximize Phi (:func:`_weight_point`).
 
-    For a full-rank Gram with all priors positive the weights come first
-    from :func:`_reweighted_srm_weights` (damped Newton in log-weights),
-    and the duality gap usually certifies their measurement at once.
-    Every other input (a rank-deficient Gram, a zero prior) starts at
-    ``q = 1`` on the states with positive priors, the plain square-root
-    measurement, scaled along the ray to Phi's maximum there,
-    ``(Tr M^{1/2} / sum q)**2``; so does a full-rank one whose
-    log-weights give no finite point.  Either start that the gap does
-    not certify goes on with :func:`_ascend_weights`.  All Newton
-    steps count against ``config.max_iters``.  No random numbers are
+    Priors below ``CERT_TOL / (2 rank)`` count as 0 in the weight
+    problem, never in the duality gap.  For a full-rank Gram with all
+    priors positive the weights come first from
+    :func:`_reweighted_srm_weights` (damped Newton in log-weights), and
+    the gap usually certifies their measurement at once.  Every other
+    input (a rank-deficient Gram, a zero prior) starts at ``w = 1`` on
+    the states with positive priors, optimal for orthogonal states and
+    the plain square-root measurement where priors are equal, scaled
+    along the ray to Phi's maximum there, ``(Tr M^{1/2} / sum q)**2``;
+    so does a full-rank one whose log-weights give no finite point.
+    Either start that the gap does not certify goes on with
+    :func:`_ascend_weights`.  All Newton steps count against
+    ``config.max_iters``.  No random numbers are
     drawn.  A best-effort result with ``converged=False`` is returned
     when neither the certificate nor the gradient test is met.  A
     ``rank_tol`` that cuts modes heavy enough to leave the rows of every
@@ -498,23 +519,28 @@ def optimize_general(ensemble: Ensemble, config: SolverConfig | None = None) -> 
                 f"which leaves coupling rows {lost:.3e} short of unit norm"
             )
 
+    # below CERT_TOL / (2 rank) a prior moves the gap by at most
+    # CERT_TOL / 2 (where every other state's constraint holds, H >= 0 and
+    # lambda_min(H - eta_j psi_j psi_j^H) >= -eta_j), and its weight only
+    # makes Phi ill-scaled: the weight solve takes it as 0
+    eta = np.where(priors >= CERT_TOL / (2 * rank), priors, 0.0)
     spent, point = 0, None
-    if rank == n and priors.min() > 0.0:
-        p, spent = _reweighted_srm_weights(ensemble.gram, priors, config.max_iters)
+    if rank == n and eta.min() > 0.0:
+        p, spent = _reweighted_srm_weights(ensemble.gram, eta, config.max_iters)
         if p is not None:
-            w = p / priors / priors
-            point = _weight_point(b, priors, w)
+            w = p / eta / eta
+            point = _weight_point(b, eta, w)
     if point is None:
-        # q = 1 where 1 / eta is finite, then c q with c the maximizer
-        # (Tr M^{1/2} / sum q)**2 of Phi along that ray; scaling leaves V,
-        # Y and the success probability as they are
-        used = priors >= np.finfo(float).tiny
-        w = np.divide(1.0, priors, out=np.zeros_like(priors), where=used)
-        _, kkt, success, s, y, u, vh = _weight_point(b, priors, w)
-        root_c = float(s.sum()) / np.count_nonzero(used)
+        # w = 1, then c w with c the maximizer (Tr M^{1/2} / sum q)**2 of
+        # Phi along that ray; scaling leaves V, Y and the success
+        # probability as they are
+        w = (eta > 0.0).astype(float)
+        _, grad, success, s, y, u, vh = _weight_point(b, eta, w)
+        root_c = float(s.sum()) / float(eta @ w)
         w *= root_c**2
-        point = (root_c * float(s.sum()), (kkt + 1.0) / root_c - 1.0, success, root_c * s, y, u, vh)
-    v, grad_ok, gap, trace = _ascend_weights(b, priors, w, point, config.max_iters - spent)
+        grad = (grad + eta) / root_c - eta
+        point = (root_c * float(s.sum()), grad, success, root_c * s, y, u, vh)
+    v, grad_ok, gap, trace = _ascend_weights(b, priors, eta, w, point, config.max_iters - spent)
     coupling = CouplingMatrix(b @ v, ensemble)
     certified = gap <= CERT_TOL
     return OptimizeResult(

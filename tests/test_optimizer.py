@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import asdict
 from unittest import mock
 
@@ -37,6 +38,7 @@ from qsd.optimizer import (
     OptimizeResult,
     PskParams,
     SolverConfig,
+    _lowest_downdated_eigenvalue,
     _reweighted_srm_weights,
     _weight_hessian,
     _weight_point,
@@ -360,15 +362,31 @@ def draw_priors(rng, n, kind):
     priors = rng.dirichlet(np.ones(n))
     if kind == "one zero":
         priors[rng.integers(n)] = 0.0
-        priors /= priors.sum()
-    return priors
+    elif kind == "tiny":
+        few = rng.permutation(n)[: rng.integers(1, n)]
+        priors[few] = rng.choice([1e-300, 1e-16, 1e-12, 1e-9, 1e-6], size=len(few))
+    return priors / priors.sum()
+
+
+def test_step_keeps_clear_of_a_singular_measurement():
+    # a step that zeroes both heavy states covering one direction leaves
+    # it to the three 1e-9 priors: Phi still rises there, but M is within
+    # 1e-9 of singular, its gradient is 2.5e6, and Newton stalls
+    rng = np.random.default_rng(1251)
+    n, rank = int(rng.integers(3, 9)), int(rng.integers(2, 7))
+    gram = random_gram(rng, n, rank)
+    priors = rng.dirichlet(np.ones(n))
+    priors[:3] = 1e-9
+    res = optimize_general(Ensemble(n, gram, priors / priors.sum()))
+    assert (n, rank) == (7, 3)
+    assert res.certified and res.converged
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 12),
-    prior=st.sampled_from(["equal", "dirichlet", "one zero"]),
+    prior=st.sampled_from(["equal", "dirichlet", "one zero", "tiny"]),
     data=st.data(),
 )
 def test_every_rank_certified_without_random_numbers(seed, n, prior, data):
@@ -544,6 +562,19 @@ class TestSecularGap:
         assert dual_gap(b, priors, v) > 1.0
 
 
+    def test_root_within_an_ulp_of_its_pole(self):
+        # the lowest weighted pole, 1e-12, carries a weight of 1e-29, so
+        # the start lies 1e-29 below it: within an ulp of the pole, where
+        # a distance measured from x_c is 0
+        lam = np.array([-1e-18, 1e-12, 0.2, 0.6])
+        z = np.array([[0.0, 1e-29, 0.199, 0.013]])
+        u = np.sqrt(z[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low = _lowest_downdated_eigenvalue(lam, z)
+        assert abs(low - np.linalg.eigvalsh(np.diag(lam) - np.outer(u, u))[0]) <= 1e-15
+
+
 class TestObjectiveGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(314)
@@ -611,7 +642,7 @@ class TestWeightHessian:
         w = rng.uniform(0.5, 2.0, n)
 
         def grad(weights):
-            return ens.priors * _weight_point(b, ens.priors, weights)[1]
+            return _weight_point(b, ens.priors, weights)[1]
 
         point = _weight_point(b, ens.priors, w)
         return rng, w, grad, _weight_hessian(ens.priors, point[3], point[4])
