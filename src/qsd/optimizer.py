@@ -129,7 +129,7 @@ class OptimizeResult:
     """Coupling found, its error, and the trace of the weight solve.
 
     ``objective_trace`` holds the success probability at the weights
-    Phi's ascent starts from (the log-weight result, or ``q = 1``) and
+    Phi's ascent starts from (the log-weight result, or ``w = 1``) and
     after each of its steps that raised it.  ``dual_gap``
     bounds how far the success probability of the returned coupling lies
     below the optimum of the Gram matrix truncated at
@@ -323,9 +323,10 @@ def _reweighted_srm_weights(gram, priors, max_steps):
     ``c_jj = S_jj / sqrt(p_j)``, and it meets Mochon's optimality
     conditions when ``p_j / S_jj`` is proportional to ``eta_j``, i.e. at
     a root of ``F(u) = u - log diag S - log eta`` in ``u = log p``
-    (``F(u + c) = F(u) + c / 2`` fixes the scale).  Newton starts at ``p = eta**2`` and
-    halves its step down to ``NEWTON_MIN_DAMPING`` until ``|F|`` decreases
-    (Armijo); non-finite trial points count as no decrease.  It stops
+    (``F(u + c) = F(u) + c / 2`` fixes the scale).  Newton starts at
+    ``p = eta**2`` and halves its step down to ``NEWTON_MIN_DAMPING`` until
+    ``|F|`` decreases (Armijo); non-finite trial points count as no
+    decrease.  It stops
     after a step below ``NEWTON_STEP_TOL`` in every ``u_j``, when
     backtracking finds no decrease or the Jacobian is singular, or after
     ``max_steps`` steps.  ``|F|`` is no stopping test: it has a roundoff
