@@ -10,6 +10,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import asdict
@@ -75,11 +76,6 @@ def _solver_config(args) -> optimizer.SolverConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    try:
-        for key, kind in (("max_iters", int), ("rank_tol", float)):
-            values[key] = kind(values[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"solver config {key} must be a number: {exc}") from exc
     return optimizer.SolverConfig(**values)
 
 
@@ -408,5 +404,19 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+def run() -> int:
+    """The program's entry point: ``python -m qsd`` and the ``qsd`` script.
+
+    Moves everything imported so far into the collector's permanent
+    generation, then runs :func:`main` on ``sys.argv``.  Those objects live
+    until the process exits, so no output changes; the interpreter's
+    shutdown collections, and any full collection during a long command,
+    stop scanning numpy's and qsd's module objects.  In-process callers
+    use :func:`main`, which leaves the collector alone.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

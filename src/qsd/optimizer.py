@@ -82,10 +82,18 @@ class SolverConfig:
     rank_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
-            raise ValidationError("max_iters must be a positive integer")
-        if not 0 < self.rank_tol < 1:
-            raise ValidationError("rank_tol must lie in (0, 1)")
+        # the one check of both knobs, config-file values included: a bool
+        # or a string is refused, never cast (a bool rank_tol fails the range)
+        max_iters, rank_tol = self.max_iters, self.rank_tol
+        integer = (int, np.integer)
+        if isinstance(max_iters, bool) or not isinstance(max_iters, integer):
+            raise ValidationError(f"max_iters must be an integer, got {max_iters!r}")
+        if max_iters < 1:
+            raise ValidationError(f"max_iters must be positive, got {max_iters!r}")
+        if not isinstance(rank_tol, (*integer, float, np.floating)):
+            raise ValidationError(f"rank_tol must be a number, got {rank_tol!r}")
+        if not 0 < rank_tol < 1:
+            raise ValidationError(f"rank_tol must lie in (0, 1), got {rank_tol!r}")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
+import gc
 import json
+import runpy
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsd.cli
 from conftest import cli_json, mp_psk_error, run_cli
 from qsd.cli import _optimal_coupling, main
 from qsd.closed_form import symmetric_min_error
@@ -179,7 +183,18 @@ class TestOptimize:
 
     @pytest.mark.parametrize(
         "content, message",
-        [("5", "must be an object"), ('{"max_iters": "x"}', "max_iters"), ('{"rank_tol": 1.0}', "rank_tol")],
+        [
+            ("5", "must be an object"),
+            ('{"max_iters": "x"}', "max_iters"),
+            ('{"rank_tol": 1.0}', "rank_tol"),
+            # values of the wrong JSON kind are refused, not cast
+            ('{"max_iters": 2.5}', "max_iters"),
+            ('{"max_iters": 3.0}', "max_iters"),
+            ('{"max_iters": true}', "max_iters"),
+            ('{"max_iters": "5"}', "max_iters"),
+            ('{"rank_tol": "1e-9"}', "rank_tol"),
+            ('{"rank_tol": false}', "rank_tol"),
+        ],
     )
     def test_malformed_config_values_exit_2(self, tmp_path, content, message):
         cfg = tmp_path / "cfg.json"
@@ -728,16 +743,67 @@ class TestTopLevel:
 
 
 def test_cli_and_dilation_import_neither_scipy_nor_numpy_ma():
-    # a fresh interpreter: the test session itself may have loaded both
+    # a fresh interpreter: the test session itself may have loaded these.
+    # numpy loads numpy.random and numpy.fft on first use; either at module
+    # level would add milliseconds to every command
     script = (
         "import sys, qsd.cli\n"
         "from qsd import build_dilation, symmetric_optimal_coupling\n"
         "build_dilation(symmetric_optimal_coupling(3, 0.5))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-        "or m.split('.')[:2] == ['numpy', 'ma']))\n"
+        "or m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'random'], ['numpy', 'fft'])))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# a fresh interpreter that runs the entry point with ``main`` wrapped: the
+# wrapper reports the freeze count before ``run()`` and when ``main`` starts
+ENTRY_PROBE = """
+import gc, sys
+import qsd.cli
+main, before = qsd.cli.main, gc.get_freeze_count()
+def probe(argv=None):
+    print(before, gc.get_freeze_count(), file=sys.stderr)
+    return main(argv)
+qsd.cli.main = probe
+sys.exit(qsd.cli.run())
+"""
+
+
+class TestEntry:
+    def test_main_in_process_leaves_the_collector_alone(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["bound", "--eta1", "0.5", "--overlap-re", "0.6"]) == 0
+        assert main(["bound", "--eta1", "1.5", "--overlap-re", "0.6"]) == 2
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("bound", "--eta1", "0.25", "--overlap-re", "0.6"),
+            ("bound", "--eta1", "1.5", "--overlap-re", "0.6"),
+        ],
+    )
+    def test_run_freezes_the_heap_then_runs_main(self, args):
+        proc = subprocess.run(
+            [sys.executable, "-c", ENTRY_PROBE, *args], capture_output=True, text=True, timeout=300
+        )
+        counts, _, err = proc.stderr.partition("\n")
+        before, frozen = map(int, counts.split())
+        assert frozen > before
+        assert (proc.returncode, proc.stdout, err) == run_cli(*args)
+
+    def test_script_and_module_name_run(self, monkeypatch):
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            assert tomllib.load(fh)["project"]["scripts"] == {"qsd": "qsd.cli:run"}
+        monkeypatch.setattr(qsd.cli, "run", lambda: 7)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("qsd", run_name="__main__")
+        assert exc.value.code == 7

@@ -115,6 +115,8 @@ class TestSolverConfig:
             {"rank_tol": math.nan},
             {"rank_tol": math.inf},
             {"rank_tol": -math.inf},
+            {"max_iters": True},
+            {"rank_tol": "1e-9"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
