@@ -4,10 +4,9 @@ Two routes to the same objective ``sum_j eta_j |c_jj|**2``:
 
 * :func:`optimize_general` solves for the weights of the optimal
   square-root measurement, which exist for every Gram matrix (Mochon
-  2006), some of them possibly 0.  For a full-rank Gram with positive
-  priors damped Newton on n log-weights finds them first; every other
-  input, and any such result the duality gap does not certify, goes to
-  projected Newton on the concave weight function Phi.
+  2006), some of them possibly 0, by damped Newton on the concave weight
+  function Phi: log steps while every weight is positive on a full-rank
+  Gram, projected steps otherwise.
 * :func:`psk3_solve` / :func:`psk4_solve` need no search: they read the
   parameters of the circulant ``G^{1/2}`` from
   :func:`~qsd.coupling.circulant_optimal_coupling`, which is optimal for
@@ -39,26 +38,22 @@ CERT_TOL = 1e-10
 # below it); the step cap only bounds a stall on roundoff
 SECULAR_STEP_TOL = 1e-12
 SECULAR_MAX_STEPS = 50
-# Newton on the reweighted square-root-measurement weights (full rank):
-# the step in log q below which it stops, and the shortest fraction of a
-# step its backtracking tries
-NEWTON_STEP_TOL = 1e-8
-NEWTON_MIN_DAMPING = 0.25
 # complex entries in one block of a Daleckii-Krein eigen-index sum
-JACOBIAN_BLOCK = 4096
-# projected Newton on Phi: the norm of its projected gradient below which
+HESSIAN_BLOCK = 4096
+# Newton on Phi's weights: the norm of its projected gradient below which
 # the duality gap is evaluated, and below which the weights count as
 # converged; the regularization of its Hessian per unit of that norm;
-# the shortest step its backtracking tries; the absolute roundoff of Phi
-# (sums of terms of at most 1) that its Armijo test forgives; and the
-# factor by which one step may shrink the smallest singular value of
-# B^H diag(sqrt p): a step that shrinks it more heads for a singular M,
-# where Phi's gradient is infinite and Newton's model fails (with
-# sqrt(eps) in its place, one of 6,000 rank-deficient Grams with three
-# priors of 1e-9 ended uncertified at a gap of 0.09)
+# the shortest step a log step and a projected step try; the absolute
+# roundoff of Phi (sums of terms of at most 1) that its Armijo test
+# forgives; and the factor by which one step may shrink the smallest
+# singular value of B^H diag(sqrt p): a step that shrinks it more heads
+# for a singular M, where Phi's gradient is infinite and Newton's model
+# fails (with sqrt(eps) in its place, one of 6,000 rank-deficient Grams
+# with three priors of 1e-9 ended uncertified at a gap of 0.09)
 GAP_SCREEN = 1e-7
 WEIGHT_GRAD_TOL = 1e-12
 WEIGHT_DAMPING = 1e-1
+NEWTON_MIN_DAMPING = 0.25
 WEIGHT_MIN_STEP = 2.0**-30
 PHI_ROUNDOFF = 1e-15
 SINGULAR_DROP = 1e-2
@@ -68,8 +63,7 @@ SINGULAR_DROP = 1e-2
 class SolverConfig:
     """Knobs for :func:`optimize_general`.  Both fields have safe defaults.
 
-    ``max_iters`` caps the Newton steps on the weights, both phases
-    together.  ``rank_tol`` is the relative eigenvalue cut of the
+    ``max_iters`` caps the Newton steps on the weights.  ``rank_tol`` is the relative eigenvalue cut of the
     spectral factor, below 1 so that the largest eigenvalue is kept:
     the weight solve and its duality gap see the Gram matrix without the
     modes below it, so a certificate holds for that truncated Gram only.
@@ -136,9 +130,9 @@ class PskParams:
 class OptimizeResult:
     """Coupling found, its error, and the trace of the weight solve.
 
-    ``objective_trace`` holds the success probability at the weights
-    Phi's ascent starts from (the log-weight result, or ``w = 1``) and
-    after each of its steps that raised it.  ``dual_gap``
+    ``objective_trace`` holds the success probability at the scaled
+    ``w = 1`` that the weight solve starts from and after each of its
+    steps, log or projected, that raised it.  ``dual_gap``
     bounds how far the success probability of the returned coupling lies
     below the optimum of the Gram matrix truncated at
     ``SolverConfig.rank_tol`` (see :func:`dual_gap`), which may miss the
@@ -270,23 +264,6 @@ def objective_gradient(ensemble: Ensemble, v: np.ndarray) -> np.ndarray:
     return _riemannian_grad(sf.factor, ensemble.priors, _checked_isometry(v, sf.rank, ensemble.n))
 
 
-def _srm_residual(gram, log_eta, u):
-    """``F(u) = u - log diag S - log eta`` with ``S = (P^{1/2} G P^{1/2})^{1/2}``
-    and ``P = diag(exp(u))``, and the eigendecomposition ``W diag(lam) W^H``
-    of ``P^{1/2} G P^{1/2}`` (lam clamped at 0) behind it; None where any
-    of them is not finite."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        root_q = np.exp(0.5 * u)
-        a = root_q[:, None] * gram * root_q[None, :]
-        if not np.isfinite(a).all():
-            return None
-        lam, w = np.linalg.eigh(a)
-        lam = np.clip(lam, 0.0, None)
-        s_diag = (np.abs(w) ** 2) @ np.sqrt(lam)
-        f = u - np.log(s_diag) - log_eta
-    return (f, lam, w, s_diag) if np.isfinite(f).all() else None
-
-
 def _daleckii_krein(w, kern):
     """``Re sum_ab W_ja conj(W_jb) conj(W_ka) W_kb K_ab`` for every j, k:
     the real n x n matrix of a Daleckii-Krein sum over the rows of the
@@ -296,82 +273,19 @@ def _daleckii_krein(w, kern):
     ``Re <Q_j o K, Q_k>``, a real product of the n x n m matrices of
     rows ``Q_j o K`` and ``Q_j`` (complex entries read as interleaved
     real pairs).  It runs over blocks of the eigen-index a of at most
-    ``JACOBIAN_BLOCK`` complex entries, so that no temporary holds n**3
+    ``HESSIAN_BLOCK`` complex entries, so that no temporary holds n**3
     entries and each product stays below OpenBLAS's threading threshold
     (m n k <= 2**18, for n up to 50).
     """
     n, m = w.shape
     w_bar = w.conj()
     out = np.zeros((n, n))
-    width = max(1, JACOBIAN_BLOCK // max(1, n * m))
+    width = max(1, HESSIAN_BLOCK // max(1, n * m))
     for start in range(0, m, width):
         block = slice(start, start + width)
         q = w[:, block, None] * w_bar[:, None, :]
         out += (q * kern[block]).view(float).reshape(n, -1) @ q.view(float).reshape(n, -1).T
     return out
-
-
-def _srm_jacobian(lam, w, s_diag):
-    """Jacobian of :func:`_srm_residual` in u: ``dS_jj/du_k`` is half the
-    :func:`_daleckii_krein` sum with kernel
-    ``K_ab = (lam_a + lam_b) / (sqrt(lam_a) + sqrt(lam_b))``, 0 where both
-    eigenvalues are 0."""
-    root = np.sqrt(lam)
-    den = root[:, None] + root[None, :]
-    kern = np.divide(lam[:, None] + lam[None, :], den, out=np.zeros_like(den), where=den > 0.0)
-    return np.eye(len(lam)) - 0.5 * _daleckii_krein(w, kern) / s_diag[:, None]
-
-
-def _reweighted_srm_weights(gram, priors, max_steps):
-    """Weights p whose square-root measurement is optimal, by damped Newton.
-
-    For linearly independent states the optimum is the square-root
-    measurement of some reweighted priors p (Mochon 2006): with
-    ``S = (P^{1/2} G P^{1/2})^{1/2}`` the coupling ``P^{-1/2} S`` has
-    ``c_jj = S_jj / sqrt(p_j)``, and it meets Mochon's optimality
-    conditions when ``p_j / S_jj`` is proportional to ``eta_j``, i.e. at
-    a root of ``F(u) = u - log diag S - log eta`` in ``u = log p``
-    (``F(u + c) = F(u) + c / 2`` fixes the scale).  Newton starts at
-    ``p = eta**2`` and halves its step down to ``NEWTON_MIN_DAMPING`` until
-    ``|F|`` decreases (Armijo); non-finite trial points count as no
-    decrease.  It stops
-    after a step below ``NEWTON_STEP_TOL`` in every ``u_j``, when
-    backtracking finds no decrease or the Jacobian is singular, or after
-    ``max_steps`` steps.  ``|F|`` is no stopping test: it has a roundoff
-    floor, 1e-13 to 1e-11 with priors of similar size and up to 1e-4 where
-    one is ~1e-5, and a longer backtracking search would wander on it.
-    Returns p (None when F is not finite at the start) and the number of
-    Newton steps taken.
-    """
-    log_eta = np.log(priors)
-    u = 2.0 * log_eta
-    point = _srm_residual(gram, log_eta, u)
-    if point is None:
-        return None, 0
-    fnorm = float(np.linalg.norm(point[0]))
-    steps = 0
-    while steps < max_steps:
-        steps += 1
-        f, lam, w, s_diag = point
-        try:
-            du = np.linalg.solve(_srm_jacobian(lam, w, s_diag), -f)
-        except np.linalg.LinAlgError:
-            break
-        if float(np.max(np.abs(du))) < NEWTON_STEP_TOL:
-            u = u + du
-            break
-        t = 1.0
-        while t >= NEWTON_MIN_DAMPING:
-            trial = _srm_residual(gram, log_eta, u + t * du)
-            if trial is not None:
-                tnorm = float(np.linalg.norm(trial[0]))
-                if tnorm <= (1.0 - 1e-4 * t) * fnorm:
-                    break
-            t *= 0.5
-        else:
-            break
-        u, point, fnorm = u + t * du, trial, tnorm
-    return np.exp(u), steps
 
 
 def _weight_point(b, priors, w):
@@ -424,69 +338,115 @@ def _weight_hessian(priors, s, y):
     return np.outer(priors**2, priors**2) * _daleckii_krein(y, kern)
 
 
-def _ascend_weights(b, priors, eta, w, point, max_steps):
-    """Projected Newton on Phi in w (Bertsekas 1982) from weights w, with
-    ``point`` their :func:`_weight_point` for the priors eta; the duality
-    gap takes the ensemble's priors.
+def _backtrack(b, eta, w, point, arc, min_step):
+    """The first of ``t = 1, 1/2, ...`` down to ``min_step`` at which the
+    weights ``arc(t)`` pass Armijo's test on Phi within ``PHI_ROUNDOFF``
+    (near the optimum Phi changes by less than its roundoff while the
+    gradient still shrinks) and keep M clear of singular: no singular
+    value above roundoff is lost, and the smallest shrinks by at most
+    ``SINGULAR_DROP``.  Returns those weights and their
+    :func:`_weight_point`, or None."""
+    phi, grad, _, s = point[:4]
+    floor = phi - PHI_ROUNDOFF * (abs(phi) + float(eta @ w))
+    t = 1.0
+    while t >= min_step:
+        # an overflowing log step gives non-finite weights, which the
+        # point evaluator refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial_w = arc(t)
+            trial = _weight_point(b, eta, trial_w)
+        if (
+            trial is not None
+            and len(trial[3]) >= len(s)
+            and trial[3][len(s) - 1] >= SINGULAR_DROP * s[-1]
+            and trial[0] >= floor + 1e-4 * float(np.dot(grad, trial_w - w))
+        ):
+            return trial_w, trial
+        t *= 0.5
+    return None
 
-    Weights within ``eps_k = |w - max(w + grad, 0)|`` of 0 whose gradient
-    points out of the feasible set are active and move along the
-    gradient.  The free ones take the regularized Newton step
-    ``(lambda I - H) d = grad``, lambda ``WEIGHT_DAMPING`` times the norm
-    of the projected gradient pg: H is singular whenever more than
-    rank**2 weights are free (every rank-2 Gram with n > 4), and a lambda
-    that shrinks with the gradient keeps Newton's fast local rate.  Each
-    step backtracks by halves, down to ``WEIGHT_MIN_STEP``, along the
-    projection arc ``max(w + t d, 0)`` until Armijo's test holds within
-    ``PHI_ROUNDOFF`` (near the optimum Phi changes by less than its
-    roundoff while the gradient still shrinks) and M stays clear of
-    singular: no singular value above roundoff is lost, and the smallest
-    shrinks by at most ``SINGULAR_DROP``.  A zero weight is a bound here,
-    so the ascent reaches the zero weights that log-weights only
-    approach.  In w the gradient is ``eta g``, so pg weighs each state's
-    KKT residual by its prior, as the duality gap does.
 
-    The duality gap is evaluated at the start and wherever
-    ``|pg| <= GAP_SCREEN``.  The ascent stops once the gap certifies,
-    ``|pg| <= WEIGHT_GRAD_TOL``, backtracking fails or ``max_steps``
-    steps are taken.  Returns the isometry, whether
+def _ascend_weights(b, priors, eta, log_steps, max_steps):
+    """Damped Newton on Phi in w from the scaled ``w = 1``, with
+    :func:`_weight_point` for the priors eta; the duality gap takes the
+    ensemble's priors.
+
+    The start ``w = 1`` on the states with positive priors is optimal for
+    orthogonal states and is the plain square-root measurement where
+    priors are equal; it is scaled along the ray to Phi's maximum there,
+    ``(Tr M^{1/2} / sum q)**2``.  Both step kinds solve
+    ``(lambda I - H) d = r`` with H from :func:`_weight_hessian` and
+    lambda ``WEIGHT_DAMPING`` times the norm of the projected gradient
+    pg: H is singular whenever more than rank**2 weights are free (every
+    rank-2 Gram with n > 4), and a lambda that shrinks with the gradient
+    keeps Newton's fast local rate.
+
+    * Log steps, while ``log_steps`` holds (a full-rank Gram, every eta
+      positive): Newton on the KKT residual g in log w, whose equation
+      ``-log(1 + g) = 0`` is the reweighted square-root measurement's
+      ``u - log diag S - log eta = 0`` (Mochon 2006) in ``u = log p``.
+      Its right side is ``r = eta (1 + g) log1p(g)`` and its trial
+      points ``w exp(t d / w)``, positive for every t.  A log step that
+      needs ``t < NEWTON_MIN_DAMPING`` hands the solve to projected steps
+      for good.
+    * Projected steps (Bertsekas 1982): weights within
+      ``eps_k = |w - max(w + grad, 0)|`` of 0 whose gradient points out
+      of the feasible set are active and move along the gradient; the
+      free ones take the step with ``r = grad``, along the projection arc
+      ``max(w + t d, 0)`` down to ``t = WEIGHT_MIN_STEP``.  A zero weight
+      is a bound here, so these steps reach the zero weights that log
+      steps only approach.
+
+    Each step backtracks by halves (:func:`_backtrack`).  In w the
+    gradient is ``eta g``, so pg weighs each state's KKT residual by its
+    prior, as the duality gap does.  The gap is evaluated wherever
+    ``|pg| <= GAP_SCREEN`` and at the end.  The ascent stops once the gap
+    certifies, ``|pg| <= WEIGHT_GRAD_TOL``, backtracking fails or
+    ``max_steps`` steps are taken.  Returns the isometry, whether
     ``|pg| <= WEIGHT_GRAD_TOL``, the gap and the trace: the success
     probability at the start and after each step that raised it.
     """
-    trace = [point[2]]
+    # scaling w by c leaves V, Y and the success probability as they are
+    w = (eta > 0.0).astype(float)
+    _, grad, success, s, y, u, vh = _weight_point(b, eta, w)
+    root_c = float(s.sum()) / float(eta @ w)
+    w *= root_c**2
+    point = (root_c * float(s.sum()), (grad + eta) / root_c - eta, success, root_c * s, y, u, vh)
+    trace = [success]
     for step in range(max_steps + 1):
-        phi, grad, _, s, y, u, vh = point
+        _, grad, _, s, y, u, vh = point
         pgn = float(np.linalg.norm(np.where(w > 0.0, grad, np.maximum(grad, 0.0))))
-        v = u @ vh
-        gap = dual_gap(b, priors, v) if step == 0 or pgn <= GAP_SCREEN else None
+        gap = dual_gap(b, priors, u @ vh) if pgn <= GAP_SCREEN else None
         if (gap is not None and gap <= CERT_TOL) or pgn <= WEIGHT_GRAD_TOL or step == max_steps:
             break
-        eps_k = float(np.linalg.norm(w - np.maximum(w + grad, 0.0)))
-        free = (w > eps_k) | (grad >= 0.0)
-        hess = _weight_hessian(eta[free], s, y[free])
         lam = WEIGHT_DAMPING * pgn
-        d = grad.copy()
-        try:
-            d[free] = np.linalg.solve(lam * np.eye(len(hess)) - hess, grad[free])
-        except np.linalg.LinAlgError:
-            break
-        t, floor = 1.0, phi - PHI_ROUNDOFF * (abs(phi) + float(eta @ w))
-        while t >= WEIGHT_MIN_STEP:
-            trial_w = np.maximum(w + t * d, 0.0)
-            trial = _weight_point(b, eta, trial_w)
-            if (
-                trial is not None
-                and len(trial[3]) >= len(s)
-                and trial[3][len(s) - 1] >= SINGULAR_DROP * s[-1]
-                and trial[0] >= floor + 1e-4 * float(np.dot(grad, trial_w - w))
-            ):
+        found = None
+        if log_steps:
+            rhs = (eta + grad) * np.log1p(grad / eta)
+            hess = _weight_hessian(eta, s, y)
+            try:
+                d = np.linalg.solve(lam * np.eye(len(w)) - hess, rhs)
+            except np.linalg.LinAlgError:
+                log_steps = False
+            else:
+                found = _backtrack(b, eta, w, point, lambda t: w * np.exp(t * d / w), NEWTON_MIN_DAMPING)
+                log_steps = found is not None
+        if found is None:
+            eps_k = float(np.linalg.norm(w - np.maximum(w + grad, 0.0)))
+            free = (w > eps_k) | (grad >= 0.0)
+            hess = _weight_hessian(eta[free], s, y[free])
+            d = grad.copy()
+            try:
+                d[free] = np.linalg.solve(lam * np.eye(len(hess)) - hess, grad[free])
+            except np.linalg.LinAlgError:
                 break
-            t *= 0.5
-        else:
-            break
-        w, point = trial_w, trial
+            found = _backtrack(b, eta, w, point, lambda t: np.maximum(w + t * d, 0.0), WEIGHT_MIN_STEP)
+            if found is None:
+                break
+        w, point = found
         if point[2] > trace[-1]:
             trace.append(point[2])
+    v = u @ vh
     return v, pgn <= WEIGHT_GRAD_TOL, dual_gap(b, priors, v) if gap is None else gap, trace
 
 
@@ -495,20 +455,12 @@ def optimize_general(ensemble: Ensemble, config: SolverConfig | None = None) -> 
     the weights that maximize Phi (:func:`_weight_point`).
 
     Priors below ``CERT_TOL / (2 rank)`` count as 0 in the weight
-    problem, never in the duality gap.  For a full-rank Gram with all
-    priors positive the weights come first from
-    :func:`_reweighted_srm_weights` (damped Newton in log-weights), and
-    the gap usually certifies their measurement at once.  Every other
-    input (a rank-deficient Gram, a zero prior) starts at ``w = 1`` on
-    the states with positive priors, optimal for orthogonal states and
-    the plain square-root measurement where priors are equal, scaled
-    along the ray to Phi's maximum there, ``(Tr M^{1/2} / sum q)**2``;
-    so does a full-rank one whose log-weights give no finite point.
-    Either start that the gap does not certify goes on with
-    :func:`_ascend_weights`.  All Newton steps count against
-    ``config.max_iters``.  No random numbers are
-    drawn.  A best-effort result with ``converged=False`` is returned
-    when neither the certificate nor the gradient test is met.  A
+    problem, never in the duality gap.  Every input starts at the scaled
+    ``w = 1`` of :func:`_ascend_weights`, which takes log steps while the
+    Gram has full rank and every weight is positive, and projected steps
+    otherwise; ``config.max_iters`` caps its Newton steps.  No random
+    numbers are drawn.  A best-effort result with ``converged=False`` is
+    returned when neither the certificate nor the gradient test is met.  A
     ``rank_tol`` that cuts modes heavy enough to leave the rows of every
     coupling ``B V`` more than ``ROW_NORM_TOL`` short of unit norm
     raises ValidationError.
@@ -533,23 +485,7 @@ def optimize_general(ensemble: Ensemble, config: SolverConfig | None = None) -> 
     # lambda_min(H - eta_j psi_j psi_j^H) >= -eta_j), and its weight only
     # makes Phi ill-scaled: the weight solve takes it as 0
     eta = np.where(priors >= CERT_TOL / (2 * rank), priors, 0.0)
-    spent, point = 0, None
-    if rank == n and eta.min() > 0.0:
-        p, spent = _reweighted_srm_weights(ensemble.gram, eta, config.max_iters)
-        if p is not None:
-            w = p / eta / eta
-            point = _weight_point(b, eta, w)
-    if point is None:
-        # w = 1, then c w with c the maximizer (Tr M^{1/2} / sum q)**2 of
-        # Phi along that ray; scaling leaves V, Y and the success
-        # probability as they are
-        w = (eta > 0.0).astype(float)
-        _, grad, success, s, y, u, vh = _weight_point(b, eta, w)
-        root_c = float(s.sum()) / float(eta @ w)
-        w *= root_c**2
-        grad = (grad + eta) / root_c - eta
-        point = (root_c * float(s.sum()), grad, success, root_c * s, y, u, vh)
-    v, grad_ok, gap, trace = _ascend_weights(b, priors, eta, w, point, config.max_iters - spent)
+    v, grad_ok, gap, trace = _ascend_weights(b, priors, eta, rank == n and eta.min() > 0.0, config.max_iters)
     coupling = CouplingMatrix(b @ v, ensemble)
     certified = gap <= CERT_TOL
     return OptimizeResult(

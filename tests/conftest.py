@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qsd.ensembles import spectral_factor
+from qsd.ensembles import Ensemble, spectral_factor
 
 
 def run_cli(*args: str):
@@ -38,6 +38,22 @@ def tmp_json(tmp_path):
         return str(path)
 
     return write
+
+
+def near_dependent(k: int) -> Ensemble:
+    """Ensemble number k of nearly dependent states: n (2 to 24) complex
+    Gaussian vectors whose last coordinate is scaled by 1e-5 to 1e-2
+    before they are normalized (median lambda_min / lambda_max 1e-9 over
+    k < 600), with Dirichlet(1) priors."""
+    rng = np.random.default_rng([2202, k])
+    n = int(rng.integers(2, 25))
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x[:, -1] *= 10 ** rng.uniform(-5, -2)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    gram = x @ x.conj().T
+    gram = 0.5 * (gram + gram.conj().T)
+    np.fill_diagonal(gram, 1.0)
+    return Ensemble(n, gram, rng.dirichlet(np.ones(n)))
 
 
 def coupling_isometry(coupling) -> np.ndarray:

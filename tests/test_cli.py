@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import qsd.cli
-from conftest import cli_json, mp_psk_error, run_cli
+from conftest import cli_json, mp_psk_error, near_dependent, run_cli
+from qsd._serialize import matrix_obj
 from qsd.cli import _optimal_coupling, main
 from qsd.closed_form import symmetric_min_error
 from qsd.coupling import (
@@ -250,6 +251,15 @@ class TestOptimize:
         assert out["certified"] is True
         assert 0.0 <= out["dual_gap"] <= 1e-10
         assert out["restarts_used"] == 1
+
+    def test_ill_conditioned_gram_certified(self, tmp_json):
+        # lambda_min / lambda_max = 3.5e-7: a log-weight Newton on an eigh of
+        # P^{1/2} G P^{1/2} stops here at gap 1.1e-5, yet converged and exit 0
+        ens = near_dependent(15)
+        path = tmp_json({"kind": "gram", "matrix": matrix_obj(ens.gram), "priors": ens.priors.tolist()})
+        out = cli_json("optimize", "--ensemble", path)
+        assert out["certified"] is True
+        assert out["dual_gap"] <= 1e-10
 
     def test_emit_coupling_round_trip(self, tmp_path):
         code, out, _ = run_cli(

@@ -15,8 +15,10 @@ from conftest import (
     coupling_isometry,
     mp_psk_error,
     mp_psk_min_error,
+    near_dependent,
     reference_dual_gap,
 )
+from qsd import optimizer
 from qsd.closed_form import (
     helstrom_bound,
     srm_error_circulant,
@@ -35,11 +37,12 @@ from qsd.ensembles import Ensemble, gram_binary, gram_psk, gram_symmetric, spect
 from qsd.errors import ValidationError
 from qsd.optimizer import (
     CERT_TOL,
+    NEWTON_MIN_DAMPING,
     OptimizeResult,
     PskParams,
     SolverConfig,
+    _backtrack,
     _lowest_downdated_eigenvalue,
-    _reweighted_srm_weights,
     _weight_hessian,
     _weight_point,
     dual_gap,
@@ -251,8 +254,9 @@ def full_rank_ensemble(seed, n, prior):
 
 
 class TestReweightedSrmStart:
-    """Restart 0 on full-rank Grams starts at the square-root measurement
-    of reweighted priors, whose weights come from damped Newton."""
+    """On full-rank Grams with positive priors the weight solve takes log
+    steps, Newton on the reweighted square-root measurement's equation
+    (Mochon 2006), from the scaled ``w = 1``."""
 
     def test_tiny_prior_and_small_gram_eigenvalue(self):
         # the residual of the weights' Newton iteration sits on a roundoff
@@ -281,8 +285,10 @@ class TestReweightedSrmStart:
         assert res.p_error == pytest.approx(alone.p_error, abs=1e-10)
 
     def test_tiny_prior_certified_by_the_weight_ascent(self):
-        # the benchmark's `solve` seed 914, round 18: log-weight Newton
-        # stalls on the 1.3e-9 prior, and only Phi's ascent certifies
+        # the benchmark's `solve` seed 914, round 18: the 1.3e-9 prior's row
+        # of P^{1/2} G P^{1/2} fell below eigh's resolution, and Newton on
+        # that matrix's log-weights stalled; the SVD-based log steps reach
+        # the certificate without a projected step
         rng = np.random.default_rng([914, 18])
         for n in (3, 8, 16, 24):
             for prior in ("equal", "dirichlet"):
@@ -290,13 +296,19 @@ class TestReweightedSrmStart:
                 priors = np.full(n, 1.0 / n) if prior == "equal" else rng.dirichlet(np.ones(n))
         ens = Ensemble(24, gram, priors)
         assert 1.2e-9 < ens.priors.min() < 1.4e-9
-        sf = spectral_factor(ens)
-        p, _ = _reweighted_srm_weights(ens.gram, ens.priors, 2000)
-        point = _weight_point(sf.factor, ens.priors, p / ens.priors**2)
-        assert dual_gap(sf.factor, ens.priors, point[5] @ point[6]) > CERT_TOL
-        res = optimize_general(ens)
+        assert spectral_factor(ens).rank == 24
+        shortest = []
+        backtrack = optimizer._backtrack
+
+        def spy(b, eta, w, point, arc, min_step):
+            shortest.append(min_step)
+            return backtrack(b, eta, w, point, arc, min_step)
+
+        with mock.patch.object(optimizer, "_backtrack", spy):
+            res = optimize_general(ens)
         assert res.certified and res.converged
         assert feasibility_residual(res.coupling) <= 1e-8
+        assert shortest and set(shortest) == {NEWTON_MIN_DAMPING}
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -325,9 +337,46 @@ class TestReweightedSrmStart:
         assert abs(res.p_error / reference - 1.0) <= 1e-5
 
 
+def test_near_dependent_grams_certified():
+    # a log-weight Newton on an eigh of P^{1/2} G P^{1/2} left 17 of these
+    # 200 (and 42 of the first 600) at converged=True but gaps of 1.7e-8
+    # to 1.6e-5
+    for k in range(200):
+        ens = near_dependent(k)
+        res = optimize_general(ens)
+        assert res.certified and res.converged, (k, res.dual_gap)
+        assert feasibility_residual(res.coupling) <= 1e-8, k
+
+
+@pytest.mark.parametrize("one_minus_s", [1e-11, 1e-12])
+@pytest.mark.parametrize("eta1", [0.1, 0.3])
+@pytest.mark.parametrize("phase", [0.0, 0.7])
+def test_near_parallel_pair_warns_nothing(one_minus_s, eta1, phase):
+    # at 1 - |s| = 1e-11 a log step tries a weight of 1e-21; at 1e-12 the
+    # rank cut leaves one state direction
+    z = (1.0 - one_minus_s) * np.exp(1j * phase)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = optimize_general(gram_binary(z, eta1))
+    assert res.certified and res.converged
+    assert abs(res.p_error - helstrom_bound(eta1, z)) <= 1e-11
+
+
+def test_overflowing_log_step_refused_quietly():
+    # exp(t d / w) overflows for every t tried: the trial weights are not
+    # finite, no step is taken, and no RuntimeWarning escapes
+    ens = gram_binary(0.6, 0.25)
+    b, eta, w = spectral_factor(ens).factor, ens.priors, np.ones(2)
+    point = _weight_point(b, eta, w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = _backtrack(b, eta, w, point, lambda t: w * np.exp(t * 1e4 / w), NEWTON_MIN_DAMPING)
+    assert found is None
+
+
 def test_full_rank_solve_allocates_no_cubic_temporaries():
-    # one n**3 complex temporary at n = 48 is 1.7 MiB; the Newton start's
-    # Jacobian and the gap's eigenvalue problems need none
+    # one n**3 complex temporary at n = 48 is 1.7 MiB; the weights'
+    # Hessian and the gap's eigenvalue problems need none
     ens = full_rank_ensemble(4801, 48, "dirichlet")
     optimize_general(ens)
     tracing = tracemalloc.is_tracing()
