@@ -25,13 +25,25 @@ EIGENVALUE_FLOOR = -1e-10
 PRIOR_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-12
 # largest n for which gram_psk and gram_symmetric build the dense n x n
-# Gram matrix (256 MiB of complex entries), checked before allocating
+# Gram matrix (256 MiB of complex entries), checked before allocating; an
+# Ensemble whose Gram is not circulant also holds its n x n eigenvectors
 MAX_STATES = 4096
+# entries of the largest temporary that the circulant check and the DFT
+# blocks below allocate (1 MiB of complex entries)
+BLOCK_ENTRIES = 2**16
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _readonly(a, dtype) -> np.ndarray:
+    """a itself when it is already a read-only array of dtype, else a
+    read-only copy: arrays that another frozen object holds are shared."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable:
+        return a
+    return _frozen(np.array(a, dtype=dtype))
 
 
 @dataclass(frozen=True)
@@ -47,6 +59,13 @@ class Ensemble:
         unit diagonal, positive semidefinite.
     priors : (n,) float ndarray
         Nonnegative, sums to one.
+
+    Validation computes the one eigendecomposition of the Gram matrix
+    that the package uses and keeps it, read-only, for
+    :func:`spectral_factor`: ``eigh`` for a general Gram, and for one that
+    is exactly the circulant of its first row the DFT of that row, whose
+    eigenvectors (Fourier columns) are built only when a factor is asked
+    for.
     """
 
     n: int
@@ -80,15 +99,31 @@ class Ensemble:
         diag = np.max(np.abs(np.diag(gram) - 1.0))
         if diag > DIAGONAL_TOL:
             raise ValidationError(f"gram diagonal must be 1 (residual {diag:.3e})")
-        lam_min = float(np.linalg.eigvalsh(gram)[0])
-        if lam_min < EIGENVALUE_FLOOR:
+        if _exactly_circulant(gram):
+            lam, vectors = _fourier_eigenvalues(gram[0]), None
+            modes = np.argsort(lam, kind="stable")
+            lam = lam[modes]
+        else:
+            try:
+                lam, vectors = np.linalg.eigh(gram)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover
+                raise ValidationError(f"eigendecomposition failed: {exc}") from exc
+            modes = None
+        if lam[0] < EIGENVALUE_FLOOR:
             raise ValidationError(
-                f"gram is not positive semidefinite (min eigenvalue {lam_min:.3e})"
+                f"gram is not positive semidefinite (min eigenvalue {lam[0]:.3e})"
             )
         if priors.min() < -PRIOR_TOL:
             raise ValidationError("priors must be nonnegative")
         if abs(priors.sum() - 1.0) > PRIOR_TOL:
             raise ValidationError(f"priors must sum to 1, got {priors.sum()!r}")
+        # ascending eigenvalues, negative roundoff clamped to zero; the
+        # eigenvectors, or for a circulant the DFT mode of each eigenvalue;
+        # and the default-cut SpectralFactor, built on first request
+        object.__setattr__(self, "_eigenvalues", _frozen(np.clip(lam, 0.0, None)))
+        object.__setattr__(self, "_eigenvectors", None if vectors is None else _frozen(vectors))
+        object.__setattr__(self, "_modes", modes)
+        object.__setattr__(self, "_factor", None)
 
     @property
     def equal_priors(self) -> bool:
@@ -125,14 +160,9 @@ class SpectralFactor:
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "factor", _frozen(np.array(self.factor, dtype=complex)))
-        object.__setattr__(self, "sqrt", _frozen(np.array(self.sqrt, dtype=complex)))
-        object.__setattr__(
-            self, "eigenvalues", _frozen(np.array(self.eigenvalues, dtype=float))
-        )
-        object.__setattr__(
-            self, "eigenvectors", _frozen(np.array(self.eigenvectors, dtype=complex))
-        )
+        for name in ("factor", "sqrt", "eigenvalues", "eigenvectors"):
+            dtype = float if name == "eigenvalues" else complex
+            object.__setattr__(self, name, _readonly(getattr(self, name), dtype))
 
 
 def check_prior(eta1: float) -> float:
@@ -159,6 +189,17 @@ def check_symmetric(n: int, s: float) -> tuple[int, float]:
             f"s={s!r} outside the positive-semidefinite range [{-1.0/(n-1)}, 1]"
         )
     return n, s
+
+
+def check_rank_tol(rank_tol: float) -> float:
+    """rank_tol as a float in (0, 1), so that the largest eigenvalue is
+    kept; a bool or a string is refused, never cast (a bool fails the
+    range)."""
+    if not isinstance(rank_tol, (int, np.integer, float, np.floating)):
+        raise ValidationError(f"rank_tol must be a number, got {rank_tol!r}")
+    if not 0 < rank_tol < 1:  # also rejects NaN
+        raise ValidationError(f"rank_tol must lie in (0, 1), got {rank_tol!r}")
+    return float(rank_tol)
 
 
 def check_state_count(n: int) -> int:
@@ -241,32 +282,84 @@ def psk_first_row(n: int, alpha_sq: float) -> np.ndarray:
 
 
 def spectral_factor(ensemble: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralFactor:
-    """Factor the Gram matrix as ``B B^H = G`` via Hermitian eigendecomposition.
+    """Factor the Gram matrix as ``B B^H = G`` from the eigendecomposition
+    that the ensemble keeps since validation; none is computed here.
 
     Eigenvalues below ``rank_tol`` times the largest are dropped from the
     factor and zeroed in the support square root; tiny negative
-    eigenvalues (roundoff) are clamped to zero first.
+    eigenvalues (roundoff) were clamped to zero at validation.  rank_tol
+    must lie in (0, 1).  The factor at ``DEFAULT_RANK_TOL`` is built once
+    per ensemble and returned again on every later call; it shares the
+    ensemble's read-only eigenvalues and eigenvectors.
 
     Returns
     -------
     SpectralFactor
     """
-    if not rank_tol > 0:
-        raise ValidationError("rank_tol must be positive")
-    try:
-        lam, w = np.linalg.eigh(ensemble.gram)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ValidationError(f"eigendecomposition failed: {exc}") from exc
-    lam = np.clip(lam, 0.0, None)
-    keep = lam > rank_tol * lam.max()
+    rank_tol = check_rank_tol(rank_tol)
+    default = rank_tol == DEFAULT_RANK_TOL
+    if default and ensemble._factor is not None:
+        return ensemble._factor
+    lam, w = ensemble._eigenvalues, ensemble._eigenvectors
+    if w is None:
+        w = _frozen(_fourier_columns(ensemble.n, ensemble._modes))
+    keep = lam > rank_tol * lam[-1]
     rank = int(np.count_nonzero(keep))
-    lam_kept = np.where(keep, lam, 0.0)
-    sqrt = (w * np.sqrt(lam_kept)) @ w.conj().T
+    sqrt = _frozen((w * np.sqrt(np.where(keep, lam, 0.0))) @ w.conj().T)
     if rank == ensemble.n:
         factor = sqrt
     else:
-        factor = w[:, keep] * np.sqrt(lam[keep])
-    return SpectralFactor(rank=rank, factor=factor, sqrt=sqrt, eigenvalues=lam, eigenvectors=w)
+        factor = _frozen(w[:, keep] * np.sqrt(lam[keep]))
+    sf = SpectralFactor(rank=rank, factor=factor, sqrt=sqrt, eigenvalues=lam, eigenvectors=w)
+    if default:
+        object.__setattr__(ensemble, "_factor", sf)
+    return sf
+
+
+def _exactly_circulant(gram: np.ndarray) -> bool:
+    """True if gram equals the circulant of its first row entry for entry.
+
+    Row j of that circulant is the doubled first row from n - j on, so
+    the circulant is a strided view of 2n entries.  Row 1, then blocks of
+    rows are compared against it in turn, and the first that differs ends
+    the check.
+    """
+    n = gram.shape[0]
+    doubled = np.concatenate((gram[0], gram[0]))
+    step = doubled.itemsize
+    view = np.ndarray((n, n), doubled.dtype, buffer=doubled, offset=n * step, strides=(-step, step))
+    # row 1 alone first: a Gram that is not circulant mostly differs there
+    bounds = [1, *range(2, n, max(1, BLOCK_ENTRIES // n)), n]
+    return all((gram[a:b] == view[a:b]).all() for a, b in zip(bounds, bounds[1:]))
+
+
+def _dft_blocks(n: int, cols: np.ndarray):
+    """Row blocks ``(start, block)`` of the n x len(cols) matrix
+    ``omega**(j * cols[l])``, ``omega = exp(2 pi i / n)``, each of at most
+    ``BLOCK_ENTRIES`` entries.  Exponents are reduced mod n first, so
+    every entry is one of the n roots of unity to within an ulp."""
+    roots = np.exp(2j * np.pi / n * np.arange(n))
+    rows = max(1, BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        yield start, roots[np.outer(np.arange(start, min(start + rows, n)), cols) % n]
+
+
+def _fourier_eigenvalues(first_row: np.ndarray) -> np.ndarray:
+    """Real parts of ``lam_k = sum_m first_row[m] omega**(k m)``, the
+    eigenvalues of the circulant of a Hermitian first row, k = 0..n-1:
+    the Fourier column k is its eigenvector (Ban, Kurokawa, Momose &
+    Hirota 1997).  O(n^2) by a direct product, without numpy.fft."""
+    n = first_row.shape[0]
+    return np.concatenate([block @ first_row for _, block in _dft_blocks(n, np.arange(n))]).real
+
+
+def _fourier_columns(n: int, modes: np.ndarray) -> np.ndarray:
+    """Unitary Fourier columns ``omega**(j k) / sqrt(n)`` for k in modes."""
+    w = np.empty((n, len(modes)), dtype=complex)
+    for start, block in _dft_blocks(n, modes):
+        w[start : start + len(block)] = block
+    w /= np.sqrt(n)
+    return w
 
 
 def circulant_eigenvalues(first_row: np.ndarray) -> np.ndarray:

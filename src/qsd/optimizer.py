@@ -27,7 +27,7 @@ from .coupling import (
     circulant_optimal_coupling,
     error_probability,
 )
-from .ensembles import Ensemble, gram_psk, spectral_factor
+from .ensembles import Ensemble, check_rank_tol, gram_psk, spectral_factor
 from .errors import ValidationError
 
 # duality gap below which a coupling counts as certified optimal
@@ -68,8 +68,9 @@ class SolverConfig:
     the weight solve and its duality gap see the Gram matrix without the
     modes below it, so a certificate holds for that truncated Gram only.
     Such a mode can move the optimum by far more than ``CERT_TOL``:
-    16-PSK at ``alpha_sq = 1`` loses a 4.5e-12 eigenvalue, and its
-    certified p_error is 1.4e-7 above the optimum.
+    16-PSK at ``alpha_sq = 1`` loses a 4.5e-12 eigenvalue (4.50e-12 from
+    the DFT of its first row, as from ``eigh``), and its certified p_error
+    is 1.4e-7 above the optimum.
     """
 
     max_iters: int = 2000
@@ -77,17 +78,14 @@ class SolverConfig:
 
     def __post_init__(self):
         # the one check of both knobs, config-file values included: a bool
-        # or a string is refused, never cast (a bool rank_tol fails the range)
-        max_iters, rank_tol = self.max_iters, self.rank_tol
-        integer = (int, np.integer)
-        if isinstance(max_iters, bool) or not isinstance(max_iters, integer):
+        # or a string is refused, never cast; spectral_factor shares the
+        # rank_tol check
+        max_iters = self.max_iters
+        if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)):
             raise ValidationError(f"max_iters must be an integer, got {max_iters!r}")
         if max_iters < 1:
             raise ValidationError(f"max_iters must be positive, got {max_iters!r}")
-        if not isinstance(rank_tol, (*integer, float, np.floating)):
-            raise ValidationError(f"rank_tol must be a number, got {rank_tol!r}")
-        if not 0 < rank_tol < 1:
-            raise ValidationError(f"rank_tol must lie in (0, 1), got {rank_tol!r}")
+        check_rank_tol(self.rank_tol)
 
 
 @dataclass(frozen=True)

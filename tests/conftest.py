@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import json
 import subprocess
 import sys
@@ -38,6 +39,20 @@ def tmp_json(tmp_path):
         return str(path)
 
     return write
+
+
+def lapack_spies(monkeypatch) -> collections.Counter:
+    """Count the np.linalg eigh, eigvalsh, svd and qr calls made from here on."""
+    calls = collections.Counter()
+    for name in ("eigh", "eigvalsh", "svd", "qr"):
+        original = getattr(np.linalg, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
 
 
 def near_dependent(k: int) -> Ensemble:

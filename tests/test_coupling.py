@@ -14,8 +14,10 @@ from scipy.optimize import minimize_scalar
 
 from conftest import (
     coupling_gap,
+    coupling_isometry,
     dilation_input_vector,
     dilation_target_vector,
+    lapack_spies,
     mp_psk_error,
     outcome_amplitudes,
     reference_residuals,
@@ -44,6 +46,7 @@ from qsd.ensembles import (
     gram_binary,
     gram_psk,
     gram_symmetric,
+    is_circulant,
     spectral_factor,
 )
 from qsd.errors import (
@@ -56,7 +59,7 @@ from qsd.errors import (
     ValidationError,
 )
 from qsd.optimizer import CERT_TOL, optimize_general, psk3_solve, psk4_solve
-from qsd.simulate import check_against_dilation
+from qsd.simulate import check_against_dilation, run_monte_carlo
 
 
 def random_isometry(rng, rank, n):
@@ -524,20 +527,6 @@ def procrustes_map_residual(coupling) -> float:
     return float(np.max(np.abs(thin @ (u @ vh) - coupling.c)))
 
 
-def lapack_spies(monkeypatch) -> collections.Counter:
-    """Count the np.linalg eigh, svd and qr calls made from here on."""
-    calls = collections.Counter()
-    for name in ("eigh", "svd", "qr"):
-        original = getattr(np.linalg, name)
-
-        def spy(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, spy)
-    return calls
-
-
 @st.composite
 def wide_isometries(draw):
     """A random r x n isometry (r <= n <= 10) and a unit-Frobenius complex
@@ -581,8 +570,10 @@ class TestPolarOrthonormal:
 
 
 class TestDilationFactorizations:
-    """The block comes from spectral_factor's one eigh: no SVD for a
-    feasible coupling and a QR only to complete a rank-deficient V."""
+    """The one eigendecomposition of a Gram is the one its Ensemble takes
+    at validation (none for an exact circulant); the block reuses it, with
+    no SVD for a feasible coupling and a QR only to complete a
+    rank-deficient V."""
 
     @pytest.mark.parametrize(
         "make, qr_calls",
@@ -600,13 +591,37 @@ class TestDilationFactorizations:
         ],
     )
     def test_lapack_calls(self, monkeypatch, make, qr_calls):
-        coupling = make(np.random.default_rng(19))
         calls = lapack_spies(monkeypatch)
+        coupling = make(np.random.default_rng(19))
+        # the symmetric and PSK Grams are circulant: their Ensembles take
+        # the DFT of the first row, the random ones one eigh
+        built = 0 if is_circulant(coupling.ensemble.gram) else 1
+        assert (calls["eigh"], calls["eigvalsh"]) == (built, 0)
+        calls.clear()
         dilation_residuals(coupling)
-        assert calls == collections.Counter(eigh=1, qr=qr_calls)
+        assert calls == collections.Counter(qr=qr_calls)
         calls.clear()
         build_dilation(coupling)
-        assert calls == collections.Counter(eigh=1, qr=qr_calls)
+        assert calls == collections.Counter(qr=qr_calls)
+
+    def test_one_eigh_per_gram_through_the_pipeline(self, monkeypatch):
+        # rank 5 of 9: the Gram's eigh is the one 9 x 9 call; the duality
+        # gaps of the weight solve take 5 x 5 ones of their own
+        calls = lapack_spies(monkeypatch)
+        sizes, spy = [], np.linalg.eigh
+
+        def sized(a, *args, **kwargs):
+            sizes.append(len(a))
+            return spy(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", sized)
+        ens = random_rank_ensemble(np.random.default_rng(31), 9, 5)
+        result = optimize_general(ens)
+        assert result.certified
+        coupling = coupling_from_unitary(ens, coupling_isometry(result.coupling))
+        build_dilation(coupling)
+        assert run_monte_carlo(coupling, 10**6, 7).shots == 10**6
+        assert (sizes.count(9), set(sizes), calls["eigvalsh"]) == (1, {5, 9}, 0)
 
 
 class TestIllConditionedDilation:

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lapack_spies
+from qsd.closed_form import srm_error_circulant, srm_error_general
 from qsd.ensembles import (
+    DEFAULT_RANK_TOL,
     MAX_STATES,
     Ensemble,
     circulant_eigenvalues,
@@ -20,6 +23,7 @@ from qsd.ensembles import (
     spectral_factor,
 )
 from qsd.errors import NotCirculantError, ValidationError
+from qsd.optimizer import SolverConfig
 
 
 class TestGramBinary:
@@ -202,6 +206,103 @@ class TestSpectralFactor:
             b, s = sf.factor, sf.sqrt
             assert np.max(np.abs(b @ b.conj().T - ens.gram)) <= 1e-10
             assert np.max(np.abs(s @ s - ens.gram)) <= 1e-10
+
+
+def _circulant_cases():
+    for n in (2, 3, 4, 8, 16, 64):
+        for a in (0.05, 1.0, 20.0):
+            yield pytest.param(lambda n=n, a=a: gram_psk(n, a), id=f"psk-{n}-{a}")
+    for n in (2, 3, 5, 16, 64):
+        for s in (-1.0 / (n - 1), 0.0, 0.5, 1.0):
+            yield pytest.param(lambda n=n, s=s: gram_symmetric(n, s), id=f"symmetric-{n}-{s:.4g}")
+    yield pytest.param(lambda: Ensemble(1, np.ones((1, 1)), np.ones(1)), id="single")
+
+
+class TestStoredSpectrum:
+    """Validation keeps one eigendecomposition per Gram: the DFT of the
+    first row for an exact circulant, eigh otherwise; spectral_factor
+    reads it and computes none."""
+
+    @pytest.mark.parametrize("build", list(_circulant_cases()))
+    def test_circulant_spectrum_without_eigh(self, monkeypatch, build):
+        calls = lapack_spies(monkeypatch)
+        ens = build()
+        sf = spectral_factor(ens)
+        assert (calls["eigh"], calls["eigvalsh"]) == (0, 0)
+        n, w, lam = ens.n, sf.eigenvectors, sf.eigenvalues
+        monkeypatch.undo()
+        assert np.max(np.abs(w.conj().T @ w - np.eye(n))) <= 1e-13
+        assert np.max(np.abs((w * lam) @ w.conj().T - ens.gram)) <= 1e-13 * lam[-1]
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(ens.gram))) <= 1e-13 * n * lam[-1]
+        assert np.all(np.diff(lam) >= 0.0) and lam[0] >= 0.0
+
+    def test_nearly_circulant_takes_eigh(self, monkeypatch):
+        g = gram_psk(6, 0.7).gram.copy()
+        g[1, 3] += 1e-12
+        g[3, 1] = np.conj(g[1, 3])
+        assert is_circulant(g)
+        calls = lapack_spies(monkeypatch)
+        ens = Ensemble(6, g, np.full(6, 1.0 / 6))
+        sf = spectral_factor(ens)
+        assert (calls["eigh"], calls["eigvalsh"]) == (1, 0)
+        assert ens.validate() is None
+        assert np.max(np.abs(sf.factor @ sf.factor.conj().T - g)) <= 1e-13
+
+    def test_large_psk_builds_without_eigendecomposition(self, monkeypatch):
+        calls = lapack_spies(monkeypatch)
+        gram_psk(512, 1.0)
+        assert (calls["eigh"], calls["eigvalsh"]) == (0, 0)
+
+    def test_general_gram_takes_one_eigh(self, monkeypatch):
+        calls = lapack_spies(monkeypatch)
+        ens = gram_binary(0.6j, 0.3)
+        for tol in (DEFAULT_RANK_TOL, 1e-3, DEFAULT_RANK_TOL):
+            spectral_factor(ens, tol)
+        assert (calls["eigh"], calls["eigvalsh"]) == (1, 0)
+
+    def test_default_factor_built_once_and_shared(self):
+        ens = gram_psk(8, 0.5)
+        sf = spectral_factor(ens)
+        assert spectral_factor(ens) is sf
+        assert spectral_factor(ens, DEFAULT_RANK_TOL) is sf
+        cut = spectral_factor(ens, 1e-3)
+        assert cut is not sf and cut.rank < sf.rank
+        assert cut.eigenvalues is sf.eigenvalues
+        for a in (sf.factor, sf.sqrt, sf.eigenvalues, sf.eigenvectors, cut.eigenvectors):
+            assert not a.flags.writeable
+        # nothing is copied: a general Gram's factors share its eigenvectors,
+        # and a full-rank factor is its square root
+        general = gram_binary(0.6j, 0.3)
+        sf = spectral_factor(general)
+        assert spectral_factor(general, 1e-3).eigenvectors is sf.eigenvectors
+        assert sf.factor is sf.sqrt
+
+    def test_factor_of_caller_arrays_is_a_copy(self):
+        sf = spectral_factor(gram_symmetric(3, 0.2))
+        factor = np.array(sf.factor)
+        again = type(sf)(sf.rank, factor, sf.sqrt, sf.eigenvalues, sf.eigenvectors)
+        factor[0, 0] = 7.0
+        assert again.factor[0, 0] == sf.factor[0, 0]
+        assert again.sqrt is sf.sqrt
+
+    def test_oracles_do_not_read_the_stored_spectrum(self):
+        # the SRM oracles check the factor-based solvers, so they must
+        # decompose the Gram themselves
+        ens = gram_psk(8, 0.7)
+        expected = (srm_error_general(ens), srm_error_circulant(ens))
+        object.__setattr__(ens, "_eigenvalues", np.full(8, np.nan))
+        assert (srm_error_general(ens), srm_error_circulant(ens)) == expected
+
+    @pytest.mark.parametrize("rank_tol", [1.0, 1.5, np.inf, 0.0, -1e-12, np.nan, True, "0.5"])
+    def test_rank_tol_outside_unit_interval_refused(self, rank_tol):
+        ens = gram_symmetric(3, 0.5)
+        spectral_factor(ens)  # the memo does not skip the check
+        with pytest.raises(ValidationError) as refused:
+            spectral_factor(ens, rank_tol)
+        with pytest.raises(ValidationError) as config:
+            SolverConfig(rank_tol=rank_tol)
+        assert str(refused.value) == str(config.value)
+        assert "rank_tol" in str(refused.value)
 
 
 class TestCirculantEigenvalues:
