@@ -56,7 +56,6 @@ from .errors import (
 from .optimizer import (
     OptimizeResult,
     PskParams,
-    SolverConfig,
     dual_gap,
     objective_gradient,
     optimize_general,
@@ -89,7 +88,6 @@ __all__ = [
     "PskParams",
     "QsdError",
     "SimulationReport",
-    "SolverConfig",
     "SpectralFactor",
     "TwoStageParams",
     "TwoStageResult",

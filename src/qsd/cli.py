@@ -13,13 +13,13 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
 from . import closed_form, coupling as coupling_mod, optimizer, simulate as simulate_mod
 from ._serialize import CSV_DIGITS, complex_obj, dumps, fmt_float
 from .ensembles import (
+    DEFAULT_RANK_TOL,
     Ensemble,
     ensemble_from_json,
     gram_binary,
@@ -48,35 +48,10 @@ def _read_text(path: str) -> str:
             raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _read_json(path: str, what: str):
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed {what} JSON: {exc}") from exc
-
-
 def _load_ensemble(text: str) -> Ensemble:
     """Parse an --ensemble argument: inline JSON or a path to a JSON file."""
     raw = text.strip()
     return ensemble_from_json(raw if raw.startswith("{") else _read_text(raw))
-
-
-def _solver_config(args) -> optimizer.SolverConfig:
-    values = asdict(optimizer.SolverConfig())
-    config_path = getattr(args, "config", None)
-    if config_path:
-        overrides = _read_json(config_path, "solver config")
-        if not isinstance(overrides, dict):
-            raise ValidationError("solver config JSON must be an object")
-        unknown = set(overrides) - set(values)
-        if unknown:
-            raise ValidationError(f"unknown solver config keys: {sorted(unknown)}")
-        values.update(overrides)
-    for key in values:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    return optimizer.SolverConfig(**values)
 
 
 def _optimal_coupling(ensemble: Ensemble) -> coupling_mod.CouplingMatrix:
@@ -111,7 +86,11 @@ def _coupling_arg(source: str, ensemble: Ensemble) -> coupling_mod.CouplingMatri
     holding a coupling that must be feasible for the ensemble."""
     if source == "optimal":
         return _optimal_coupling(ensemble)
-    cpl = coupling_mod.coupling_from_json(_read_json(source, "coupling"), ensemble)
+    try:
+        raw = json.loads(_read_text(source))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"malformed coupling JSON: {exc}") from exc
+    cpl = coupling_mod.coupling_from_json(raw, ensemble)
     residual = coupling_mod.feasibility_residual(cpl)
     if not residual <= coupling_mod.FEASIBILITY_TOL:
         raise ValidationError(
@@ -164,14 +143,8 @@ def cmd_psk(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    config = _solver_config(args)
-    if args.show_config:
-        print(dumps(asdict(config)))
-        return EXIT_OK
-    if args.ensemble is None:
-        raise ValidationError("--ensemble is required (unless using --show-config)")
     ensemble = _load_ensemble(args.ensemble)
-    result = optimizer.optimize_general(ensemble, config)
+    result = optimizer.optimize_general(ensemble, max_iters=args.max_iters, rank_tol=args.rank_tol)
     payload = {
         "p_error": result.p_error,
         "converged": result.converged,
@@ -349,11 +322,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_psk)
 
     p = sub.add_parser("optimize", help="optimal coupling from square-root-measurement weights")
-    p.add_argument("--ensemble")
-    p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--rank-tol", type=float, dest="rank_tol")
-    p.add_argument("--config", help="JSON file with solver config overrides")
-    p.add_argument("--show-config", action="store_true")
+    p.add_argument("--ensemble", required=True)
+    p.add_argument(
+        "--max-iters", type=int, default=optimizer.DEFAULT_MAX_ITERS, help="default: %(default)s"
+    )
+    p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL, help="default: %(default)s")
     p.add_argument("--emit-coupling", action="store_true")
     p.set_defaults(func=cmd_optimize)
 

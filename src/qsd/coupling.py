@@ -17,7 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import _circulant_roots, binary_individual_errors, symmetric_p_quadratic
-from .ensembles import Ensemble, _frozen, circulant, gram_binary, gram_symmetric, spectral_factor
+from .ensembles import (
+    Ensemble,
+    _circulant_deviation,
+    _frozen,
+    circulant,
+    gram_binary,
+    gram_symmetric,
+    spectral_factor,
+)
 from .errors import (
     InfeasibleCouplingError,
     InvalidIsometryError,
@@ -133,6 +141,22 @@ def _gram_residual(rows: np.ndarray, gram: np.ndarray) -> float:
     return float(np.max(np.abs(rows @ rows.conj().T - gram)))
 
 
+def _circulant_root_residual(c: np.ndarray, gram: np.ndarray) -> float:
+    """Upper bound on ``_gram_residual(c, gram)`` for an exact circulant
+    c, in O(n^2).
+
+    ``C C^H`` is the circulant of its first row ``conj(C) C[0]``, up to
+    the order in which each entry's n products are summed.  Its largest
+    miss of G is therefore at most that row's miss of G's first row,
+    plus G's deviation from the circulant of its own first row (0 for
+    what ``gram_psk`` and ``gram_symmetric`` build), plus what two
+    orders of one sum of products of unit rows can differ by after
+    rounding, ``2 (n + 2) eps`` (Higham 2002, sections 3.1 and 3.6).
+    """
+    row_miss = float(np.max(np.abs(c.conj() @ c[0] - gram[0])))
+    return row_miss + _circulant_deviation(gram) + 2 * (c.shape[0] + 2) * np.finfo(float).eps
+
+
 def feasibility_residual(coupling: CouplingMatrix) -> float:
     """Max entrywise deviation of ``C C^H`` from the target Gram matrix."""
     return _gram_residual(coupling.c, coupling.ensemble.gram)
@@ -185,10 +209,11 @@ def circulant_optimal_coupling(ensemble: Ensemble) -> CouplingMatrix:
     1997; Eldar & Forney 2001).  Its coupling ``G^{1/2}`` is the circulant
     whose first row is the inverse DFT of the square roots of the Gram
     eigenvalues.  NoSolutionError unless ``C C^H = G`` holds to
-    ``ROOT_RESIDUAL_TOL``, a check that does not use the DFT.
+    ``ROOT_RESIDUAL_TOL`` by :func:`_circulant_root_residual`, a check that
+    does not use the DFT.
     """
     c = circulant(np.fft.ifft(_circulant_roots(ensemble)))
-    residual = _gram_residual(c, ensemble.gram)
+    residual = _circulant_root_residual(c, ensemble.gram)
     if not residual <= ROOT_RESIDUAL_TOL:
         raise NoSolutionError(
             f"circulant coupling misses the overlap constraints (residual {residual:.3e})"

@@ -82,8 +82,7 @@ class Ensemble:
     def validate(self) -> None:
         """Check all structural invariants, raising ValidationError."""
         n, gram, priors = self.n, self.gram, self.priors
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
-            raise ValidationError(f"n must be a positive integer, got {n!r}")
+        check_integer(n, "n", 1)
         if gram.shape != (n, n):
             raise ValidationError(f"gram must be {n}x{n}, got {gram.shape}")
         if priors.shape != (n,):
@@ -202,12 +201,18 @@ def check_rank_tol(rank_tol: float) -> float:
     return float(rank_tol)
 
 
+def check_integer(value, name: str, low: int) -> int:
+    """value as an int of at least low; a bool, float or str is refused, never cast."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{name} must be at least {low}, got {value!r}")
+    return int(value)
+
+
 def check_state_count(n: int) -> int:
     """n as an int, at least 2."""
-    n = int(n)
-    if n < 2:
-        raise ValidationError("n must be at least 2")
-    return n
+    return check_integer(n, "n", 2)
 
 
 def _check_dense(n: int) -> None:
@@ -218,8 +223,8 @@ def _check_dense(n: int) -> None:
 
 def check_seed(seed: int) -> int:
     """seed as an int that fits in 64 unsigned bits."""
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
+    seed = check_integer(seed, "seed", 0)
+    if seed >= 2**64:
         raise ValidationError("seed must fit in 64 unsigned bits")
     return seed
 
@@ -316,21 +321,35 @@ def spectral_factor(ensemble: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> S
     return sf
 
 
-def _exactly_circulant(gram: np.ndarray) -> bool:
-    """True if gram equals the circulant of its first row entry for entry.
+def _circulant_blocks(gram: np.ndarray):
+    """Row blocks ``(gram[a:b], circ[a:b])`` of gram and of the circulant
+    circ of its first row, from row 1 on, each of at most
+    ``BLOCK_ENTRIES`` entries.
 
     Row j of that circulant is the doubled first row from n - j on, so
-    the circulant is a strided view of 2n entries.  Row 1, then blocks of
-    rows are compared against it in turn, and the first that differs ends
-    the check.
+    circ is a strided view of 2n entries and is never built.  Row 1 comes
+    alone first: a Gram that is not circulant mostly differs there.
     """
     n = gram.shape[0]
     doubled = np.concatenate((gram[0], gram[0]))
     step = doubled.itemsize
     view = np.ndarray((n, n), doubled.dtype, buffer=doubled, offset=n * step, strides=(-step, step))
-    # row 1 alone first: a Gram that is not circulant mostly differs there
     bounds = [1, *range(2, n, max(1, BLOCK_ENTRIES // n)), n]
-    return all((gram[a:b] == view[a:b]).all() for a, b in zip(bounds, bounds[1:]))
+    for a, b in zip(bounds, bounds[1:]):
+        yield gram[a:b], view[a:b]
+
+
+def _exactly_circulant(gram: np.ndarray) -> bool:
+    """True if gram equals the circulant of its first row entry for entry;
+    the first block that differs ends the check."""
+    return all((rows == circ).all() for rows, circ in _circulant_blocks(gram))
+
+
+def _circulant_deviation(gram: np.ndarray) -> float:
+    """Max entrywise deviation of gram from the circulant of its first
+    row (NaN if gram holds one)."""
+    blocks = _circulant_blocks(gram)
+    return float(np.max([np.max(np.abs(rows - circ), initial=0.0) for rows, circ in blocks]))
 
 
 def _dft_blocks(n: int, cols: np.ndarray):
@@ -393,8 +412,7 @@ def circulant(first_row: np.ndarray) -> np.ndarray:
 
 def is_circulant(gram: np.ndarray, tol: float = 1e-10) -> bool:
     """True if ``gram[j, l]`` depends only on ``(l - j) mod n`` within tol."""
-    gram = np.asarray(gram)
-    return bool(np.max(np.abs(gram - circulant(gram[0]))) <= tol)
+    return _circulant_deviation(np.asarray(gram)) <= tol
 
 
 def ensemble_from_json(source: str | dict) -> Ensemble:
@@ -421,10 +439,14 @@ def ensemble_from_json(source: str | dict) -> Ensemble:
             from ._serialize import parse_complex
 
             return gram_binary(parse_complex(source["overlap"]), float(source["eta1"]))
-        if kind == "symmetric":
-            return gram_symmetric(int(source["n"]), float(source["s"]))
-        if kind == "psk":
-            return gram_psk(int(source["n"]), float(source["alpha_sq"]))
+        if kind in ("symmetric", "psk"):
+            try:
+                n = check_state_count(source["n"])
+            except ValidationError as exc:  # n of 3.7, true, "3" or Infinity
+                raise ValidationError(f"malformed ensemble JSON: {exc}") from exc
+            if kind == "symmetric":
+                return gram_symmetric(n, float(source["s"]))
+            return gram_psk(n, float(source["alpha_sq"]))
         if kind == "gram":
             from ._serialize import parse_matrix
 

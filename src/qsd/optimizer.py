@@ -27,7 +27,7 @@ from .coupling import (
     circulant_optimal_coupling,
     error_probability,
 )
-from .ensembles import Ensemble, check_rank_tol, gram_psk, spectral_factor
+from .ensembles import DEFAULT_RANK_TOL, Ensemble, check_integer, gram_psk, spectral_factor
 from .errors import ValidationError
 
 # duality gap below which a coupling counts as certified optimal
@@ -57,35 +57,8 @@ NEWTON_MIN_DAMPING = 0.25
 WEIGHT_MIN_STEP = 2.0**-30
 PHI_ROUNDOFF = 1e-15
 SINGULAR_DROP = 1e-2
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs for :func:`optimize_general`.  Both fields have safe defaults.
-
-    ``max_iters`` caps the Newton steps on the weights.  ``rank_tol`` is the relative eigenvalue cut of the
-    spectral factor, below 1 so that the largest eigenvalue is kept:
-    the weight solve and its duality gap see the Gram matrix without the
-    modes below it, so a certificate holds for that truncated Gram only.
-    Such a mode can move the optimum by far more than ``CERT_TOL``:
-    16-PSK at ``alpha_sq = 1`` loses a 4.5e-12 eigenvalue (4.50e-12 from
-    the DFT of its first row, as from ``eigh``), and its certified p_error
-    is 1.4e-7 above the optimum.
-    """
-
-    max_iters: int = 2000
-    rank_tol: float = 1e-12
-
-    def __post_init__(self):
-        # the one check of both knobs, config-file values included: a bool
-        # or a string is refused, never cast; spectral_factor shares the
-        # rank_tol check
-        max_iters = self.max_iters
-        if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)):
-            raise ValidationError(f"max_iters must be an integer, got {max_iters!r}")
-        if max_iters < 1:
-            raise ValidationError(f"max_iters must be positive, got {max_iters!r}")
-        check_rank_tol(self.rank_tol)
+# cap on the Newton steps of one weight solve
+DEFAULT_MAX_ITERS = 2000
 
 
 @dataclass(frozen=True)
@@ -130,11 +103,11 @@ class OptimizeResult:
 
     ``objective_trace`` holds the success probability at the scaled
     ``w = 1`` that the weight solve starts from and after each of its
-    steps, log or projected, that raised it.  ``dual_gap``
-    bounds how far the success probability of the returned coupling lies
-    below the optimum of the Gram matrix truncated at
-    ``SolverConfig.rank_tol`` (see :func:`dual_gap`), which may miss the
-    input's optimum; ``certified`` is ``dual_gap <= CERT_TOL``.
+    steps, log or projected, that raised it.  ``dual_gap`` bounds how far
+    the success probability of the returned coupling lies below the
+    optimum of the Gram truncated at ``rank_tol`` (see :func:`dual_gap`),
+    which may miss the input's optimum; ``certified`` is
+    ``dual_gap <= CERT_TOL``.
     ``converged`` holds when the certificate does, or when the projected
     gradient of the weight function is below ``WEIGHT_GRAD_TOL``.
     ``restarts_used`` is always 1: the solve has one start.
@@ -448,23 +421,30 @@ def _ascend_weights(b, priors, eta, log_steps, max_steps):
     return v, pgn <= WEIGHT_GRAD_TOL, dual_gap(b, priors, v) if gap is None else gap, trace
 
 
-def optimize_general(ensemble: Ensemble, config: SolverConfig | None = None) -> OptimizeResult:
+def optimize_general(
+    ensemble: Ensemble, *, max_iters: int = DEFAULT_MAX_ITERS, rank_tol: float = DEFAULT_RANK_TOL
+) -> OptimizeResult:
     """Optimal coupling of an ensemble: the square-root measurement of
     the weights that maximize Phi (:func:`_weight_point`).
 
     Priors below ``CERT_TOL / (2 rank)`` count as 0 in the weight
     problem, never in the duality gap.  Every input starts at the scaled
-    ``w = 1`` of :func:`_ascend_weights`, which takes log steps while the
-    Gram has full rank and every weight is positive, and projected steps
-    otherwise; ``config.max_iters`` caps its Newton steps.  No random
-    numbers are drawn.  A best-effort result with ``converged=False`` is
-    returned when neither the certificate nor the gradient test is met.  A
-    ``rank_tol`` that cuts modes heavy enough to leave the rows of every
-    coupling ``B V`` more than ``ROW_NORM_TOL`` short of unit norm
-    raises ValidationError.
+    ``w = 1`` of :func:`_ascend_weights`, which takes at most ``max_iters``
+    Newton steps: log steps while the Gram has full rank and every weight
+    is positive, projected steps otherwise.  No random numbers are drawn.
+    A best-effort result with ``converged=False`` is returned when neither
+    the certificate nor the gradient test is met.
+
+    ``rank_tol`` in (0, 1) is the relative eigenvalue cut of the spectral
+    factor.  The solve and its duality gap see the Gram without the modes
+    below it, which can move the optimum by far more than ``CERT_TOL``
+    (16-PSK at ``alpha_sq = 1`` loses a 4.5e-12 eigenvalue, and its
+    certified p_error is 1.4e-7 above the optimum); a cut that leaves the
+    rows of every coupling ``B V`` more than ``ROW_NORM_TOL`` short of
+    unit norm raises ValidationError, as does a setting of the wrong type.
     """
-    config = config or SolverConfig()
-    sf = spectral_factor(ensemble, config.rank_tol)
+    check_integer(max_iters, "max_iters", 1)
+    sf = spectral_factor(ensemble, rank_tol)
     b = sf.factor
     priors = ensemble.priors
     n, rank = ensemble.n, sf.rank
@@ -474,7 +454,7 @@ def optimize_general(ensemble: Ensemble, config: SolverConfig | None = None) -> 
         lost = float(np.max((np.abs(sf.eigenvectors[:, : n - rank]) ** 2) @ cut))
         if lost > ROW_NORM_TOL:
             raise ValidationError(
-                f"rank_tol {config.rank_tol:g} cuts Gram eigenvalues up to {cut[-1]:.3e}, "
+                f"rank_tol {rank_tol:g} cuts Gram eigenvalues up to {cut[-1]:.3e}, "
                 f"which leaves coupling rows {lost:.3e} short of unit norm"
             )
 
@@ -483,7 +463,7 @@ def optimize_general(ensemble: Ensemble, config: SolverConfig | None = None) -> 
     # lambda_min(H - eta_j psi_j psi_j^H) >= -eta_j), and its weight only
     # makes Phi ill-scaled: the weight solve takes it as 0
     eta = np.where(priors >= CERT_TOL / (2 * rank), priors, 0.0)
-    v, grad_ok, gap, trace = _ascend_weights(b, priors, eta, rank == n and eta.min() > 0.0, config.max_iters)
+    v, grad_ok, gap, trace = _ascend_weights(b, priors, eta, rank == n and eta.min() > 0.0, max_iters)
     coupling = CouplingMatrix(b @ v, ensemble)
     certified = gap <= CERT_TOL
     return OptimizeResult(

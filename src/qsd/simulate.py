@@ -17,7 +17,7 @@ import numpy as np
 
 from .closed_form import helstrom_bound
 from .coupling import DILATION_CHECK_TOL, CouplingMatrix, dilation_residuals, error_probability
-from .ensembles import _frozen, check_prior, check_seed, gram_binary
+from .ensembles import _frozen, check_integer, check_prior, check_seed, gram_binary
 from .errors import InfeasibleSequentialError, ValidationError
 
 # numpy's multinomial takes the shot count as a signed 64-bit integer
@@ -51,9 +51,7 @@ def run_monte_carlo(coupling: CouplingMatrix, shots: int, seed: int) -> Simulati
     (>= 10^6 shots) first verify the row distributions against the
     dilation (:func:`check_against_dilation`).
     """
-    shots = int(shots)
-    if shots < 1:
-        raise ValidationError("shots must be at least 1")
+    shots = check_integer(shots, "shots", 1)
     if shots >= MAX_SHOTS:
         raise ValidationError("shots must be below 2**63")
     seed = check_seed(seed)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import collections
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
@@ -11,7 +14,25 @@ import mpmath
 import numpy as np
 import pytest
 
+from qsd.cli import main
 from qsd.ensembles import Ensemble, spectral_factor
+
+
+# settings that optimize_general refuses, and qsd optimize with them
+REFUSED_SETTINGS = [
+    {"max_iters": 0},
+    {"max_iters": -1},
+    {"max_iters": 2.5},
+    {"max_iters": math.nan},
+    {"rank_tol": 0.0},
+    {"rank_tol": -1e-12},
+    {"rank_tol": 1.0},
+    {"rank_tol": math.nan},
+    {"rank_tol": math.inf},
+    {"rank_tol": -math.inf},
+    {"max_iters": True},
+    {"rank_tol": "1e-9"},
+]
 
 
 def run_cli(*args: str):
@@ -23,6 +44,14 @@ def run_cli(*args: str):
         timeout=300,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def main_cli(*args: str):
+    """Run ``qsd.cli.main`` in this process; returns (exit_code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return code, out.getvalue(), err.getvalue()
 
 
 def cli_json(*args: str):
@@ -233,3 +262,22 @@ def mp_psk_min_error(n, alpha_sq, priors, tol=1e-40, max_iters=20000):
         return mpmath.fsum(
             eta[j] * abs(s[j, k]) ** 2 / q[j] for j in range(n) for k in range(n) if k != j
         )
+
+
+def golden_section_min(f, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """Minimize f on [a, b] by golden-section search (Kiefer 1953) until
+    the bracket is at most 2 xatol wide; returns the best point and its
+    value.  f must be unimodal on [a, b]."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 2.0 * xatol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = f(d)
+    return (c, fc) if fc < fd else (d, fd)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qsd.cli
-from conftest import cli_json, mp_psk_error, near_dependent, run_cli
+from conftest import REFUSED_SETTINGS, cli_json, main_cli, mp_psk_error, near_dependent, run_cli
 from qsd._serialize import matrix_obj
 from qsd.cli import _optimal_coupling, main
 from qsd.closed_form import symmetric_min_error
@@ -21,8 +21,16 @@ from qsd.coupling import (
     feasibility_residual,
     symmetric_optimal_coupling,
 )
-from qsd.ensembles import Ensemble, circulant, gram_psk, gram_symmetric, is_circulant
-from qsd.errors import QsdError
+from qsd import optimizer
+from qsd.ensembles import (
+    DEFAULT_RANK_TOL,
+    Ensemble,
+    circulant,
+    gram_psk,
+    gram_symmetric,
+    is_circulant,
+)
+from qsd.errors import QsdError, ValidationError
 from qsd.optimizer import optimize_general
 
 BINARY_UNEQ = '{"kind":"binary","overlap":{"re":0.6,"im":0.0},"eta1":0.25}'
@@ -161,26 +169,49 @@ class TestOptimize:
         assert code == 3
 
     def test_show_config_defaults(self):
-        out = cli_json("optimize", "--show-config")
-        assert list(out) == ["max_iters", "rank_tol"]
-        assert out["max_iters"] == 2000
-        assert out["rank_tol"] == pytest.approx(1e-12)
+        # the defaults are in --help; --show-config is gone
+        code, out, err = run_cli("optimize", "--help")
+        assert (code, err) == (0, "")
+        assert out.count("default: 2000") == out.count("default: 1e-12") == 1
+        code, out, err = main_cli("optimize", "--ensemble", BINARY_UNEQ, "--show-config")
+        assert (code, out) == (2, "")
+        assert err == "error: qsd: unrecognized arguments: --show-config\n"
 
-    def test_config_file_and_flag_precedence(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"max_iters": 30, "rank_tol": 1e-10}')
-        out = cli_json(
-            "optimize", "--config", str(cfg), "--rank-tol", "1e-9", "--show-config"
+    def test_flags_are_the_solver_settings(self, monkeypatch):
+        seen = []
+        real = optimizer.optimize_general
+        monkeypatch.setattr(
+            optimizer, "optimize_general", lambda ens, **kw: seen.append(kw) or real(ens, **kw)
         )
-        assert out["max_iters"] == 30
-        assert out["rank_tol"] == pytest.approx(1e-9)
+        main_cli("optimize", "--ensemble", BINARY_UNEQ)
+        main_cli("optimize", "--ensemble", BINARY_UNEQ, "--max-iters", "30", "--rank-tol", "1e-9")
+        assert seen == [
+            {"max_iters": optimizer.DEFAULT_MAX_ITERS, "rank_tol": DEFAULT_RANK_TOL},
+            {"max_iters": 30, "rank_tol": 1e-9},
+        ]
+        assert [type(v) for v in seen[1].values()] == [int, float]
+
+    @pytest.mark.parametrize(
+        "kwargs", [kw for kw in REFUSED_SETTINGS if not isinstance(next(iter(kw.values())), str)]
+    )
+    def test_refused_settings_exit_2(self, kwargs):
+        # the values that optimize_general refuses, as flag tokens
+        ((key, value),) = kwargs.items()
+        flag = "--" + key.replace("_", "-")
+        code, out, err = main_cli("optimize", "--ensemble", BINARY_UNEQ, f"{flag}={value!r}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert key in err or flag in err
 
     def test_unknown_config_key_exit_2(self, tmp_path):
+        # --config is gone whatever its file holds; no keyword takes its keys
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"walkers": 3}')
-        code, _, err = run_cli("optimize", "--config", str(cfg), "--show-config")
-        assert code == 2
-        assert "walkers" in err
+        code, out, err = main_cli("optimize", "--ensemble", BINARY_UNEQ, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: qsd: unrecognized arguments: --config {cfg}\n"
+        with pytest.raises(TypeError, match="walkers"):
+            optimize_general(gram_symmetric(3, 0.5), walkers=3)
 
     @pytest.mark.parametrize(
         "content, message",
@@ -198,29 +229,37 @@ class TestOptimize:
         ],
     )
     def test_malformed_config_values_exit_2(self, tmp_path, content, message):
+        # what a config file was refused for stays refused: the file by
+        # the command line, which has no --config, and each value by the
+        # optimize_general keyword of the same name
         cfg = tmp_path / "cfg.json"
         cfg.write_text(content)
-        code, _, err = run_cli("optimize", "--config", str(cfg), "--show-config")
-        assert code == 2
+        code, out, err = main_cli("optimize", "--ensemble", BINARY_UNEQ, "--config", str(cfg))
+        assert (code, out) == (2, "")
         assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert message in err
+        assert "--config" in err
+        values = json.loads(content)
+        if isinstance(values, dict):
+            with pytest.raises(ValidationError, match=message):
+                optimize_general(gram_symmetric(3, 0.5), **values)
 
     def test_removed_step_init_key_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"step_init": 0.1}')
-        code, _, err = run_cli("optimize", "--config", str(cfg), "--show-config")
+        code, _, err = run_cli("optimize", "--ensemble", BINARY_UNEQ, "--config", str(cfg))
         assert code == 2
-        assert "step_init" in err
-        code, _, _ = run_cli("optimize", "--step-init", "0.1", "--show-config")
+        assert "--config" in err
+        code, _, err = run_cli("optimize", "--ensemble", BINARY_UNEQ, "--step-init", "0.1")
         assert code == 2
+        assert "--step-init" in err
 
     @pytest.mark.parametrize("key", ["restarts", "seed", "grad_tol"])
     def test_removed_search_knobs_exit_2(self, tmp_path, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 1}))
-        code, _, err = run_cli("optimize", "--config", str(cfg), "--show-config")
+        code, _, err = run_cli("optimize", "--ensemble", BINARY_UNEQ, "--config", str(cfg))
         assert code == 2
-        assert key in err
+        assert "--config" in err
         flag = "--" + key.replace("_", "-")
         code, out, err = run_cli("optimize", "--ensemble", BINARY_UNEQ, flag, "1")
         assert (code, out) == (2, "")
@@ -445,6 +484,14 @@ def test_optimal_coupling_falls_back_off_a_near_circulant():
     ensemble = Ensemble(3, gram, np.full(3, 1.0 / 3.0))
     assert is_circulant(ensemble.gram)
     _fallback_coupling(ensemble, circulant_optimal_coupling)
+
+
+@pytest.mark.parametrize("n", ["3.7", "true", '"3"'])
+def test_non_integer_json_state_count_exit_2(n):
+    ensemble = f'{{"kind":"symmetric","n":{n},"s":0.4}}'
+    code, out, err = run_cli("simulate", "--ensemble", ensemble, "--shots", "1000")
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed ensemble JSON: n must be an integer, got {json.loads(n)!r}\n"
 
 
 class TestDilation:
@@ -735,8 +782,9 @@ class TestTopLevel:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (("optimize", "--bogus"), "unrecognized arguments: --bogus"),
+            (("optimize", "--ensemble", SYM_3_HALF, "--bogus"), "unrecognized arguments: --bogus"),
             (("symmetric", "--n", "x", "--s", "0.5"), "invalid int value"),
+            (("optimize", "--emit-coupling"), "required: --ensemble"),
         ],
     )
     def test_subcommand_usage_error_is_one_line_exit_2(self, args, message):

@@ -8,8 +8,6 @@ and sweep steps are drawn either small or above their limits, never in
 between, so that no example builds a large matrix or grid.
 """
 
-import contextlib
-import io
 import json
 import math
 
@@ -17,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qsd.cli import MAX_SWEEP_STEPS, main
+from conftest import main_cli
+from qsd.cli import MAX_SWEEP_STEPS
 
 # absurd magnitudes overflow in numpy on their way to a typed error
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -83,17 +82,15 @@ ENSEMBLE = st.one_of(
 
 
 def run(argv):
-    """Exit code and stdout of ``qsd argv``; other exceptions propagate."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    """Exit code of ``qsd argv``; other exceptions propagate."""
+    code, out, err = main_cli(*argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
     if code:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
     if code == 0 and argv[0] != "sweep":
-        json.loads(out.getvalue())
+        json.loads(out)
     return code
 
 
@@ -174,29 +171,23 @@ def test_sweep_and_size_arguments(family, tokens, axis, bounds, outputs, psk_n):
     run(["symmetric", "--n", psk_n, "--s", "0.25", "--emit-coupling"])
 
 
-CONFIG_KEYS = ("max_iters", "rank_tol", "restarts", "walkers")
-CONFIG_FILE = st.one_of(
-    st.dictionaries(st.sampled_from(CONFIG_KEYS), FIELD, max_size=3).map(json.dumps),
-    st.one_of(NUMBER, JUNK).map(json.dumps),
-    st.text(max_size=6),
-).map(str.encode) | st.binary(max_size=6)
 # identical states: the first weights are certified at once, so no drawn
 # iteration count can make the run long
 IDENTITY = json.dumps({"kind": "symmetric", "n": 2, "s": 0.0})
-
-
-@pytest.fixture(scope="module")
-def config_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("configs")
+SETTING_TOKEN = st.one_of(
+    st.sampled_from(
+        ["0", "1", "-1", "2.5", "3.0", "True", "nan", "inf", "-inf", "1e-9", "0.5", "1e3"]
+        + ["", "x", " 3", "0x10", "1_000", "9" * 30]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=4),
+)
 
 
 @FUZZ
-@given(content=CONFIG_FILE, show=st.booleans())
-def test_config_files(config_dir, content, show):
-    path = config_dir / "config.json"
-    path.write_bytes(content)
-    argv = ["optimize", "--config", str(path)]
-    run(argv + (["--show-config"] if show else ["--ensemble", IDENTITY]))
+@given(max_iters=SETTING_TOKEN, rank_tol=SETTING_TOKEN)
+def test_solver_flag_tokens(max_iters, rank_tol):
+    run(["optimize", "--ensemble", IDENTITY, f"--max-iters={max_iters}", f"--rank-tol={rank_tol}"])
 
 
 COUNT_TOKEN = st.sampled_from(

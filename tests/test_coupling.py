@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
 
 from conftest import (
     coupling_gap,
     coupling_isometry,
     dilation_input_vector,
     dilation_target_vector,
+    golden_section_min,
     lapack_spies,
     mp_psk_error,
     outcome_amplitudes,
@@ -43,6 +43,7 @@ from qsd.coupling import (
 )
 from qsd.ensembles import (
     Ensemble,
+    circulant,
     gram_binary,
     gram_psk,
     gram_symmetric,
@@ -186,6 +187,15 @@ class TestSymmetricOptimalCoupling:
 CIRCULANT_GRID = [float(a) for a in np.geomspace(0.05, 20.0, 12)]
 
 
+def circulant_noise(rng, n: int) -> np.ndarray:
+    """A Hermitian n x n matrix with a zero diagonal and entries of modulus
+    at most 1, not circulant."""
+    x = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    x = 0.5 * (x + x.conj().T)
+    np.fill_diagonal(x, 0.0)
+    return x / np.sqrt(2.0)
+
+
 class TestCirculantOptimalCoupling:
     # the DFT row is checked against mpmath, C C^H = G and the duality gap,
     # never against srm_error_circulant alone (both use the same DFT)
@@ -241,6 +251,23 @@ class TestCirculantOptimalCoupling:
         with pytest.raises(NotCirculantError):
             circulant_optimal_coupling(Ensemble(3, g, np.full(3, 1 / 3)))
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 64])
+    def test_row_check_bounds_the_dense_residual(self, n):
+        # the O(n^2) check never passes what max|C C^H - G| would refuse:
+        # on exact circulants, with perturbed roots and on Grams that are
+        # circulant only to within is_circulant's tolerance
+        rng = np.random.default_rng(n)
+        for a in CIRCULANT_GRID[::2]:
+            ens = gram_psk(n, a)
+            roots = coupling_mod._circulant_roots(ens)
+            near = ens.gram + 5e-11 * circulant_noise(rng, n)
+            for scale in (1.0, 1.0 + 1e-11, 1.0 + 1e-9):
+                c = circulant(np.fft.ifft(scale * roots))
+                for gram in (ens.gram, near):
+                    bound = coupling_mod._circulant_root_residual(c, gram)
+                    assert bound >= coupling_mod._gram_residual(c, gram), (a, scale)
+            assert coupling_mod._circulant_root_residual(c, near) > 0.0
+
     def test_missed_overlap_constraints_raise(self, monkeypatch):
         roots = coupling_mod._circulant_roots
         monkeypatch.setattr(coupling_mod, "_circulant_roots", lambda e: 1.001 * roots(e))
@@ -271,11 +298,8 @@ class TestCouplingFromUnitary:
             return float(np.max(np.abs(coupling_from_unitary(ens, v).c - target)))
 
         coarse = min(np.linspace(0, 2 * math.pi, 2001), key=mismatch)
-        res = minimize_scalar(
-            mismatch, bounds=(coarse - 0.01, coarse + 0.01), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        assert res.fun <= 1e-8
+        _, fun = golden_section_min(mismatch, coarse - 0.01, coarse + 0.01, xatol=1e-12)
+        assert fun <= 1e-8
 
     def test_rank_deficient_factorization(self):
         ens = gram_symmetric(3, -0.5)

@@ -23,7 +23,7 @@ from qsd.ensembles import (
     spectral_factor,
 )
 from qsd.errors import NotCirculantError, ValidationError
-from qsd.optimizer import SolverConfig
+from qsd.optimizer import optimize_general
 
 
 class TestGramBinary:
@@ -299,9 +299,9 @@ class TestStoredSpectrum:
         spectral_factor(ens)  # the memo does not skip the check
         with pytest.raises(ValidationError) as refused:
             spectral_factor(ens, rank_tol)
-        with pytest.raises(ValidationError) as config:
-            SolverConfig(rank_tol=rank_tol)
-        assert str(refused.value) == str(config.value)
+        with pytest.raises(ValidationError) as solve:
+            optimize_general(ens, rank_tol=rank_tol)
+        assert str(refused.value) == str(solve.value)
         assert "rank_tol" in str(refused.value)
 
 
@@ -383,6 +383,35 @@ class TestJsonInterface:
     def test_non_finite_state_count_rejected(self, n):
         with pytest.raises(ValidationError, match="malformed"):
             ensemble_from_json(f'{{"kind":"psk","n":{n},"alpha_sq":0.5}}')
+
+
+class TestCountsCheckedNeverCast:
+    @pytest.mark.parametrize("n", [3.7, 3.0, "3", True, None])
+    @pytest.mark.parametrize(
+        "build", [lambda n: gram_symmetric(n, 0.25), lambda n: gram_psk(n, 0.5)], ids=["symmetric", "psk"]
+    )
+    def test_state_count(self, build, n):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            build(n)
+
+    def test_numpy_integer_state_count_accepted(self):
+        assert gram_symmetric(np.int64(3), 0.25).n == 3
+        assert gram_psk(np.int32(4), 0.5).gram.shape == (4, 4)
+
+    @pytest.mark.parametrize("n", [True, 1.0, "1"])
+    def test_ensemble_size(self, n):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            Ensemble(n, np.eye(1), np.ones(1))
+
+    @pytest.mark.parametrize("n", ["3.7", "3.0", "true", '"3"', "null", "[3]"])
+    @pytest.mark.parametrize("kind", ["symmetric", "psk"])
+    def test_json_state_count(self, kind, n):
+        with pytest.raises(ValidationError, match="malformed ensemble JSON: n must be an integer"):
+            ensemble_from_json(f'{{"kind":"{kind}","n":{n},"s":0.4,"alpha_sq":0.5}}')
+
+    def test_json_state_count_below_two(self):
+        with pytest.raises(ValidationError, match="n must be at least 2, got 1"):
+            ensemble_from_json('{"kind":"symmetric","n":1,"s":0.4}')
 
 
 class TestSizeLimit:

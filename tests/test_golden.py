@@ -1,0 +1,45 @@
+"""Byte-for-byte stdout of fixed commands.
+
+Each file in ``golden/`` holds the stdout of one command below, written by
+``python -m qsd <argv> > tests/golden/<name>.out`` at 74f177e.  A change
+that moves one byte of these outputs fails here; the ROADMAP promises that
+default stdout stays byte-identical.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from conftest import main_cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "bound": ["bound", "--eta1", "0.25", "--overlap-re", "0.6", "--overlap-im", "0.2"],
+    "symmetric": ["symmetric", "--n", "4", "--s", "0.3", "--emit-coupling"],
+    "psk3": ["psk", "--n", "3", "--alpha-sq", "0.8"],
+    "psk4": ["psk", "--n", "4", "--alpha-sq", "1.5"],
+    "simulate": [
+        "simulate", "--ensemble", '{"kind":"psk","n":3,"alpha_sq":0.5}',
+        "--shots", "100000", "--seed", "7",
+    ],
+    "sweep": [
+        "sweep", "--family", "symmetric", "--n", "2,3,5", "--axis", "s", "--min", "-0.2",
+        "--max", "0.9", "--steps", "12", "--outputs", "closed_form,srm_oracle",
+    ],
+    "optimize": [
+        "optimize", "--ensemble", '{"kind":"binary","overlap":{"re":0.6,"im":0.2},"eta1":0.3}',
+        "--max-iters", "50", "--rank-tol", "1e-12",
+    ],
+}
+
+
+def test_every_golden_file_has_a_command():
+    assert sorted(path.stem for path in GOLDEN.glob("*.out")) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_bytes(name):
+    code, out, err = main_cli(*COMMANDS[name])
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()

@@ -1,7 +1,7 @@
+import inspect
 import math
 import tracemalloc
 import warnings
-from dataclasses import asdict
 from unittest import mock
 
 import mpmath
@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    REFUSED_SETTINGS,
     coupling_gap,
     coupling_isometry,
     mp_psk_error,
@@ -33,14 +34,20 @@ from qsd.coupling import (
     success_probability,
     symmetric_optimal_coupling,
 )
-from qsd.ensembles import Ensemble, gram_binary, gram_psk, gram_symmetric, spectral_factor
+from qsd.ensembles import (
+    DEFAULT_RANK_TOL,
+    Ensemble,
+    gram_binary,
+    gram_psk,
+    gram_symmetric,
+    spectral_factor,
+)
 from qsd.errors import ValidationError
 from qsd.optimizer import (
     CERT_TOL,
     NEWTON_MIN_DAMPING,
     OptimizeResult,
     PskParams,
-    SolverConfig,
     _backtrack,
     _lowest_downdated_eigenvalue,
     _weight_hessian,
@@ -99,32 +106,27 @@ def corpus_ensemble(k):
 
 
 class TestSolverConfig:
-    def test_defaults(self):
-        cfg = SolverConfig()
-        assert cfg.max_iters == 2000
-        assert cfg.rank_tol == 1e-12
-        assert set(asdict(cfg)) == {"max_iters", "rank_tol"}
+    """The weight solve's two settings, keyword-only arguments of
+    optimize_general; the command line passes its flags straight to them."""
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_iters": 0},
-            {"max_iters": -1},
-            {"max_iters": 2.5},
-            {"max_iters": math.nan},
-            {"rank_tol": 0.0},
-            {"rank_tol": -1e-12},
-            {"rank_tol": 1.0},
-            {"rank_tol": math.nan},
-            {"rank_tol": math.inf},
-            {"rank_tol": -math.inf},
-            {"max_iters": True},
-            {"rank_tol": "1e-9"},
-        ],
-    )
+    def test_defaults(self):
+        params = inspect.signature(optimize_general).parameters
+        defaults = {name: p.default for name, p in params.items() if p.kind is p.KEYWORD_ONLY}
+        assert defaults == {"max_iters": 2000, "rank_tol": 1e-12}
+        assert defaults == {"max_iters": optimizer.DEFAULT_MAX_ITERS, "rank_tol": DEFAULT_RANK_TOL}
+
+    def test_settings_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            optimize_general(gram_binary(0.6, 0.25), 5)
+
+    def test_numpy_integer_max_iters_accepted(self):
+        res = optimize_general(gram_binary(0.6, 0.25), max_iters=np.int64(50), rank_tol=np.float64(1e-9))
+        assert res.certified
+
+    @pytest.mark.parametrize("kwargs", REFUSED_SETTINGS)
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValidationError):
-            SolverConfig(**kwargs)
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            optimize_general(gram_binary(0.6, 0.25), **kwargs)
 
 
 class TestOptimizeGeneral:
@@ -193,7 +195,7 @@ class TestOptimizeGeneral:
         assert res.restarts_used == 1
 
     def test_uncertified_iteration_budget_not_converged(self):
-        res = optimize_general(gram_binary(0.6, 0.25), SolverConfig(max_iters=1))
+        res = optimize_general(gram_binary(0.6, 0.25), max_iters=1)
         assert not res.certified
         assert not res.converged
         assert res.dual_gap > CERT_TOL

@@ -31,6 +31,23 @@ HELSTROM_30_40 = 0.03481186601547971  # decimal-evaluated, (eta1, s) = (0.3, 0.4
 
 
 class TestRunMonteCarlo:
+    @pytest.mark.parametrize("shots", [2.5, 7.0, "7", True, None])
+    def test_shots_checked_never_cast(self, shots):
+        with pytest.raises(ValidationError, match="shots must be an integer"):
+            run_monte_carlo(binary_optimal_coupling(0.5, 0.6), shots, 1)
+
+    @pytest.mark.parametrize("seed", [1.9, 1.0, "1", False])
+    def test_seed_checked_never_cast(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            run_monte_carlo(binary_optimal_coupling(0.5, 0.6), 100, seed)
+
+    def test_numpy_integer_counts_accepted(self):
+        cpl = binary_optimal_coupling(0.5, 0.6)
+        rpt = run_monte_carlo(cpl, np.int64(1000), np.uint64(2**64 - 1))
+        assert (rpt.shots, rpt.seed) == (1000, 2**64 - 1)
+        assert type(rpt.shots) is int and type(rpt.seed) is int
+        assert np.array_equal(rpt.counts, run_monte_carlo(cpl, 1000, 2**64 - 1).counts)
+
     def test_identity_coupling_never_errs(self):
         ens = gram_symmetric(3, 0.0)
         rpt = run_monte_carlo(CouplingMatrix(np.eye(3, dtype=complex), ens), 100_000, 3)
