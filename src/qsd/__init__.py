@@ -34,7 +34,6 @@ from .coupling import (
 from .ensembles import (
     Ensemble,
     SpectralFactor,
-    circulant_eigenvalues,
     ensemble_from_json,
     ensemble_to_json,
     gram_binary,
@@ -99,7 +98,6 @@ __all__ = [
     "binary_optimal_coupling",
     "build_dilation",
     "check_against_dilation",
-    "circulant_eigenvalues",
     "circulant_optimal_coupling",
     "coupling_from_unitary",
     "dilation_residuals",

@@ -25,7 +25,6 @@ from .ensembles import (
     gram_binary,
     gram_psk,
     gram_symmetric,
-    is_circulant,
 )
 from .errors import NoSolutionError, QsdError, ValidationError
 
@@ -74,8 +73,7 @@ def _optimal_coupling(ensemble: Ensemble) -> coupling_mod.CouplingMatrix:
             off = gram[~np.eye(n, dtype=bool)]
             if n > 2 and np.all(off == off[0]) and off[0].imag == 0.0:
                 return coupling_mod.symmetric_optimal_coupling(n, off[0].real)
-            if is_circulant(gram):
-                return coupling_mod.circulant_optimal_coupling(ensemble)
+            return coupling_mod.circulant_optimal_coupling(ensemble)
     except QsdError:
         pass
     return optimizer.optimize_general(ensemble).coupling
@@ -289,10 +287,32 @@ def cmd_sweep(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``error:`` line with exit code 2, like
-    every other input error, in place of argparse's usage text."""
+    every other input error, in place of argparse's usage text, and names
+    an unrecognized argument before a missing required option."""
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand checks its required options before the top level
+        # sees the arguments it left over; when that check fails, parse
+        # again without it and hand any leftovers up to be reported first
+        try:
+            return super().parse_known_args(args, namespace)
+        except ValidationError:
+            required = [a for a in self._actions if a.required and a.option_strings]
+            if not required:
+                raise
+            for action in required:
+                action.required = False
+            try:
+                parsed = super().parse_known_args(args, namespace)
+            finally:
+                for action in required:
+                    action.required = True
+            if not parsed[1]:
+                raise
+            return parsed
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import (
+    CIRCULANT_TOL,
     DEFAULT_RANK_TOL,
+    EIGENVALUE_FLOOR,
     Ensemble,
     check_binary,
     check_symmetric,
-    circulant_eigenvalues,
-    is_circulant,
 )
 from .errors import NotCirculantError, UnsupportedPriorsError, ValidationError
 
@@ -47,8 +47,6 @@ def helstrom_bound(eta1: float, overlap: complex) -> float:
     eta1, overlap = check_binary(eta1, overlap)
     s = min(abs(overlap), 1.0)
     disc = 1.0 - 4.0 * eta1 * (1.0 - eta1) * s * s
-    if disc < -1e-12:
-        raise ValidationError("discriminant negative; inputs out of range")
     return 0.5 * (1.0 - math.sqrt(max(disc, 0.0)))
 
 
@@ -146,12 +144,19 @@ def srm_error_general(ensemble: Ensemble) -> float:
 
 
 def _circulant_roots(ensemble: Ensemble) -> np.ndarray:
-    """Square roots of the DFT eigenvalues of an equal-prior ensemble's
-    circulant Gram matrix; NotCirculantError for any other Gram matrix."""
+    """Square roots of the ``numpy.fft`` eigenvalues of an equal-prior
+    ensemble's circulant Gram matrix, negative roundoff clamped to zero;
+    NotCirculantError when its kept circulant deviation is above
+    ``CIRCULANT_TOL``."""
     _require_equal_priors(ensemble)
-    if not is_circulant(ensemble.gram):
+    if not ensemble._circulant_deviation <= CIRCULANT_TOL:
         raise NotCirculantError("ensemble Gram matrix is not circulant")
-    return np.sqrt(circulant_eigenvalues(ensemble.gram[0]))
+    lam = np.fft.fft(ensemble.gram[0]).real
+    if lam.min() < EIGENVALUE_FLOOR:
+        raise ValidationError(
+            f"circulant matrix not positive semidefinite (eigenvalue {lam.min():.3e})"
+        )
+    return np.sqrt(np.clip(lam, 0.0, None))
 
 
 def srm_error_circulant(ensemble: Ensemble) -> float:

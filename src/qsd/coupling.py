@@ -19,7 +19,6 @@ import numpy as np
 from .closed_form import _circulant_roots, binary_individual_errors, symmetric_p_quadratic
 from .ensembles import (
     Ensemble,
-    _circulant_deviation,
     _frozen,
     circulant,
     gram_binary,
@@ -141,20 +140,21 @@ def _gram_residual(rows: np.ndarray, gram: np.ndarray) -> float:
     return float(np.max(np.abs(rows @ rows.conj().T - gram)))
 
 
-def _circulant_root_residual(c: np.ndarray, gram: np.ndarray) -> float:
+def _circulant_root_residual(c: np.ndarray, gram: np.ndarray, deviation: float) -> float:
     """Upper bound on ``_gram_residual(c, gram)`` for an exact circulant
-    c, in O(n^2).
+    c, in O(n^2); deviation is G's deviation from the circulant of its own
+    first row, which an Ensemble keeps since validation.
 
     ``C C^H`` is the circulant of its first row ``conj(C) C[0]``, up to
     the order in which each entry's n products are summed.  Its largest
     miss of G is therefore at most that row's miss of G's first row,
-    plus G's deviation from the circulant of its own first row (0 for
-    what ``gram_psk`` and ``gram_symmetric`` build), plus what two
-    orders of one sum of products of unit rows can differ by after
-    rounding, ``2 (n + 2) eps`` (Higham 2002, sections 3.1 and 3.6).
+    plus deviation (0 for what ``gram_psk`` and ``gram_symmetric``
+    build), plus what two orders of one sum of products of unit rows can
+    differ by after rounding, ``2 (n + 2) eps`` (Higham 2002, sections
+    3.1 and 3.6).
     """
     row_miss = float(np.max(np.abs(c.conj() @ c[0] - gram[0])))
-    return row_miss + _circulant_deviation(gram) + 2 * (c.shape[0] + 2) * np.finfo(float).eps
+    return row_miss + deviation + 2 * (c.shape[0] + 2) * np.finfo(float).eps
 
 
 def feasibility_residual(coupling: CouplingMatrix) -> float:
@@ -213,7 +213,7 @@ def circulant_optimal_coupling(ensemble: Ensemble) -> CouplingMatrix:
     does not use the DFT.
     """
     c = circulant(np.fft.ifft(_circulant_roots(ensemble)))
-    residual = _circulant_root_residual(c, ensemble.gram)
+    residual = _circulant_root_residual(c, ensemble.gram, ensemble._circulant_deviation)
     if not residual <= ROOT_RESIDUAL_TOL:
         raise NoSolutionError(
             f"circulant coupling misses the overlap constraints (residual {residual:.3e})"
@@ -244,17 +244,17 @@ def _checked_isometry(v, rank: int, n: int) -> np.ndarray:
     return v
 
 
-def _polar_orthonormal(m: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+def _polar_orthonormal(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Closest matrix with orthonormal rows/columns: the unitary polar
-    factor of ``diag(weights) @ m``, or of m when weights is None.
+    factor of ``diag(weights) @ m``.
 
     A wide input whose rows are nearly orthonormal,
     ``d = ||X X^H - I||_F <= POLAR_NS_BOUND``, takes the Newton-Schulz
     iteration ``X <- X - (X X^H - I) X / 2`` (Bjorck & Bowie 1971;
     Higham 1986), each step mapping d to at most ``0.8 d**2``, until d is
-    within ``4 r eps``, the roundoff floor of r orthonormal rows.  With
-    weights, entry (i, j) of ``X X^H - I`` goes ``w_j / (w_i + w_j)`` to
-    row i and the rest to row j, not half to each: the smallest
+    within ``4 r eps``, the roundoff floor of r orthonormal rows.  Entry
+    (i, j) of ``X X^H - I`` goes ``w_j / (w_i + w_j)`` to row i and the
+    rest to row j (half to each for equal weights): the smallest
     w-weighted change that makes the rows orthonormal to first order, so
     the result is the weighted polar factor to first order in d.  Every
     other input, and one still above the floor after three steps, takes
@@ -271,9 +271,8 @@ def _polar_orthonormal(m: np.ndarray, weights: np.ndarray | None = None) -> np.n
             return x
         if not dist_sq <= POLAR_NS_BOUND**2:  # NaN entries go to the SVD too
             break
-        share = 0.5 if weights is None else weights / (weights[:, None] + weights)
-        x = x - (gap * share) @ x
-    u, _, vh = np.linalg.svd(m if weights is None else weights[:, None] * m, full_matrices=False)
+        x = x - (gap * (weights / (weights[:, None] + weights))) @ x
+    u, _, vh = np.linalg.svd(weights[:, None] * m, full_matrices=False)
     return u @ vh
 
 

@@ -17,19 +17,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotCirculantError, ValidationError
+from .errors import ValidationError
 
 HERMITIAN_TOL = 1e-12
 DIAGONAL_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 PRIOR_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-12
+# circulant deviation up to which the circulant closed forms take a Gram
+CIRCULANT_TOL = 1e-10
 # largest n for which gram_psk and gram_symmetric build the dense n x n
 # Gram matrix (256 MiB of complex entries), checked before allocating; an
 # Ensemble whose Gram is not circulant also holds its n x n eigenvectors
 MAX_STATES = 4096
-# entries of the largest temporary that the circulant check and the DFT
-# blocks below allocate (1 MiB of complex entries)
+# entries of the largest temporary that the circulant deviation and the
+# DFT blocks below allocate (1 MiB of complex entries)
 BLOCK_ENTRIES = 2**16
 
 
@@ -60,12 +62,16 @@ class Ensemble:
     priors : (n,) float ndarray
         Nonnegative, sums to one.
 
-    Validation computes the one eigendecomposition of the Gram matrix
-    that the package uses and keeps it, read-only, for
-    :func:`spectral_factor`: ``eigh`` for a general Gram, and for one that
-    is exactly the circulant of its first row the DFT of that row, whose
-    eigenvectors (Fourier columns) are built only when a factor is asked
-    for.
+    Validation reads the Gram's deviation from the circulant of its first
+    row once and keeps it as ``_circulant_deviation`` (exact up to
+    ``CIRCULANT_TOL``, a lower bound above it): 0 selects the DFT spectrum
+    below, and at most ``CIRCULANT_TOL`` admits the circulant closed
+    forms, which read the kept value instead of the Gram.  It also
+    computes the one eigendecomposition of the Gram matrix that the
+    package uses and keeps it, read-only, for :func:`spectral_factor`:
+    ``eigh`` for a general Gram, and for one that is exactly the circulant
+    of its first row the DFT of that row, whose eigenvectors (Fourier
+    columns) are built only when a factor is asked for.
     """
 
     n: int
@@ -98,7 +104,8 @@ class Ensemble:
         diag = np.max(np.abs(np.diag(gram) - 1.0))
         if diag > DIAGONAL_TOL:
             raise ValidationError(f"gram diagonal must be 1 (residual {diag:.3e})")
-        if _exactly_circulant(gram):
+        deviation = _circulant_deviation(gram)
+        if deviation == 0.0:
             lam, vectors = _fourier_eigenvalues(gram[0]), None
             modes = np.argsort(lam, kind="stable")
             lam = lam[modes]
@@ -116,9 +123,10 @@ class Ensemble:
             raise ValidationError("priors must be nonnegative")
         if abs(priors.sum() - 1.0) > PRIOR_TOL:
             raise ValidationError(f"priors must sum to 1, got {priors.sum()!r}")
-        # ascending eigenvalues, negative roundoff clamped to zero; the
-        # eigenvectors, or for a circulant the DFT mode of each eigenvalue;
-        # and the default-cut SpectralFactor, built on first request
+        # the circulant deviation; ascending eigenvalues, negative roundoff
+        # clamped to zero; the eigenvectors, or for a circulant the DFT mode of
+        # each eigenvalue; and the default-cut SpectralFactor, on first request
+        object.__setattr__(self, "_circulant_deviation", deviation)
         object.__setattr__(self, "_eigenvalues", _frozen(np.clip(lam, 0.0, None)))
         object.__setattr__(self, "_eigenvectors", None if vectors is None else _frozen(vectors))
         object.__setattr__(self, "_modes", modes)
@@ -281,11 +289,6 @@ def gram_psk(n: int, alpha_sq: float) -> Ensemble:
     return Ensemble(n, circulant(row), np.full(n, 1.0 / n))
 
 
-def psk_first_row(n: int, alpha_sq: float) -> np.ndarray:
-    """First row of the PSK Gram matrix (the circulant generator)."""
-    return gram_psk(n, alpha_sq).gram[0].copy()
-
-
 def spectral_factor(ensemble: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralFactor:
     """Factor the Gram matrix as ``B B^H = G`` from the eigendecomposition
     that the ensemble keeps since validation; none is computed here.
@@ -321,35 +324,27 @@ def spectral_factor(ensemble: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> S
     return sf
 
 
-def _circulant_blocks(gram: np.ndarray):
-    """Row blocks ``(gram[a:b], circ[a:b])`` of gram and of the circulant
-    circ of its first row, from row 1 on, each of at most
-    ``BLOCK_ENTRIES`` entries.
+def _circulant_deviation(gram: np.ndarray) -> float:
+    """Max entrywise deviation of gram from the circulant circ of its
+    first row, read in row blocks of at most ``BLOCK_ENTRIES`` entries;
+    the first block that takes it above ``CIRCULANT_TOL`` ends the read,
+    so a value above the tolerance is only a lower bound.
 
-    Row j of that circulant is the doubled first row from n - j on, so
-    circ is a strided view of 2n entries and is never built.  Row 1 comes
-    alone first: a Gram that is not circulant mostly differs there.
+    Row j of circ is the doubled first row from n - j on, so circ is a
+    strided view of 2n entries and is never built.  Row 1 comes alone
+    first: a Gram that is not circulant mostly differs there.
     """
     n = gram.shape[0]
     doubled = np.concatenate((gram[0], gram[0]))
     step = doubled.itemsize
-    view = np.ndarray((n, n), doubled.dtype, buffer=doubled, offset=n * step, strides=(-step, step))
+    circ = np.ndarray((n, n), doubled.dtype, buffer=doubled, offset=n * step, strides=(-step, step))
     bounds = [1, *range(2, n, max(1, BLOCK_ENTRIES // n)), n]
+    deviation = 0.0
     for a, b in zip(bounds, bounds[1:]):
-        yield gram[a:b], view[a:b]
-
-
-def _exactly_circulant(gram: np.ndarray) -> bool:
-    """True if gram equals the circulant of its first row entry for entry;
-    the first block that differs ends the check."""
-    return all((rows == circ).all() for rows, circ in _circulant_blocks(gram))
-
-
-def _circulant_deviation(gram: np.ndarray) -> float:
-    """Max entrywise deviation of gram from the circulant of its first
-    row (NaN if gram holds one)."""
-    blocks = _circulant_blocks(gram)
-    return float(np.max([np.max(np.abs(rows - circ), initial=0.0) for rows, circ in blocks]))
+        deviation = max(deviation, float(np.max(np.abs(gram[a:b] - circ[a:b]), initial=0.0)))
+        if deviation > CIRCULANT_TOL:
+            break
+    return deviation
 
 
 def _dft_blocks(n: int, cols: np.ndarray):
@@ -381,38 +376,11 @@ def _fourier_columns(n: int, modes: np.ndarray) -> np.ndarray:
     return w
 
 
-def circulant_eigenvalues(first_row: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian PSD circulant matrix from its first row.
-
-    The k-th eigenvalue is the k-th DFT coefficient
-    ``sum_m first_row[m] * exp(-2 pi i k m / N)``.  Imaginary parts up to
-    1e-10 are discarded; negative values above -1e-10 are clamped to 0.
-    """
-    first_row = np.asarray(first_row, dtype=complex)
-    lam = np.fft.fft(first_row)
-    imag_max = float(np.max(np.abs(lam.imag))) if lam.size else 0.0
-    if imag_max > 1e-8:
-        raise NotCirculantError(
-            f"first row is not that of a Hermitian circulant (imag part {imag_max:.3e})"
-        )
-    lam = lam.real
-    if lam.min() < -1e-10:
-        raise ValidationError(
-            f"circulant matrix not positive semidefinite (eigenvalue {lam.min():.3e})"
-        )
-    return np.clip(lam, 0.0, None)
-
-
 def circulant(first_row: np.ndarray) -> np.ndarray:
     """The circulant matrix ``C[j, l] = first_row[(l - j) mod n]``."""
     first_row = np.asarray(first_row)
     n = first_row.shape[0]
     return first_row[(np.arange(n) - np.arange(n)[:, None]) % n]
-
-
-def is_circulant(gram: np.ndarray, tol: float = 1e-10) -> bool:
-    """True if ``gram[j, l]`` depends only on ``(l - j) mod n`` within tol."""
-    return _circulant_deviation(np.asarray(gram)) <= tol
 
 
 def ensemble_from_json(source: str | dict) -> Ensemble:

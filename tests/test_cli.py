@@ -23,12 +23,12 @@ from qsd.coupling import (
 )
 from qsd import optimizer
 from qsd.ensembles import (
+    CIRCULANT_TOL,
     DEFAULT_RANK_TOL,
     Ensemble,
     circulant,
     gram_psk,
     gram_symmetric,
-    is_circulant,
 )
 from qsd.errors import QsdError, ValidationError
 from qsd.optimizer import optimize_general
@@ -474,7 +474,7 @@ def test_optimal_coupling_falls_back_below_the_symmetric_range():
 
 
 def test_optimal_coupling_falls_back_off_a_near_circulant():
-    # circulant to 9.5e-11 (is_circulant accepts 1e-10) and with an
+    # circulant to 9.5e-11 (CIRCULANT_TOL accepts 1e-10) and with an
     # eigenvalue of -5e-11, so C C^H misses G by 1.04e-10 > ROOT_RESIDUAL_TOL
     row = np.fft.ifft([2.0, 1.0, -5e-11])
     gram = circulant(row / row[0])
@@ -482,8 +482,26 @@ def test_optimal_coupling_falls_back_off_a_near_circulant():
     gram[1, 2] += 9.5e-11
     gram[2, 1] = np.conj(gram[1, 2])
     ensemble = Ensemble(3, gram, np.full(3, 1.0 / 3.0))
-    assert is_circulant(ensemble.gram)
+    assert 0.0 < ensemble._circulant_deviation <= CIRCULANT_TOL
     _fallback_coupling(ensemble, circulant_optimal_coupling)
+
+
+@pytest.mark.parametrize("bump, circulant_route", [(1e-12, True), (2e-10, False)])
+def test_near_circulant_route_follows_the_kept_deviation(bump, circulant_route):
+    # 5-PSK with one overlap pair moved off the circulant: within
+    # CIRCULANT_TOL the closed form, whose C C^H = G check allows the
+    # deviation, beyond it the weight solve
+    gram = gram_psk(5, 0.7).gram.copy()
+    gram[1, 3] += bump
+    gram[3, 1] = np.conj(gram[1, 3])
+    ensemble = Ensemble(5, gram, np.full(5, 0.2))
+    assert ensemble._circulant_deviation == pytest.approx(bump, rel=1e-3)
+    expected = (
+        circulant_optimal_coupling(ensemble)
+        if circulant_route
+        else optimize_general(ensemble).coupling
+    )
+    assert np.array_equal(_optimal_coupling(ensemble).c, expected.c)
 
 
 @pytest.mark.parametrize("n", ["3.7", "true", '"3"'])
@@ -785,6 +803,10 @@ class TestTopLevel:
             (("optimize", "--ensemble", SYM_3_HALF, "--bogus"), "unrecognized arguments: --bogus"),
             (("symmetric", "--n", "x", "--s", "0.5"), "invalid int value"),
             (("optimize", "--emit-coupling"), "required: --ensemble"),
+            # an unknown flag is named before the missing --ensemble
+            (("optimize", "--show-config"), "unrecognized arguments: --show-config"),
+            (("optimize", "--config", "x.json"), "unrecognized arguments: --config x.json"),
+            (("simulate", "--bogus", "--shots", "5"), "unrecognized arguments: --bogus"),
         ],
     )
     def test_subcommand_usage_error_is_one_line_exit_2(self, args, message):
@@ -793,7 +815,7 @@ class TestTopLevel:
     def test_help_prints_usage_exit_0(self):
         code, out, err = run_cli("optimize", "--help")
         assert (code, err) == (0, "")
-        assert out.startswith("usage: qsd optimize")
+        assert out.startswith("usage: qsd optimize [-h] --ensemble ENSEMBLE")
 
     def test_malformed_inline_json_exit_2(self):
         code, _, err = run_cli("optimize", "--ensemble", '{"kind":')

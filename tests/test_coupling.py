@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import sys
 import time
 import tracemalloc
 from unittest import mock
@@ -22,8 +23,9 @@ from conftest import (
     outcome_amplitudes,
     reference_residuals,
 )
-from qsd import coupling as coupling_mod
-from qsd.closed_form import helstrom_bound, symmetric_min_error
+from qsd import coupling as coupling_mod, ensembles
+from qsd.cli import _optimal_coupling
+from qsd.closed_form import helstrom_bound, srm_error_circulant, symmetric_min_error
 from qsd.coupling import (
     POLAR_NS_BOUND,
     CouplingMatrix,
@@ -43,11 +45,11 @@ from qsd.coupling import (
 )
 from qsd.ensembles import (
     Ensemble,
+    _circulant_deviation,
     circulant,
     gram_binary,
     gram_psk,
     gram_symmetric,
-    is_circulant,
     spectral_factor,
 )
 from qsd.errors import (
@@ -255,7 +257,7 @@ class TestCirculantOptimalCoupling:
     def test_row_check_bounds_the_dense_residual(self, n):
         # the O(n^2) check never passes what max|C C^H - G| would refuse:
         # on exact circulants, with perturbed roots and on Grams that are
-        # circulant only to within is_circulant's tolerance
+        # circulant only to within CIRCULANT_TOL
         rng = np.random.default_rng(n)
         for a in CIRCULANT_GRID[::2]:
             ens = gram_psk(n, a)
@@ -264,15 +266,44 @@ class TestCirculantOptimalCoupling:
             for scale in (1.0, 1.0 + 1e-11, 1.0 + 1e-9):
                 c = circulant(np.fft.ifft(scale * roots))
                 for gram in (ens.gram, near):
-                    bound = coupling_mod._circulant_root_residual(c, gram)
+                    deviation = _circulant_deviation(gram)
+                    bound = coupling_mod._circulant_root_residual(c, gram, deviation)
                     assert bound >= coupling_mod._gram_residual(c, gram), (a, scale)
-            assert coupling_mod._circulant_root_residual(c, near) > 0.0
+            assert coupling_mod._circulant_root_residual(c, near, _circulant_deviation(near)) > 0.0
 
     def test_missed_overlap_constraints_raise(self, monkeypatch):
         roots = coupling_mod._circulant_roots
         monkeypatch.setattr(coupling_mod, "_circulant_roots", lambda e: 1.001 * roots(e))
         with pytest.raises(NoSolutionError, match="overlap constraints"):
             circulant_optimal_coupling(gram_psk(5, 1.0))
+
+
+@pytest.mark.parametrize(
+    "n, call",
+    [
+        (16, _optimal_coupling),
+        (8, srm_error_circulant),
+        (None, lambda ensemble: psk3_solve(1.0)),
+    ],
+)
+def test_circulant_closed_forms_read_the_gram_once(monkeypatch, n, call):
+    # the Ensemble reads its Gram's circulant deviation at construction;
+    # the route choice, the spectrum and the C C^H = G check read the kept
+    # value, so the whole call reads the Gram once.  The reader is counted
+    # in every qsd module that holds it
+    reads, reader = [], ensembles._circulant_deviation
+
+    def spy(gram):
+        reads.append(1)
+        return reader(gram)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qsd" and getattr(module, "_circulant_deviation", None) is reader:
+            monkeypatch.setattr(module, "_circulant_deviation", spy)
+    ensemble = None if n is None else gram_psk(n, 1.0)
+    assert len(reads) == (n is not None)
+    call(ensemble)
+    assert len(reads) == 1
 
 
 class TestCouplingFromUnitary:
@@ -575,7 +606,7 @@ class TestPolarOrthonormal:
         x = v + 10.0**log_size * e
         u, _, vh = np.linalg.svd(x, full_matrices=False)
         with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-            polar = _polar_orthonormal(x)
+            polar = _polar_orthonormal(x, np.ones(len(x)))
         assert svd.call_count == 0
         assert np.max(np.abs(polar - u @ vh)) <= 1e-13
         assert np.max(np.abs(polar @ polar.conj().T - np.eye(len(x)))) <= 1e-14
@@ -588,7 +619,7 @@ class TestPolarOrthonormal:
         assume(np.linalg.norm(x @ x.conj().T - np.eye(len(x))) > POLAR_NS_BOUND)
         u, _, vh = np.linalg.svd(x, full_matrices=False)
         with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-            polar = _polar_orthonormal(x)
+            polar = _polar_orthonormal(x, np.ones(len(x)))
         assert svd.call_count == 1
         assert np.max(np.abs(polar - u @ vh)) <= 1e-14
 
@@ -619,7 +650,7 @@ class TestDilationFactorizations:
         coupling = make(np.random.default_rng(19))
         # the symmetric and PSK Grams are circulant: their Ensembles take
         # the DFT of the first row, the random ones one eigh
-        built = 0 if is_circulant(coupling.ensemble.gram) else 1
+        built = 0 if coupling.ensemble._circulant_deviation == 0.0 else 1
         assert (calls["eigh"], calls["eigvalsh"]) == (built, 0)
         calls.clear()
         dilation_residuals(coupling)

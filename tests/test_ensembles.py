@@ -7,22 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lapack_spies
-from qsd.closed_form import srm_error_circulant, srm_error_general
+from qsd.closed_form import _circulant_roots, srm_error_circulant, srm_error_general
 from qsd.ensembles import (
+    CIRCULANT_TOL,
     DEFAULT_RANK_TOL,
     MAX_STATES,
     Ensemble,
-    circulant_eigenvalues,
+    circulant,
     ensemble_from_json,
     ensemble_to_json,
     gram_binary,
     gram_psk,
     gram_symmetric,
-    is_circulant,
-    psk_first_row,
     spectral_factor,
 )
-from qsd.errors import NotCirculantError, ValidationError
+from qsd.errors import ValidationError
 from qsd.optimizer import optimize_general
 
 
@@ -114,8 +113,11 @@ class TestGramPsk:
         assert np.max(np.abs(off)) < 1e-20
 
     def test_first_row_matches_gram(self):
-        row = psk_first_row(4, 0.5)
-        assert np.allclose(row, gram_psk(4, 0.5).gram[0], atol=1e-15)
+        # the Gram is exactly the circulant of the PSK overlaps exp(-a (1 - w^k))
+        ens = gram_psk(4, 0.5)
+        row = np.exp(-0.5 * (1.0 - np.exp(2j * np.pi * np.arange(4) / 4)))
+        assert np.allclose(ens.gram[0], row, atol=1e-15)
+        assert ens._circulant_deviation == 0.0
 
 
 class TestEnsembleValidation:
@@ -240,11 +242,11 @@ class TestStoredSpectrum:
         g = gram_psk(6, 0.7).gram.copy()
         g[1, 3] += 1e-12
         g[3, 1] = np.conj(g[1, 3])
-        assert is_circulant(g)
         calls = lapack_spies(monkeypatch)
         ens = Ensemble(6, g, np.full(6, 1.0 / 6))
         sf = spectral_factor(ens)
         assert (calls["eigh"], calls["eigvalsh"]) == (1, 0)
+        assert 0.0 < ens._circulant_deviation <= CIRCULANT_TOL
         assert ens.validate() is None
         assert np.max(np.abs(sf.factor @ sf.factor.conj().T - g)) <= 1e-13
 
@@ -305,37 +307,40 @@ class TestStoredSpectrum:
         assert "rank_tol" in str(refused.value)
 
 
+def circulant_ensemble(first_row) -> Ensemble:
+    n = len(first_row)
+    return Ensemble(n, circulant(np.asarray(first_row, dtype=complex)), np.full(n, 1.0 / n))
+
+
 class TestCirculantEigenvalues:
+    """The numpy.fft spectrum of the circulant closed forms, squared back
+    from its roots."""
+
     def test_binary_row(self):
-        lam = circulant_eigenvalues(np.array([1.0, 0.5]))
+        lam = _circulant_roots(circulant_ensemble([1.0, 0.5])) ** 2
         assert sorted(lam) == pytest.approx([0.5, 1.5], abs=1e-14)
 
     def test_identity_row(self):
-        lam = circulant_eigenvalues(np.array([1.0, 0.0, 0.0]))
+        lam = _circulant_roots(circulant_ensemble([1.0, 0.0, 0.0])) ** 2
         assert np.allclose(lam, 1.0, atol=1e-14)
 
     def test_all_ones_row(self):
-        lam = circulant_eigenvalues(psk_first_row(3, 0.0))
+        lam = _circulant_roots(gram_psk(3, 0.0)) ** 2
         assert sorted(lam) == pytest.approx([0.0, 0.0, 3.0], abs=1e-14)
 
     def test_agrees_with_dense_eigendecomposition(self):
         for n, a in [(3, 0.4), (4, 1.1), (5, 0.05), (6, 2.0)]:
             ens = gram_psk(n, a)
-            lam = np.sort(circulant_eigenvalues(psk_first_row(n, a)))
+            lam = np.sort(_circulant_roots(ens) ** 2)
             dense = np.sort(np.linalg.eigvalsh(ens.gram))
             assert np.max(np.abs(lam - dense)) <= 1e-10
 
-    def test_non_circulant_hermitian_rejected(self):
-        with pytest.raises(NotCirculantError):
-            circulant_eigenvalues(np.array([1.0, 0.5 + 0.5j, 0.7]))
-
     def test_is_circulant(self):
-        assert is_circulant(gram_psk(4, 0.3).gram)
-        g = gram_binary(0.6, 0.25).gram.copy()
-        assert is_circulant(g)
+        assert gram_psk(4, 0.3)._circulant_deviation == 0.0
+        assert gram_binary(0.6, 0.25)._circulant_deviation == 0.0
         g3 = np.eye(3, dtype=complex)
         g3[0, 1] = g3[1, 0] = 0.5
-        assert not is_circulant(g3)
+        assert Ensemble(3, g3, np.full(3, 1.0 / 3))._circulant_deviation > CIRCULANT_TOL
 
 
 class TestJsonInterface:
@@ -450,7 +455,7 @@ def test_symmetric_generator_always_validates(s, n):
 def test_psk_generator_always_validates(a, n):
     ens = gram_psk(n, a)
     assert ens.validate() is None
-    assert is_circulant(ens.gram)
+    assert ens._circulant_deviation == 0.0
 
 
 @settings(max_examples=60, deadline=None)

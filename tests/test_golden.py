@@ -1,9 +1,15 @@
 """Byte-for-byte stdout of fixed commands.
 
 Each file in ``golden/`` holds the stdout of one command below, written by
-``python -m qsd <argv> > tests/golden/<name>.out`` at 74f177e.  A change
-that moves one byte of these outputs fails here; the ROADMAP promises that
-default stdout stays byte-identical.
+``python -m qsd <argv> > tests/golden/<name>.out`` from the repository root:
+the first seven at 74f177e, the five from ``psk16_coupling`` on at 65fbc0e.
+Those five cover the circulant routes: the closed form, the dilation check
+on its coupling, the dilation a 10^6-shot simulation builds, and
+``psk5_near_circulant.json``, a 5-PSK Gram at alpha_sq = 0.7 with 1e-12
+added at (1, 3) and its conjugate, which takes ``eigh`` at validation but
+the circulant closed form for ``--coupling optimal``.  A change that moves
+one byte of these outputs fails here; the ROADMAP promises that default
+stdout stays byte-identical.
 """
 
 from pathlib import Path
@@ -30,6 +36,22 @@ COMMANDS = {
     "optimize": [
         "optimize", "--ensemble", '{"kind":"binary","overlap":{"re":0.6,"im":0.2},"eta1":0.3}',
         "--max-iters", "50", "--rank-tol", "1e-12",
+    ],
+    "psk16_coupling": ["psk", "--n", "16", "--alpha-sq", "1.0", "--emit-coupling"],
+    "dilation_psk5": [
+        "dilation", "--ensemble", '{"kind":"psk","n":5,"alpha_sq":0.7}', "--check",
+    ],
+    "simulate_dilation": [
+        "simulate", "--ensemble", '{"kind":"symmetric","n":4,"s":0.4}',
+        "--shots", "1000000", "--seed", "3",
+    ],
+    "simulate_near_circulant": [
+        "simulate", "--ensemble", str(GOLDEN / "psk5_near_circulant.json"),
+        "--shots", "100000", "--seed", "5",
+    ],
+    "sweep_psk": [
+        "sweep", "--family", "psk", "--n", "3,8", "--axis", "alpha_sq", "--min", "0.05",
+        "--max", "4", "--steps", "9", "--outputs", "srm_oracle,optimizer",
     ],
 }
 
