@@ -19,7 +19,6 @@ import numpy as np
 from . import closed_form, coupling as coupling_mod, optimizer, simulate as simulate_mod
 from ._serialize import CSV_DIGITS, complex_obj, dumps, fmt_float
 from .ensembles import (
-    DEFAULT_RANK_TOL,
     Ensemble,
     ensemble_from_json,
     gram_binary,
@@ -62,6 +61,8 @@ def _optimal_coupling(ensemble: Ensemble) -> coupling_mod.CouplingMatrix:
     The weight solve also takes over when a closed form refuses the ensemble:
     ``Ensemble`` admits Gram matrices up to its own tolerances (eigenvalues
     down to -1e-10, circulant to 1e-10), beyond the closed forms' tighter ones.
+    A weight solve that does not converge raises NoSolutionError: exit 4,
+    as from ``qsd optimize``.
     """
     n, gram = ensemble.n, ensemble.gram
     try:
@@ -70,13 +71,17 @@ def _optimal_coupling(ensemble: Ensemble) -> coupling_mod.CouplingMatrix:
                 float(ensemble.priors[0]), complex(gram[0, 1])
             )
         if ensemble.equal_priors:
-            off = gram[~np.eye(n, dtype=bool)]
-            if n > 2 and np.all(off == off[0]) and off[0].imag == 0.0:
-                return coupling_mod.symmetric_optimal_coupling(n, off[0].real)
+            row = gram[0, 1:]
+            equal = n > 2 and ensemble._circulant_deviation == 0.0 and np.all(row == row[0])
+            if equal and row[0].imag == 0.0:
+                return coupling_mod.symmetric_optimal_coupling(n, row[0].real)
             return coupling_mod.circulant_optimal_coupling(ensemble)
     except QsdError:
         pass
-    return optimizer.optimize_general(ensemble).coupling
+    result = optimizer.optimize_general(ensemble)
+    if not result.converged:
+        raise NoSolutionError(f"the weight solve did not converge (dual gap {result.dual_gap:.3e})")
+    return result.coupling
 
 
 def _coupling_arg(source: str, ensemble: Ensemble) -> coupling_mod.CouplingMatrix:
@@ -142,7 +147,7 @@ def cmd_psk(args) -> int:
 
 def cmd_optimize(args) -> int:
     ensemble = _load_ensemble(args.ensemble)
-    result = optimizer.optimize_general(ensemble, max_iters=args.max_iters, rank_tol=args.rank_tol)
+    result = optimizer.optimize_general(ensemble, max_iters=args.max_iters)
     payload = {
         "p_error": result.p_error,
         "converged": result.converged,
@@ -346,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-iters", type=int, default=optimizer.DEFAULT_MAX_ITERS, help="default: %(default)s"
     )
-    p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL, help="default: %(default)s")
     p.add_argument("--emit-coupling", action="store_true")
     p.set_defaults(func=cmd_optimize)
 

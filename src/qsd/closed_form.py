@@ -15,8 +15,8 @@ import numpy as np
 
 from .ensembles import (
     CIRCULANT_TOL,
-    DEFAULT_RANK_TOL,
     EIGENVALUE_FLOOR,
+    RANK_TOL,
     Ensemble,
     check_binary,
     check_symmetric,
@@ -136,7 +136,7 @@ def srm_error_general(ensemble: Ensemble) -> float:
     n = ensemble.n
     mu, w = np.linalg.eigh(ensemble.gram - np.eye(n))
     lam = 1.0 + mu
-    keep = lam > DEFAULT_RANK_TOL * lam.max()
+    keep = lam > RANK_TOL * lam.max()
     f = np.where(keep, mu / (np.sqrt(np.where(keep, lam, 0.0)) + 1.0), -1.0)
     mass = np.abs((w * f) @ w.conj().T) ** 2
     np.fill_diagonal(mass, 0.0)

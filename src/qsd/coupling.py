@@ -238,7 +238,7 @@ def _checked_isometry(v, rank: int, n: int) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.shape != (rank, n):
         raise InvalidIsometryError(f"isometry must be {rank}x{n} (rank x n), got {v.shape}")
-    ortho = float(np.max(np.abs(v @ v.conj().T - np.eye(rank))))
+    ortho = _gram_residual(v, np.eye(rank))
     if not ortho <= ISOMETRY_TOL:
         raise InvalidIsometryError(f"rows are not orthonormal (residual {ortho:.3e})")
     return v

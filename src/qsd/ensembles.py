@@ -23,7 +23,8 @@ HERMITIAN_TOL = 1e-12
 DIAGONAL_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 PRIOR_TOL = 1e-12
-DEFAULT_RANK_TOL = 1e-12
+# eigenvalues below this fraction of the largest leave the spectral factor
+RANK_TOL = 1e-12
 # circulant deviation up to which the circulant closed forms take a Gram
 CIRCULANT_TOL = 1e-10
 # largest n for which gram_psk and gram_symmetric build the dense n x n
@@ -125,7 +126,7 @@ class Ensemble:
             raise ValidationError(f"priors must sum to 1, got {priors.sum()!r}")
         # the circulant deviation; ascending eigenvalues, negative roundoff
         # clamped to zero; the eigenvectors, or for a circulant the DFT mode of
-        # each eigenvalue; and the default-cut SpectralFactor, on first request
+        # each eigenvalue; and the SpectralFactor, on first request
         object.__setattr__(self, "_circulant_deviation", deviation)
         object.__setattr__(self, "_eigenvalues", _frozen(np.clip(lam, 0.0, None)))
         object.__setattr__(self, "_eigenvectors", None if vectors is None else _frozen(vectors))
@@ -144,7 +145,7 @@ class SpectralFactor:
     Attributes
     ----------
     rank : int
-        Number of eigenvalues above the rank tolerance.
+        Number of eigenvalues above ``RANK_TOL`` times the largest.
     factor : (n, rank) complex ndarray
         Matrix ``B`` with ``B B^H = gram``.  For a full-rank Gram this is
         the principal square root itself, so that the identity isometry
@@ -196,17 +197,6 @@ def check_symmetric(n: int, s: float) -> tuple[int, float]:
             f"s={s!r} outside the positive-semidefinite range [{-1.0/(n-1)}, 1]"
         )
     return n, s
-
-
-def check_rank_tol(rank_tol: float) -> float:
-    """rank_tol as a float in (0, 1), so that the largest eigenvalue is
-    kept; a bool or a string is refused, never cast (a bool fails the
-    range)."""
-    if not isinstance(rank_tol, (int, np.integer, float, np.floating)):
-        raise ValidationError(f"rank_tol must be a number, got {rank_tol!r}")
-    if not 0 < rank_tol < 1:  # also rejects NaN
-        raise ValidationError(f"rank_tol must lie in (0, 1), got {rank_tol!r}")
-    return float(rank_tol)
 
 
 def check_integer(value, name: str, low: int) -> int:
@@ -289,29 +279,26 @@ def gram_psk(n: int, alpha_sq: float) -> Ensemble:
     return Ensemble(n, circulant(row), np.full(n, 1.0 / n))
 
 
-def spectral_factor(ensemble: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralFactor:
+def spectral_factor(ensemble: Ensemble) -> SpectralFactor:
     """Factor the Gram matrix as ``B B^H = G`` from the eigendecomposition
     that the ensemble keeps since validation; none is computed here.
 
-    Eigenvalues below ``rank_tol`` times the largest are dropped from the
+    Eigenvalues below ``RANK_TOL`` times the largest are dropped from the
     factor and zeroed in the support square root; tiny negative
-    eigenvalues (roundoff) were clamped to zero at validation.  rank_tol
-    must lie in (0, 1).  The factor at ``DEFAULT_RANK_TOL`` is built once
-    per ensemble and returned again on every later call; it shares the
-    ensemble's read-only eigenvalues and eigenvectors.
+    eigenvalues (roundoff) were clamped to zero at validation.  The factor
+    is built once per ensemble and returned again on every later call; it
+    shares the ensemble's read-only eigenvalues and eigenvectors.
 
     Returns
     -------
     SpectralFactor
     """
-    rank_tol = check_rank_tol(rank_tol)
-    default = rank_tol == DEFAULT_RANK_TOL
-    if default and ensemble._factor is not None:
+    if ensemble._factor is not None:
         return ensemble._factor
     lam, w = ensemble._eigenvalues, ensemble._eigenvectors
     if w is None:
         w = _frozen(_fourier_columns(ensemble.n, ensemble._modes))
-    keep = lam > rank_tol * lam[-1]
+    keep = lam > RANK_TOL * lam[-1]
     rank = int(np.count_nonzero(keep))
     sqrt = _frozen((w * np.sqrt(np.where(keep, lam, 0.0))) @ w.conj().T)
     if rank == ensemble.n:
@@ -319,8 +306,7 @@ def spectral_factor(ensemble: Ensemble, rank_tol: float = DEFAULT_RANK_TOL) -> S
     else:
         factor = _frozen(w[:, keep] * np.sqrt(lam[keep]))
     sf = SpectralFactor(rank=rank, factor=factor, sqrt=sqrt, eigenvalues=lam, eigenvectors=w)
-    if default:
-        object.__setattr__(ensemble, "_factor", sf)
+    object.__setattr__(ensemble, "_factor", sf)
     return sf
 
 

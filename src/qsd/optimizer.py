@@ -27,7 +27,7 @@ from .coupling import (
     circulant_optimal_coupling,
     error_probability,
 )
-from .ensembles import DEFAULT_RANK_TOL, Ensemble, check_integer, gram_psk, spectral_factor
+from .ensembles import RANK_TOL, Ensemble, check_integer, gram_psk, spectral_factor
 from .errors import ValidationError
 
 # duality gap below which a coupling counts as certified optimal
@@ -105,7 +105,7 @@ class OptimizeResult:
     ``w = 1`` that the weight solve starts from and after each of its
     steps, log or projected, that raised it.  ``dual_gap`` bounds how far
     the success probability of the returned coupling lies below the
-    optimum of the Gram truncated at ``rank_tol`` (see :func:`dual_gap`),
+    optimum of the Gram truncated at ``RANK_TOL`` (see :func:`dual_gap`),
     which may miss the input's optimum; ``certified`` is
     ``dual_gap <= CERT_TOL``.
     ``converged`` holds when the certificate does, or when the projected
@@ -421,9 +421,7 @@ def _ascend_weights(b, priors, eta, log_steps, max_steps):
     return v, pgn <= WEIGHT_GRAD_TOL, dual_gap(b, priors, v) if gap is None else gap, trace
 
 
-def optimize_general(
-    ensemble: Ensemble, *, max_iters: int = DEFAULT_MAX_ITERS, rank_tol: float = DEFAULT_RANK_TOL
-) -> OptimizeResult:
+def optimize_general(ensemble: Ensemble, *, max_iters: int = DEFAULT_MAX_ITERS) -> OptimizeResult:
     """Optimal coupling of an ensemble: the square-root measurement of
     the weights that maximize Phi (:func:`_weight_point`).
 
@@ -435,16 +433,16 @@ def optimize_general(
     A best-effort result with ``converged=False`` is returned when neither
     the certificate nor the gradient test is met.
 
-    ``rank_tol`` in (0, 1) is the relative eigenvalue cut of the spectral
-    factor.  The solve and its duality gap see the Gram without the modes
-    below it, which can move the optimum by far more than ``CERT_TOL``
-    (16-PSK at ``alpha_sq = 1`` loses a 4.5e-12 eigenvalue, and its
-    certified p_error is 1.4e-7 above the optimum); a cut that leaves the
-    rows of every coupling ``B V`` more than ``ROW_NORM_TOL`` short of
-    unit norm raises ValidationError, as does a setting of the wrong type.
+    The solve and its duality gap see the Gram without the modes below
+    the spectral factor's relative eigenvalue cut ``RANK_TOL``, which can
+    move the optimum by far more than ``CERT_TOL`` (16-PSK at
+    ``alpha_sq = 1`` loses a 4.5e-12 eigenvalue, and its certified p_error
+    is 1.4e-7 above the optimum); a cut that leaves the rows of every
+    coupling ``B V`` more than ``ROW_NORM_TOL`` short of unit norm raises
+    ValidationError, as does a max_iters that is not an integer >= 1.
     """
     check_integer(max_iters, "max_iters", 1)
-    sf = spectral_factor(ensemble, rank_tol)
+    sf = spectral_factor(ensemble)
     b = sf.factor
     priors = ensemble.priors
     n, rank = ensemble.n, sf.rank
@@ -454,7 +452,7 @@ def optimize_general(
         lost = float(np.max((np.abs(sf.eigenvectors[:, : n - rank]) ** 2) @ cut))
         if lost > ROW_NORM_TOL:
             raise ValidationError(
-                f"rank_tol {rank_tol:g} cuts Gram eigenvalues up to {cut[-1]:.3e}, "
+                f"the {RANK_TOL:g} rank cut drops Gram eigenvalues up to {cut[-1]:.3e}, "
                 f"which leaves coupling rows {lost:.3e} short of unit norm"
             )
 

@@ -24,14 +24,14 @@ REFUSED_SETTINGS = [
     {"max_iters": -1},
     {"max_iters": 2.5},
     {"max_iters": math.nan},
-    {"rank_tol": 0.0},
-    {"rank_tol": -1e-12},
-    {"rank_tol": 1.0},
-    {"rank_tol": math.nan},
-    {"rank_tol": math.inf},
-    {"rank_tol": -math.inf},
+    {"max_iters": 3.0},
+    {"max_iters": 1e3},
+    {"max_iters": math.inf},
+    {"max_iters": -math.inf},
+    {"max_iters": None},
+    {"max_iters": False},
     {"max_iters": True},
-    {"rank_tol": "1e-9"},
+    {"max_iters": "5"},
 ]
 
 

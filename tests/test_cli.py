@@ -1,5 +1,7 @@
+import argparse
 import gc
 import json
+import re
 import runpy
 import subprocess
 import sys
@@ -24,7 +26,6 @@ from qsd.coupling import (
 from qsd import optimizer
 from qsd.ensembles import (
     CIRCULANT_TOL,
-    DEFAULT_RANK_TOL,
     Ensemble,
     circulant,
     gram_psk,
@@ -172,7 +173,7 @@ class TestOptimize:
         # the defaults are in --help; --show-config is gone
         code, out, err = run_cli("optimize", "--help")
         assert (code, err) == (0, "")
-        assert out.count("default: 2000") == out.count("default: 1e-12") == 1
+        assert out.count("default: 2000") == 1 and "--rank-tol" not in out
         code, out, err = main_cli("optimize", "--ensemble", BINARY_UNEQ, "--show-config")
         assert (code, out) == (2, "")
         assert err == "error: qsd: unrecognized arguments: --show-config\n"
@@ -184,12 +185,9 @@ class TestOptimize:
             optimizer, "optimize_general", lambda ens, **kw: seen.append(kw) or real(ens, **kw)
         )
         main_cli("optimize", "--ensemble", BINARY_UNEQ)
-        main_cli("optimize", "--ensemble", BINARY_UNEQ, "--max-iters", "30", "--rank-tol", "1e-9")
-        assert seen == [
-            {"max_iters": optimizer.DEFAULT_MAX_ITERS, "rank_tol": DEFAULT_RANK_TOL},
-            {"max_iters": 30, "rank_tol": 1e-9},
-        ]
-        assert [type(v) for v in seen[1].values()] == [int, float]
+        main_cli("optimize", "--ensemble", BINARY_UNEQ, "--max-iters", "30")
+        assert seen == [{"max_iters": optimizer.DEFAULT_MAX_ITERS}, {"max_iters": 30}]
+        assert type(seen[1]["max_iters"]) is int
 
     @pytest.mark.parametrize(
         "kwargs", [kw for kw in REFUSED_SETTINGS if not isinstance(next(iter(kw.values())), str)]
@@ -231,7 +229,8 @@ class TestOptimize:
     def test_malformed_config_values_exit_2(self, tmp_path, content, message):
         # what a config file was refused for stays refused: the file by
         # the command line, which has no --config, and each value by the
-        # optimize_general keyword of the same name
+        # optimize_general keyword of the same name; rank_tol, no longer a
+        # keyword, is refused by the signature, as walkers is
         cfg = tmp_path / "cfg.json"
         cfg.write_text(content)
         code, out, err = main_cli("optimize", "--ensemble", BINARY_UNEQ, "--config", str(cfg))
@@ -240,7 +239,8 @@ class TestOptimize:
         assert "--config" in err
         values = json.loads(content)
         if isinstance(values, dict):
-            with pytest.raises(ValidationError, match=message):
+            refusal = TypeError if "rank_tol" in values else ValidationError
+            with pytest.raises(refusal, match=message):
                 optimize_general(gram_symmetric(3, 0.5), **values)
 
     def test_removed_step_init_key_exit_2(self, tmp_path):
@@ -253,7 +253,7 @@ class TestOptimize:
         assert code == 2
         assert "--step-init" in err
 
-    @pytest.mark.parametrize("key", ["restarts", "seed", "grad_tol"])
+    @pytest.mark.parametrize("key", ["restarts", "seed", "grad_tol", "rank_tol"])
     def test_removed_search_knobs_exit_2(self, tmp_path, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 1}))
@@ -263,7 +263,7 @@ class TestOptimize:
         flag = "--" + key.replace("_", "-")
         code, out, err = run_cli("optimize", "--ensemble", BINARY_UNEQ, flag, "1")
         assert (code, out) == (2, "")
-        assert flag in err
+        assert err == f"error: qsd: unrecognized arguments: {flag} 1\n"
 
     def test_exhausted_iterations_exit_4(self):
         code, out, _ = run_cli(
@@ -278,12 +278,24 @@ class TestOptimize:
         assert payload["converged"] is False
         assert payload["p_error"] < 0.5
 
-    def test_rank_tol_cutting_real_eigenvalues_exit_2(self):
-        # the symmetric n = 3, s = 0.5 Gram has eigenvalues 0.5, 0.5 and 2
-        code, out, err = run_cli("optimize", "--ensemble", SYM_3_HALF, "--rank-tol", "0.5")
+    def test_rank_tol_cutting_real_eigenvalues_exit_2(self, tmp_json):
+        # 200 copies of one state and one state at sin^2 = 1.5e-10 off it:
+        # the eigenvalue 1.49e-10 lies below the fixed cut at 1e-12 of the
+        # largest (201), and dropping it leaves a row 1.5e-10 short
+        n = 201
+        gram = np.ones((n, n))
+        gram[-1, :-1] = gram[:-1, -1] = np.sqrt(1.0 - 1.5e-10)
+        message = (
+            "the 1e-12 rank cut drops Gram eigenvalues up to 1.492e-10, "
+            "which leaves coupling rows 1.485e-10 short of unit norm"
+        )
+        with pytest.raises(ValidationError) as refused:
+            optimize_general(Ensemble(n, gram, np.full(n, 1.0 / n)))
+        assert str(refused.value) == message
+        path = tmp_json({"kind": "gram", "matrix": gram.tolist(), "priors": [1.0 / n] * n})
+        code, out, err = run_cli("optimize", "--ensemble", path)
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert "rank_tol" in err and "5.000e-01" in err
+        assert err == f"error: {message}\n"
 
     def test_payload_reports_certificate(self):
         out = cli_json("optimize", "--ensemble", BINARY_UNEQ)
@@ -448,6 +460,39 @@ def test_optimal_coupling_dispatches_on_the_ensemble():
     assert np.array_equal(_optimal_coupling(as_gram).c, symmetric_optimal_coupling(4, 0.3).c)
     unequal = Ensemble(5, psk.gram, [0.3, 0.2, 0.2, 0.2, 0.1])
     assert np.array_equal(_optimal_coupling(unequal).c, optimize_general(unequal).coupling.c)
+    # equal real overlaps, but a diagonal entry 5e-13 off 1 (inside
+    # DIAGONAL_TOL): circulant only to within CIRCULANT_TOL, so the
+    # circulant closed form of the ensemble itself, not the symmetric one
+    gram = sym.gram.copy()
+    gram[2, 2] += 5e-13
+    near = Ensemble(4, gram, sym.priors)
+    assert near._circulant_deviation == pytest.approx(5e-13, rel=1e-3)
+    cpl = _optimal_coupling(near)
+    assert cpl.ensemble is near
+    assert np.array_equal(cpl.c, circulant_optimal_coupling(near).c)
+
+
+# n = 24 nearly dependent states with Dirichlet priors, drawn by
+# rng = default_rng([2201, 327]): n = rng.integers(3, 25); an n x n complex
+# Gaussian x (real part first) with its last column scaled by
+# 10**rng.uniform(-6, -2); rows normalized, G = x x^H Hermitized with unit
+# diagonal; priors rng.dirichlet(ones(n)).  The weight solve stops at a
+# dual gap of 1.56e-10, above CERT_TOL, with its gradient test unmet.
+UNCONVERGED_GRAM = str(Path(__file__).parent / "golden" / "gram24_unconverged.json")
+
+
+def test_unconverged_weight_solve_exit_4():
+    code, out, err = main_cli("optimize", "--ensemble", UNCONVERGED_GRAM)
+    assert (code, err) == (4, "")
+    payload = json.loads(out)
+    assert payload["converged"] is False
+    gap = payload["dual_gap"]
+    assert gap == pytest.approx(1.562e-10, rel=1e-3)
+    # --coupling optimal takes the same solve and refuses its result
+    for args in (("simulate", "--shots", "1000"), ("dilation", "--check")):
+        code, out, err = main_cli(args[0], "--ensemble", UNCONVERGED_GRAM, *args[1:])
+        assert (code, out) == (4, "")
+        assert err == f"error: the weight solve did not converge (dual gap {gap:.3e})\n"
 
 
 def _fallback_coupling(ensemble, closed_form):
@@ -811,6 +856,29 @@ class TestTopLevel:
     )
     def test_subcommand_usage_error_is_one_line_exit_2(self, args, message):
         assert_one_line_usage_error(args, message)
+
+    def test_readme_flags_are_subcommand_options(self):
+        # every --flag of a qsd command line in a README code block, with
+        # its indented continuation lines but not # comments, is an option
+        # of that subcommand, and every subcommand is shown
+        parser = qsd.cli._build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        in_block, command, shown = False, None, set()
+        for line in readme.read_text(encoding="utf-8").splitlines():
+            if line.startswith("```"):
+                in_block, command = not in_block, None
+                continue
+            head = re.match(r"qsd (\w+)", line) if in_block else None
+            if head:
+                command = head.group(1)
+                shown.add(command)
+            elif not (command and line[:1].isspace() and not line.lstrip().startswith("#")):
+                command = None
+                continue
+            for flag in re.findall(r"--[\w-]+", line):
+                assert flag in sub.choices[command]._option_string_actions, (command, flag)
+        assert shown == set(sub.choices)
 
     def test_help_prints_usage_exit_0(self):
         code, out, err = run_cli("optimize", "--help")

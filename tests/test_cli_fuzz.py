@@ -185,9 +185,9 @@ SETTING_TOKEN = st.one_of(
 
 
 @FUZZ
-@given(max_iters=SETTING_TOKEN, rank_tol=SETTING_TOKEN)
-def test_solver_flag_tokens(max_iters, rank_tol):
-    run(["optimize", "--ensemble", IDENTITY, f"--max-iters={max_iters}", f"--rank-tol={rank_tol}"])
+@given(max_iters=SETTING_TOKEN)
+def test_solver_flag_tokens(max_iters):
+    run(["optimize", "--ensemble", IDENTITY, f"--max-iters={max_iters}"])
 
 
 COUNT_TOKEN = st.sampled_from(

@@ -10,7 +10,6 @@ from conftest import lapack_spies
 from qsd.closed_form import _circulant_roots, srm_error_circulant, srm_error_general
 from qsd.ensembles import (
     CIRCULANT_TOL,
-    DEFAULT_RANK_TOL,
     MAX_STATES,
     Ensemble,
     circulant,
@@ -258,25 +257,22 @@ class TestStoredSpectrum:
     def test_general_gram_takes_one_eigh(self, monkeypatch):
         calls = lapack_spies(monkeypatch)
         ens = gram_binary(0.6j, 0.3)
-        for tol in (DEFAULT_RANK_TOL, 1e-3, DEFAULT_RANK_TOL):
-            spectral_factor(ens, tol)
+        spectral_factor(ens)
+        spectral_factor(ens)
         assert (calls["eigh"], calls["eigvalsh"]) == (1, 0)
 
     def test_default_factor_built_once_and_shared(self):
         ens = gram_psk(8, 0.5)
         sf = spectral_factor(ens)
         assert spectral_factor(ens) is sf
-        assert spectral_factor(ens, DEFAULT_RANK_TOL) is sf
-        cut = spectral_factor(ens, 1e-3)
-        assert cut is not sf and cut.rank < sf.rank
-        assert cut.eigenvalues is sf.eigenvalues
-        for a in (sf.factor, sf.sqrt, sf.eigenvalues, sf.eigenvectors, cut.eigenvectors):
+        assert sf.eigenvalues is ens._eigenvalues
+        for a in (sf.factor, sf.sqrt, sf.eigenvalues, sf.eigenvectors):
             assert not a.flags.writeable
-        # nothing is copied: a general Gram's factors share its eigenvectors,
+        # nothing is copied: a general Gram's factor shares its eigenvectors,
         # and a full-rank factor is its square root
         general = gram_binary(0.6j, 0.3)
         sf = spectral_factor(general)
-        assert spectral_factor(general, 1e-3).eigenvectors is sf.eigenvectors
+        assert sf.eigenvectors is general._eigenvectors
         assert sf.factor is sf.sqrt
 
     def test_factor_of_caller_arrays_is_a_copy(self):
@@ -297,14 +293,15 @@ class TestStoredSpectrum:
 
     @pytest.mark.parametrize("rank_tol", [1.0, 1.5, np.inf, 0.0, -1e-12, np.nan, True, "0.5"])
     def test_rank_tol_outside_unit_interval_refused(self, rank_tol):
+        # the cut is the constant RANK_TOL: no value, inside the unit
+        # interval or out, is taken as an argument
         ens = gram_symmetric(3, 0.5)
-        spectral_factor(ens)  # the memo does not skip the check
-        with pytest.raises(ValidationError) as refused:
+        sf = spectral_factor(ens)
+        with pytest.raises(TypeError):
             spectral_factor(ens, rank_tol)
-        with pytest.raises(ValidationError) as solve:
+        with pytest.raises(TypeError, match="rank_tol"):
             optimize_general(ens, rank_tol=rank_tol)
-        assert str(refused.value) == str(solve.value)
-        assert "rank_tol" in str(refused.value)
+        assert spectral_factor(ens) is sf
 
 
 def circulant_ensemble(first_row) -> Ensemble:

@@ -35,7 +35,7 @@ COMMANDS = {
     ],
     "optimize": [
         "optimize", "--ensemble", '{"kind":"binary","overlap":{"re":0.6,"im":0.2},"eta1":0.3}',
-        "--max-iters", "50", "--rank-tol", "1e-12",
+        "--max-iters", "50",
     ],
     "psk16_coupling": ["psk", "--n", "16", "--alpha-sq", "1.0", "--emit-coupling"],
     "dilation_psk5": [

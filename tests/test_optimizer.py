@@ -35,7 +35,6 @@ from qsd.coupling import (
     symmetric_optimal_coupling,
 )
 from qsd.ensembles import (
-    DEFAULT_RANK_TOL,
     Ensemble,
     gram_binary,
     gram_psk,
@@ -106,21 +105,21 @@ def corpus_ensemble(k):
 
 
 class TestSolverConfig:
-    """The weight solve's two settings, keyword-only arguments of
-    optimize_general; the command line passes its flags straight to them."""
+    """The weight solve's one setting, a keyword-only argument of
+    optimize_general; the command line passes its flag straight to it."""
 
     def test_defaults(self):
         params = inspect.signature(optimize_general).parameters
         defaults = {name: p.default for name, p in params.items() if p.kind is p.KEYWORD_ONLY}
-        assert defaults == {"max_iters": 2000, "rank_tol": 1e-12}
-        assert defaults == {"max_iters": optimizer.DEFAULT_MAX_ITERS, "rank_tol": DEFAULT_RANK_TOL}
+        assert defaults == {"max_iters": 2000}
+        assert defaults == {"max_iters": optimizer.DEFAULT_MAX_ITERS}
 
     def test_settings_are_keyword_only(self):
         with pytest.raises(TypeError):
             optimize_general(gram_binary(0.6, 0.25), 5)
 
     def test_numpy_integer_max_iters_accepted(self):
-        res = optimize_general(gram_binary(0.6, 0.25), max_iters=np.int64(50), rank_tol=np.float64(1e-9))
+        res = optimize_general(gram_binary(0.6, 0.25), max_iters=np.int64(50))
         assert res.certified
 
     @pytest.mark.parametrize("kwargs", REFUSED_SETTINGS)
