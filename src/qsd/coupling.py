@@ -1,13 +1,16 @@
 """Ancilla-coupling matrices and their explicit joint-space dilations.
 
 A coupling matrix C holds the amplitudes ``c[j, k]`` for finding the
-ancilla in outcome k when the input was state j.  C is physically
+ancilla in outcome k when the input was state j; it keeps the outcome
+law ``|c[j, k]|**2`` from validation for every reader.  C is physically
 realizable exactly when ``C C^H`` equals the ensemble's Gram matrix;
 every feasible C arises as ``B V`` with ``B B^H = G`` and V
 row-orthonormal, the form in which the optimizer module builds its couplings.
 ``build_dilation`` turns a feasible coupling into concrete coordinates:
 state vectors, the joint unitary, and the post-measurement states;
-``dilation_residuals`` checks that unitary from its n x n block alone.
+``dilation_residuals`` checks that unitary from its n x n block alone,
+and ``_block_residuals`` computes the two of its residuals that a long
+Monte Carlo run gates on.
 """
 
 from __future__ import annotations
@@ -56,6 +59,12 @@ class CouplingMatrix:
     against the target ensemble is a separate check because closed-form
     constructions meet it at 1e-12 while optimizer outputs are only
     required to meet 1e-8.
+
+    Validation computes the outcome law once and keeps it, read-only:
+    ``_mass[j, k] = |c[j, k]|**2``, the probability of outcome k on input
+    j, and its row sums ``_row_mass``.  The success and error
+    probabilities, the post-measurement probability, the Monte Carlo
+    sampler and the dilation's outcome-probability residual all read it.
     """
 
     c: np.ndarray
@@ -67,11 +76,15 @@ class CouplingMatrix:
         n = self.ensemble.n
         if c.shape != (n, n):
             raise ValidationError(f"coupling must be {n}x{n}, got {c.shape}")
-        row_norm_err = float(np.max(np.abs(np.sum(np.abs(c) ** 2, axis=1) - 1.0)))
+        mass = np.abs(c) ** 2
+        row_mass = mass.sum(axis=1)
+        row_norm_err = float(np.max(np.abs(row_mass - 1.0)))
         if not row_norm_err <= ROW_NORM_TOL:  # NaN entries fail too
             raise ValidationError(
                 f"coupling rows must be unit vectors (residual {row_norm_err:.3e})"
             )
+        object.__setattr__(self, "_mass", _frozen(mass))
+        object.__setattr__(self, "_row_mass", _frozen(row_mass))
 
     @property
     def n(self) -> int:
@@ -118,8 +131,8 @@ class DilationModel:
 def success_probability(coupling: CouplingMatrix) -> float:
     """Prior-weighted probability that the outcome names the input,
     ``sum_j eta_j * |c[j, j]|**2``."""
-    diag = np.abs(np.diag(coupling.c))
-    return float(np.dot(coupling.ensemble.priors, diag * diag))
+    # a contiguous copy: np.dot sums a strided view in another order
+    return float(np.dot(coupling.ensemble.priors, coupling._mass.diagonal().copy()))
 
 
 def error_probability(coupling: CouplingMatrix) -> float:
@@ -130,9 +143,9 @@ def error_probability(coupling: CouplingMatrix) -> float:
     errors, which ``1 - success_probability`` loses to cancellation
     (below ~1e-16 it returns 0 or a rounding residue).
     """
-    mass = np.abs(coupling.c) ** 2
-    np.fill_diagonal(mass, 0.0)
-    return float(np.dot(coupling.ensemble.priors, mass.sum(axis=1)))
+    off = coupling._mass.copy()
+    np.fill_diagonal(off, 0.0)
+    return float(np.dot(coupling.ensemble.priors, off.sum(axis=1)))
 
 
 def _gram_residual(rows: np.ndarray, gram: np.ndarray) -> float:
@@ -393,6 +406,18 @@ def build_dilation(coupling: CouplingMatrix) -> DilationModel:
 DILATION_CHECK_TOL = 1e-10
 
 
+def _block_residuals(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """State coordinates, mapped inputs ``state_coords @ block``, and the
+    unitarity and outcome-probability residuals of the dilation's n x n
+    block (see :func:`dilation_residuals`): the two that a long Monte
+    Carlo run gates on."""
+    state_coords, block = _dilation_block(coupling)
+    amps = state_coords @ block
+    unitary = _gram_residual(block, np.eye(coupling.n))
+    outcome_prob = float(np.max(np.abs(np.abs(amps) ** 2 - coupling._mass)))
+    return state_coords, amps, unitary, outcome_prob
+
+
 def dilation_residuals(coupling: CouplingMatrix) -> dict:
     """Unitarity, state-map, Gram and outcome-probability residuals of the
     dilation that :func:`build_dilation` would build, from its n x n block.
@@ -408,18 +433,17 @@ def dilation_residuals(coupling: CouplingMatrix) -> dict:
     * ``gram_residual``: ``max|state_coords state_coords^H - G|``;
     * ``outcome_prob_residual``: ``max||state_coords @ block|**2 - |C|**2|``.
 
-    O(n^3) time and nothing of size n^2 allocated.  Raises
-    InfeasibleCouplingError when ``C C^H`` misses the Gram matrix by more
-    than ``FEASIBILITY_TOL``.
+    The first and last come from :func:`_block_residuals`, which is all a
+    long Monte Carlo run computes.  O(n^3) time and nothing of size n^2
+    allocated.  Raises InfeasibleCouplingError when ``C C^H`` misses the
+    Gram matrix by more than ``FEASIBILITY_TOL``.
     """
-    state_coords, block = _dilation_block(coupling)
-    c = coupling.c
-    amps = state_coords @ block
+    state_coords, amps, unitary, outcome_prob = _block_residuals(coupling)
     return {
-        "unitary_residual": _gram_residual(block, np.eye(coupling.n)),
-        "map_residual": float(np.max(np.abs(amps - c))),
+        "unitary_residual": unitary,
+        "map_residual": float(np.max(np.abs(amps - coupling.c))),
         "gram_residual": _gram_residual(state_coords, coupling.ensemble.gram),
-        "outcome_prob_residual": float(np.max(np.abs(np.abs(amps) ** 2 - np.abs(c) ** 2))),
+        "outcome_prob_residual": outcome_prob,
     }
 
 
@@ -436,7 +460,7 @@ def post_measurement_state(
     n = dilation.system_dim
     if not (0 <= input_j < n and 0 <= outcome_k < n):
         raise ValidationError("state or outcome index out of range")
-    prob = float(np.abs(dilation.coupling.c[input_j, outcome_k]) ** 2)
+    prob = float(dilation.coupling._mass[input_j, outcome_k])
     if prob <= 1e-24:
         raise UndefinedConditionalError(
             f"outcome {outcome_k} has probability {prob:.3e} on input {input_j}; "

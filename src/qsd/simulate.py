@@ -1,22 +1,24 @@
 """Monte Carlo simulation of the protocol and sequential binary discrimination.
 
 Sampling touches only the coupling's row distributions (outcome k on
-input j has probability ``|c[j, k]|**2``), never the joint unitary; a
-separate cross-check recomputes those distributions from the dilation's
-n x n block and fails loudly on disagreement.  The count matrix is drawn
-in one multinomial over the n**2 (input, outcome) cells, so a run costs
-the same at any shot count and depends only on (coupling, shots, seed).
+input j has probability ``|c[j, k]|**2``, which the coupling keeps from
+validation), never the joint unitary; a separate cross-check recomputes
+those distributions from the dilation's n x n block and fails loudly on
+disagreement.  The count matrix is drawn in one multinomial over the
+n**2 (input, outcome) cells, so a run costs the same at any shot count
+and depends only on (coupling, shots, seed).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_form import helstrom_bound
-from .coupling import DILATION_CHECK_TOL, CouplingMatrix, dilation_residuals, error_probability
+from .coupling import DILATION_CHECK_TOL, CouplingMatrix, _block_residuals, error_probability
 from .ensembles import _frozen, check_integer, check_prior, check_seed, gram_binary
 from .errors import InfeasibleSequentialError, ValidationError
 
@@ -37,7 +39,10 @@ class SimulationReport:
     elapsed: float
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", _frozen(np.array(self.counts, dtype=np.int64)))
+        # a read-only view: an int64 array is not copied
+        object.__setattr__(
+            self, "counts", _frozen(np.asarray(self.counts, dtype=np.int64).view())
+        )
 
 
 def run_monte_carlo(coupling: CouplingMatrix, shots: int, seed: int) -> SimulationReport:
@@ -55,29 +60,28 @@ def run_monte_carlo(coupling: CouplingMatrix, shots: int, seed: int) -> Simulati
     if shots >= MAX_SHOTS:
         raise ValidationError("shots must be below 2**63")
     seed = check_seed(seed)
-    n = coupling.n
-    # CouplingMatrix has checked that the rows sum to 1 within ROW_NORM_TOL
-    rows = np.abs(coupling.c) ** 2
-    row_sums = rows.sum(axis=1)
     if shots >= 1_000_000:
         check_against_dilation(coupling)
+    # CouplingMatrix has checked that the rows sum to 1 within ROW_NORM_TOL
+    mass = coupling._mass
 
     start = time.perf_counter()
     # priors may dip to -PRIOR_TOL; multinomial refuses negative cells
-    joint = np.clip(coupling.ensemble.priors, 0.0, None)[:, None] * rows / row_sums[:, None]
+    joint = np.maximum(coupling.ensemble.priors, 0.0)[:, None] * mass / coupling._row_mass[:, None]
     joint /= joint.sum()
-    counts = np.random.default_rng(seed).multinomial(shots, joint.ravel()).reshape(n, n)
+    counts = np.random.default_rng(seed).multinomial(shots, joint.ravel()).reshape(mass.shape)
     elapsed = time.perf_counter() - start
 
-    # a prior at -PRIOR_TOL must not turn the error, and so std_error, negative
+    # a prior at -PRIOR_TOL must not turn the error, and so std_error,
+    # negative; rows up to ROW_NORM_TOL long may take it just above 1
     analytic = max(error_probability(coupling), 0.0)
     return SimulationReport(
         shots=shots,
         seed=seed,
         counts=counts,
-        empirical_error=(shots - int(np.trace(counts))) / shots,
+        empirical_error=(shots - int(counts.trace())) / shots,
         analytic_error=analytic,
-        std_error=float(np.sqrt(analytic * (1.0 - analytic) / shots)),
+        std_error=math.sqrt(max(analytic * (1.0 - analytic), 0.0) / shots),
         elapsed=elapsed,
     )
 
@@ -86,16 +90,15 @@ def check_against_dilation(coupling: CouplingMatrix) -> float:
     """Recompute outcome probabilities from the dilation and compare with
     ``|c[j, k]|**2``.  Returns the max deviation.
 
-    The residuals come from :func:`~qsd.coupling.dilation_residuals`,
-    which reads the dilation's n x n block and never builds the dense
-    n^2 x n^2 unitary: O(n^2) memory and O(n^3) time at any n.  Raises
+    It computes only what it gates on, the unitarity and
+    outcome-probability residuals of :func:`~qsd.coupling.dilation_residuals`,
+    from the dilation's n x n block; the dense n^2 x n^2 unitary is never
+    built: O(n^2) memory and O(n^3) time at any n.  Raises
     ValidationError when the probabilities or the block's unitarity
     ``max|block block^H - I|`` are off by more than ``DILATION_CHECK_TOL``,
     and InfeasibleCouplingError when the coupling misses its Gram matrix.
     """
-    residuals = dilation_residuals(coupling)
-    worst = residuals["outcome_prob_residual"]
-    unitarity = residuals["unitary_residual"]
+    _, _, unitarity, worst = _block_residuals(coupling)
     # written so that a NaN residual fails too
     if not worst <= DILATION_CHECK_TOL:
         raise ValidationError(

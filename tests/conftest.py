@@ -35,6 +35,23 @@ REFUSED_SETTINGS = [
 ]
 
 
+def random_isometry(rng, rank, n):
+    """A random rank x n matrix with orthonormal rows."""
+    m = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    q, _ = np.linalg.qr(m)
+    return q.conj().T
+
+
+def random_gram(rng, n, rank):
+    """Gram matrix of n random unit vectors in C^rank."""
+    x = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    g = x @ x.conj().T
+    g = 0.5 * (g + g.conj().T)
+    np.fill_diagonal(g, 1.0)
+    return g
+
+
 def run_cli(*args: str):
     """Run the CLI in a subprocess; returns (exit_code, stdout, stderr)."""
     proc = subprocess.run(

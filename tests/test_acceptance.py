@@ -16,6 +16,7 @@ from conftest import (
     dilation_input_vector,
     dilation_target_vector,
     outcome_amplitudes,
+    random_isometry,
 )
 from qsd.closed_form import (
     binary_constraint_residual,
@@ -48,12 +49,6 @@ from qsd.optimizer import (
     psk4_solve,
 )
 from qsd.simulate import TwoStageParams, run_monte_carlo, two_stage_binary
-
-
-def random_isometry(rng, rank, n):
-    m = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    q, _ = np.linalg.qr(m)
-    return q.conj().T
 
 
 def test_criterion_1_binary_closed_form_grid():

@@ -21,6 +21,8 @@ from conftest import (
     lapack_spies,
     mp_psk_error,
     outcome_amplitudes,
+    random_gram,
+    random_isometry,
     reference_residuals,
 )
 from qsd import coupling as coupling_mod, ensembles
@@ -63,12 +65,6 @@ from qsd.errors import (
 )
 from qsd.optimizer import CERT_TOL, optimize_general, psk3_solve, psk4_solve
 from qsd.simulate import check_against_dilation, run_monte_carlo
-
-
-def random_isometry(rng, rank, n):
-    m = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    q, _ = np.linalg.qr(m)
-    return q.conj().T
 
 
 def random_ensemble(rng):
@@ -370,6 +366,57 @@ class TestCouplingMatrixValidation:
             CouplingMatrix(np.array([[bad, 0.0], [0.0, 1.0]]), gram_symmetric(2, 0.0))
 
 
+KEPT_LAW_COUPLINGS = [
+    lambda: binary_optimal_coupling(0.3, 0.6 * np.exp(0.7j)),
+    lambda: symmetric_optimal_coupling(5, -0.2),
+    lambda: circulant_optimal_coupling(gram_psk(7, 1.3)),
+    lambda: coupling_from_unitary(
+        random_rank_ensemble(np.random.default_rng(12), 12, 6),
+        random_isometry(np.random.default_rng(13), 6, 12),
+    ),
+]
+
+
+class TestKeptOutcomeLaw:
+    """Validation keeps |c|**2 and its row sums; every reader of the
+    outcome law reads them and gets what the formula on c gives."""
+
+    @pytest.mark.parametrize("make", KEPT_LAW_COUPLINGS)
+    def test_read_only_and_bitwise(self, make):
+        cpl = make()
+        assert np.array_equal(cpl._mass, np.abs(cpl.c) ** 2)
+        assert np.array_equal(cpl._row_mass, (np.abs(cpl.c) ** 2).sum(axis=1))
+        for kept in (cpl._mass, cpl._row_mass):
+            assert kept.dtype == float
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept[0] = 0.0
+
+    def test_replace_recomputes(self):
+        cpl = symmetric_optimal_coupling(3, 0.5)
+        other = np.array(cpl.c[[1, 2, 0]])
+        again = dataclasses.replace(cpl, c=other)
+        assert np.array_equal(again._mass, np.abs(other) ** 2)
+        assert np.array_equal(again._row_mass, (np.abs(other) ** 2).sum(axis=1))
+        assert not np.array_equal(again._mass, cpl._mass)
+        assert error_probability(again) > error_probability(cpl)
+
+    @pytest.mark.parametrize("make", KEPT_LAW_COUPLINGS)
+    def test_readers_match_the_formulas_on_c(self, make):
+        cpl = make()
+        c, priors = cpl.c, cpl.ensemble.priors
+        assert success_probability(cpl) == float(np.dot(priors, np.abs(np.diag(c)) ** 2))
+        off = np.abs(c) ** 2
+        np.fill_diagonal(off, 0.0)
+        assert error_probability(cpl) == float(np.dot(priors, off.sum(axis=1)))
+        dilation = build_dilation(cpl)
+        for j in range(cpl.n):
+            for k in range(cpl.n):
+                prob = (np.abs(c) ** 2)[j, k]
+                if prob > 1e-24:
+                    assert post_measurement_state(dilation, j, k)[1] == prob
+
+
 class TestBuildDilation:
     def test_identity_coupling_orthogonal_states(self):
         ens = gram_symmetric(3, 0.0)
@@ -426,11 +473,7 @@ class TestBuildDilation:
 
 def random_rank_ensemble(rng, n, rank):
     """n unit vectors drawn in a rank-dimensional space, random priors."""
-    m = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    m /= np.linalg.norm(m, axis=1, keepdims=True)
-    g = m @ m.conj().T
-    g = 0.5 * (g + g.conj().T)
-    np.fill_diagonal(g, 1.0)
+    g = random_gram(rng, n, rank)
     priors = rng.random(n) + 0.05
     return Ensemble(n, g, priors / priors.sum())
 

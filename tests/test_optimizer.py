@@ -17,6 +17,8 @@ from conftest import (
     mp_psk_error,
     mp_psk_min_error,
     near_dependent,
+    random_gram,
+    random_isometry,
     reference_dual_gap,
 )
 from qsd import optimizer
@@ -59,25 +61,9 @@ from qsd.optimizer import (
 )
 
 
-def random_isometry(rng, rank, n):
-    m = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    q, _ = np.linalg.qr(m)
-    return q.conj().T
-
-
 def tangent_project(v, d):
     x = d @ v.conj().T
     return d - 0.5 * (x + x.conj().T) @ v
-
-
-def random_gram(rng, n, rank):
-    """Gram matrix of n random unit vectors in C^rank."""
-    x = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    g = x @ x.conj().T
-    g = 0.5 * (g + g.conj().T)
-    np.fill_diagonal(g, 1.0)
-    return g
 
 
 def random_ensemble(rng, n, rank):

@@ -1,17 +1,21 @@
+import dataclasses
 import math
 import time
+import warnings
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import random_gram, random_isometry
 from qsd.closed_form import binary_individual_errors, helstrom_bound
 from qsd.coupling import (
     CouplingMatrix,
     _dilation_block,
     binary_optimal_coupling,
     circulant_optimal_coupling,
+    coupling_from_unitary,
     feasibility_residual,
     symmetric_optimal_coupling,
 )
@@ -28,6 +32,56 @@ from qsd.simulate import (
 )
 
 HELSTROM_30_40 = 0.03481186601547971  # decimal-evaluated, (eta1, s) = (0.3, 0.4)
+
+
+def reference_report(coupling, shots, seed):
+    """Counts, analytic error, empirical error and standard error of a run,
+    recomputed from ``coupling.c`` alone with the sampler's arithmetic, in
+    its order: the clipped prior times |c|**2 over the row sums, normalized,
+    then one multinomial from ``default_rng(seed)``."""
+    c, priors, n = coupling.c, coupling.ensemble.priors, coupling.n
+    rows = np.abs(c) ** 2
+    rowsum = rows.sum(axis=1)
+    joint = np.clip(priors, 0, None)[:, None] * rows / rowsum[:, None]
+    joint /= joint.sum()
+    counts = np.random.default_rng(seed).multinomial(shots, joint.ravel()).reshape(n, n)
+    off = np.abs(c) ** 2
+    np.fill_diagonal(off, 0.0)
+    analytic = max(float(np.dot(priors, off.sum(axis=1))), 0.0)
+    return (
+        counts,
+        analytic,
+        (shots - int(np.trace(counts))) / shots,
+        float(np.sqrt(analytic * (1.0 - analytic) / shots)),
+    )
+
+
+def _random_coupling(n, rank, seed):
+    rng = np.random.default_rng(seed)
+    ens = Ensemble(n, random_gram(rng, n, rank), rng.dirichlet(np.ones(n)))
+    return coupling_from_unitary(ens, random_isometry(rng, rank, n))
+
+
+def _unitary_coupling(priors, seed):
+    n = len(priors)
+    u = random_isometry(np.random.default_rng(seed), n, n)
+    return CouplingMatrix(u, Ensemble(n, np.eye(n, dtype=complex), np.array(priors)))
+
+
+# every kind of coupling the sampler sees; each is feasible, so that the
+# 10^6-shot runs pass the dilation check
+SAMPLED_COUPLINGS = {
+    "binary complex overlap": lambda: binary_optimal_coupling(0.3, 0.6 * np.exp(0.7j)),
+    "symmetric n=4": lambda: symmetric_optimal_coupling(4, 0.3),
+    "symmetric n=3 rank 2": lambda: symmetric_optimal_coupling(3, -0.5),
+    "unitary n=8 full rank": lambda: _random_coupling(8, 8, 80),
+    "unitary n=8 half rank": lambda: _random_coupling(8, 4, 84),
+    "unitary n=16 full rank": lambda: _random_coupling(16, 16, 160),
+    "unitary n=16 half rank": lambda: _random_coupling(16, 8, 168),
+    "5-PSK circulant": lambda: circulant_optimal_coupling(gram_psk(5, 0.8)),
+    "prior -1e-13": lambda: _unitary_coupling([1.0 + 1e-13, -1e-13], 2),
+    "zero-prior row": lambda: _unitary_coupling([0.5, 0.0, 0.5], 3),
+}
 
 
 class TestRunMonteCarlo:
@@ -178,6 +232,51 @@ class TestRunMonteCarlo:
         rpt = run_monte_carlo(binary_optimal_coupling(0.5, 0.6), 1000, 1)
         with pytest.raises(ValueError):
             rpt.counts[0, 0] = 0
+
+    def test_counts_kept_as_a_view(self):
+        # an int64 array is frozen through a view of its own, not copied, so
+        # the caller's array stays writable
+        rpt = run_monte_carlo(binary_optimal_coupling(0.5, 0.6), 1000, 1)
+        arr = np.array(rpt.counts)
+        again = dataclasses.replace(rpt, counts=arr)
+        assert np.shares_memory(again.counts, arr)
+        assert arr.flags.writeable
+        assert not again.counts.flags.writeable
+        assert not rpt.counts.flags.writeable
+
+    @pytest.mark.parametrize("counts", [[[3, 1], [0, 6]], np.array([[3, 1], [0, 6]], dtype=np.int32)])
+    def test_counts_converted_to_int64(self, counts):
+        rpt = run_monte_carlo(binary_optimal_coupling(0.5, 0.6), 10, 1)
+        again = dataclasses.replace(rpt, counts=counts)
+        assert again.counts.dtype == np.int64
+        assert again.counts.tolist() == [[3, 1], [0, 6]]
+        assert not again.counts.flags.writeable
+
+    @pytest.mark.parametrize("name", sorted(SAMPLED_COUPLINGS))
+    def test_counts_match_the_reference_law(self, name):
+        # bit for bit, at shot counts on both sides of the dilation check
+        coupling = SAMPLED_COUPLINGS[name]()
+        for shots in (1, 10_000, 999_999, 1_000_000):
+            for seed in (0, 20231, 2**64 - 1):
+                rpt = run_monte_carlo(coupling, shots, seed)
+                counts, analytic, empirical, std = reference_report(coupling, shots, seed)
+                assert np.array_equal(rpt.counts, counts)
+                assert rpt.counts.dtype == np.int64
+                assert rpt.analytic_error == analytic
+                assert rpt.empirical_error == empirical
+                assert rpt.std_error == std
+
+    def test_error_above_one_gives_zero_std_error(self):
+        # rows 4e-11 over unit norm that never name their input: the error
+        # is just above 1, and its binomial variance is 0, not NaN
+        ens = Ensemble(2, np.eye(2, dtype=complex), np.array([0.5, 0.5]))
+        coupling = CouplingMatrix(np.array([[0, 1 + 4e-11], [1 + 4e-11, 0]]), ens)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rpt = run_monte_carlo(coupling, 1000, 1)
+        assert rpt.analytic_error > 1.0
+        assert rpt.std_error == 0.0
+        assert rpt.empirical_error == 1.0
 
 
 class TestCheckAgainstDilation:
