@@ -7,14 +7,17 @@ realizable exactly when ``C C^H`` equals the ensemble's Gram matrix;
 every feasible C arises as ``B V`` with ``B B^H = G`` and V
 row-orthonormal, the form in which the optimizer module builds its couplings.
 ``build_dilation`` turns a feasible coupling into concrete coordinates:
-state vectors, the joint unitary, and the post-measurement states;
-``dilation_residuals`` checks that unitary from its n x n block alone,
+state vectors, the n x n block of the joint unitary, and the
+post-measurement states, in O(n^3) time and O(n^2) memory; the dense
+n^2 x n^2 unitary is assembled from the block only when it is first
+read.  ``dilation_residuals`` checks that unitary from its block alone,
 and ``_block_residuals`` computes the two of its residuals that a long
 Monte Carlo run gates on.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,7 @@ from .closed_form import _circulant_roots, binary_individual_errors, symmetric_p
 from .ensembles import (
     Ensemble,
     _frozen,
+    _readonly,
     circulant,
     gram_binary,
     gram_symmetric,
@@ -41,7 +45,7 @@ FEASIBILITY_TOL = 1e-8
 ISOMETRY_TOL = 1e-8
 # largest |C C^H - G| entry a closed-form circulant coupling may leave
 ROOT_RESIDUAL_TOL = 1e-10
-# largest dense joint unitary build_dilation will allocate (16 n^4 bytes)
+# largest dense joint unitary a DilationModel will assemble (16 n^4 bytes)
 MAX_DILATION_BYTES = 1 << 30
 # ||X X^H - I||_F up to which _polar_orthonormal iterates instead of
 # taking the SVD; two Newton-Schulz steps reach roundoff from there.  The
@@ -91,6 +95,69 @@ class CouplingMatrix:
         return self.ensemble.n
 
 
+def _joint_unitary(block: np.ndarray) -> np.ndarray:
+    """The dense n^2 x n^2 joint unitary with the n x n block ``block``,
+    read-only: ``block.T`` at rows ``k*n + k`` and columns ``m*n``, and 1
+    on the remaining rows and columns paired in sorted order.
+
+    A matrix of more than ``MAX_DILATION_BYTES`` (1 GiB, so n >= 91) is
+    refused with a ValidationError before anything is allocated.
+    """
+    n = len(block)
+    dim = n * n
+    if 16 * dim * dim > MAX_DILATION_BYTES:
+        raise ValidationError(
+            f"a {dim}x{dim} joint unitary needs {16 * dim * dim / 2**30:.2f} GiB, "
+            f"above the {MAX_DILATION_BYTES / 2**30:g} GiB limit"
+        )
+    joint_unitary = np.zeros((dim, dim), dtype=complex)
+    flat = joint_unitary.reshape(-1)
+    # the block at rows k*n + k and columns m*n
+    flat[np.arange(n)[:, None] * ((n + 1) * dim) + np.arange(n) * n] = block.T
+    # the other rows and columns in sorted order, in closed form: the
+    # output slots leave runs of n rows between them, the input slots runs
+    # of n - 1 columns.  Not np.setdiff1d: numpy 2.4's setdiff1d imports
+    # numpy.ma on first use, 15-28 ms that would land in the first
+    # read of a process.
+    rows = np.arange(n - 1)[:, None] * (n + 1) + np.arange(1, n + 1)
+    cols = np.arange(n)[:, None] * n + np.arange(1, n)
+    flat[rows.ravel() * dim + cols.ravel()] = 1.0
+    return _frozen(joint_unitary)
+
+
+class _LazyJointUnitary:
+    """``DilationModel.joint_unitary``, a descriptor-typed dataclass field.
+
+    An array given to the constructor is kept as a read-only view, not
+    copied.  None stands for the unitary of the model's ``block``: the
+    first read assembles it with :func:`_joint_unitary` and keeps it, and
+    the lock makes every reader get that one array.
+    """
+
+    _lock = threading.Lock()
+
+    def __set_name__(self, owner, name):
+        self._name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            # dataclasses reads the class attribute as the field's
+            # default: there is none
+            raise AttributeError(self._name)
+        u = obj.__dict__[self._name]
+        if u is None:
+            with self._lock:
+                u = obj.__dict__[self._name]
+                if u is None:
+                    u = obj.__dict__[self._name] = _joint_unitary(obj.block)
+        return u
+
+    def __set__(self, obj, value):
+        if value is not None:
+            value = _frozen(np.asarray(value, dtype=complex).view())
+        obj.__dict__[self._name] = value
+
+
 @dataclass(frozen=True)
 class DilationModel:
     """Concrete realization of a coupling as a joint-space unitary.
@@ -102,30 +169,31 @@ class DilationModel:
     ancilla starts in basis slot ``ancilla_init_index``, and
     ``joint_unitary`` maps ``state_j (x) e_init`` to
     ``sum_k c[j, k] * (post_states[:, k] (x) e_k)``.
+
+    ``block`` is the n x n unitary whose transpose ``joint_unitary``
+    holds at rows ``k*n + k`` and columns ``m*n``; the other rows and
+    columns are paired by 1s (see :func:`build_dilation`).
+    ``joint_unitary`` given as None, as
+    :func:`build_dilation` gives it, is assembled from ``block`` on its
+    first read, which allocates 16 n^4 bytes and raises ValidationError
+    above ``MAX_DILATION_BYTES``; the default ``repr``, ``==`` and
+    ``dataclasses.replace`` read it too.  A given array is kept as is, and
+    ``block`` is then not checked against it.  Arrays that are already
+    read-only are shared, writable ones copied.
     """
 
     system_dim: int
     ancilla_dim: int
     state_coords: np.ndarray
     ancilla_init_index: int
-    joint_unitary: np.ndarray
+    block: np.ndarray
+    joint_unitary: _LazyJointUnitary = _LazyJointUnitary()
     post_states: np.ndarray
     coupling: CouplingMatrix
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "state_coords", _frozen(np.array(self.state_coords, dtype=complex))
-        )
-        # a read-only view: the n^2 x n^2 matrix is not copied when it is
-        # already complex
-        object.__setattr__(
-            self,
-            "joint_unitary",
-            _frozen(np.asarray(self.joint_unitary, dtype=complex).view()),
-        )
-        object.__setattr__(
-            self, "post_states", _frozen(np.array(self.post_states, dtype=complex))
-        )
+        for name in ("state_coords", "block", "post_states"):
+            object.__setattr__(self, name, _readonly(getattr(self, name), complex))
 
 
 def success_probability(coupling: CouplingMatrix) -> float:
@@ -335,7 +403,8 @@ def _dilation_block(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_dilation(coupling: CouplingMatrix) -> DilationModel:
-    """Realize a feasible coupling as an explicit n^2 x n^2 joint unitary.
+    """Realize a feasible coupling as an n^2 x n^2 joint unitary, kept as
+    its n x n block.
 
     State j gets coordinates ``S[j, :]`` (S the Gram square root), the
     ancilla starts at slot 0, and post-measurement system states are the
@@ -356,10 +425,12 @@ def build_dilation(coupling: CouplingMatrix) -> DilationModel:
     * a 0/1 permutation pairing the remaining n^2 - n input slots with
       the remaining n^2 - n output slots in sorted order.
 
-    Beyond the O(n^3) eigendecomposition (and the QR when rank < n), the
-    cost is filling the dense O(n^4) matrix.  Couplings whose unitary
-    would need more than ``MAX_DILATION_BYTES`` (1 GiB, so n >= 91) are
-    refused with a ValidationError before anything is allocated.
+    The model keeps the block; its ``joint_unitary`` is assembled from
+    it on first read (see :class:`DilationModel`).  A build therefore
+    costs what :func:`dilation_residuals` costs: the O(n^3) products (and
+    the QR when rank < n) on the eigendecomposition the ensemble already
+    holds, and O(n^2) memory, at any n.  ``MAX_DILATION_BYTES`` (1 GiB,
+    so n >= 91) limits only that first read.
 
     Inner products here are conjugate-linear in the second slot:
     ``<x, y> = sum_i x_i conj(y_i)``, so coordinate rows satisfy
@@ -369,34 +440,15 @@ def build_dilation(coupling: CouplingMatrix) -> DilationModel:
     equal ``(C C^H)_jl``.
     """
     n = coupling.n
-    dim = n * n
-    if 16 * dim * dim > MAX_DILATION_BYTES:
-        raise ValidationError(
-            f"a {dim}x{dim} joint unitary needs {16 * dim * dim / 2**30:.2f} GiB, "
-            f"above the {MAX_DILATION_BYTES / 2**30:g} GiB limit"
-        )
     state_coords, block = _dilation_block(coupling)
-
-    joint_unitary = np.zeros((dim, dim), dtype=complex)
-    flat = joint_unitary.reshape(-1)
-    # the block at rows k*n + k and columns m*n
-    flat[np.arange(n)[:, None] * ((n + 1) * dim) + np.arange(n) * n] = block.T
-    # the other rows and columns in sorted order, in closed form: the
-    # output slots leave runs of n rows between them, the input slots runs
-    # of n - 1 columns.  Not np.setdiff1d: numpy 2.4's setdiff1d imports
-    # numpy.ma on first use, 15-28 ms that would land in the first
-    # build_dilation of a process.
-    rows = np.arange(n - 1)[:, None] * (n + 1) + np.arange(1, n + 1)
-    cols = np.arange(n)[:, None] * n + np.arange(1, n)
-    flat[rows.ravel() * dim + cols.ravel()] = 1.0
-
     return DilationModel(
         system_dim=n,
         ancilla_dim=n,
         state_coords=state_coords,
         ancilla_init_index=0,
-        joint_unitary=joint_unitary,
-        post_states=np.eye(n, dtype=complex),
+        block=_frozen(block),
+        joint_unitary=None,
+        post_states=_frozen(np.eye(n, dtype=complex)),
         coupling=coupling,
     )
 

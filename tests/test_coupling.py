@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import math
 import sys
+import threading
 import time
 import tracemalloc
 from unittest import mock
@@ -531,12 +532,15 @@ class TestDilationConstruction:
         assert elapsed < 1.0
 
     def test_size_limit_refused_before_allocating(self):
-        # 16 * 91^4 bytes is just above the 1 GiB limit
+        # 16 * 91^4 bytes is just above the 1 GiB limit, which applies
+        # only where the dense matrix is allocated: on its first read
         coupling = CouplingMatrix(np.eye(91, dtype=complex), gram_symmetric(91, 0.0))
+        d = build_dilation(coupling)
+        assert max(dilation_residuals(coupling).values()) <= 1e-10
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError, match="GiB"):
-                build_dilation(coupling)
+                d.joint_unitary
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -550,6 +554,107 @@ class TestDilationConstruction:
         again = dataclasses.replace(d, joint_unitary=u)
         assert np.shares_memory(again.joint_unitary, u)
         assert u.flags.writeable
+
+
+def assembled_unitary(block):
+    """The documented dense unitary of a block, one entry at a time:
+    ``block.T`` at rows k*n + k and columns m*n, and 1 on the other rows
+    and columns paired in sorted order."""
+    n = len(block)
+    u = np.zeros((n * n, n * n), dtype=complex)
+    outputs = [k * n + k for k in range(n)]
+    inputs = [m * n for m in range(n)]
+    for k in range(n):
+        for m in range(n):
+            u[outputs[k], inputs[m]] = block[m, k]
+    rest_rows = [i for i in range(n * n) if i not in outputs]
+    rest_cols = [i for i in range(n * n) if i not in inputs]
+    for i, j in zip(rest_rows, rest_cols):
+        u[i, j] = 1.0
+    return u
+
+
+class TestLazyJointUnitary:
+    """build_dilation keeps the n x n block; the dense matrix is assembled
+    on the first read of joint_unitary, once."""
+
+    def test_build_allocates_no_dense_matrix(self):
+        rng = np.random.default_rng(32)
+        ens = random_rank_ensemble(rng, 32, 32)
+        coupling = coupling_from_unitary(ens, random_isometry(rng, 32, 32))
+        # 16 * 32^4 bytes = 16 MiB for the dense matrix
+        tracemalloc.start()
+        try:
+            d = build_dilation(coupling)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            d.joint_unitary
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert build_peak < 2 << 20
+        assert read_peak >= 16 * 32**4
+
+    def test_read_once_and_frozen(self):
+        d = build_dilation(symmetric_optimal_coupling(4, 0.3))
+        u = d.joint_unitary
+        assert d.joint_unitary is u
+        assert not u.flags.writeable
+        assert not d.block.flags.writeable
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: binary_optimal_coupling(0.3, 0.6 * np.exp(0.7j)),
+            lambda rng: symmetric_optimal_coupling(3, 0.5),
+            lambda rng: coupling_from_unitary(
+                random_rank_ensemble(rng, 6, 3), random_isometry(rng, 3, 6)
+            ),
+            lambda rng: coupling_from_unitary(
+                random_rank_ensemble(rng, 24, 24), random_isometry(rng, 24, 24)
+            ),
+        ],
+    )
+    def test_matches_documented_assembly(self, make):
+        d = build_dilation(make(np.random.default_rng(41)))
+        assert np.array_equal(d.joint_unitary, assembled_unitary(d.block))
+
+    def test_concurrent_first_reads_get_one_array(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                d = build_dilation(symmetric_optimal_coupling(8, 0.4))
+                barrier = threading.Barrier(4, timeout=10)
+                seen = []
+
+                def read():
+                    barrier.wait()
+                    seen.append(d.joint_unitary)
+
+                threads = [threading.Thread(target=read) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                    assert not t.is_alive()
+                assert len(seen) == 4 and all(u is seen[0] for u in seen)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_replace_keeps_the_unitary(self):
+        d = build_dilation(symmetric_optimal_coupling(5, -0.2))
+        again = dataclasses.replace(d, coupling=d.coupling)
+        assert np.array_equal(again.joint_unitary, d.joint_unitary)
+
+    def test_frozen_inputs_shared_writable_copied(self):
+        coupling = symmetric_optimal_coupling(4, 0.3)
+        d = build_dilation(coupling)
+        assert d.state_coords is spectral_factor(coupling.ensemble).sqrt
+        block = np.array(d.block)
+        again = dataclasses.replace(d, block=block)
+        assert not np.shares_memory(again.block, block)
+        assert block.flags.writeable and not again.block.flags.writeable
 
 
 class TestBlockCheck:
