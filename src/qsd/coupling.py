@@ -17,8 +17,7 @@ Monte Carlo run gates on.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -130,11 +129,10 @@ class _LazyJointUnitary:
 
     An array given to the constructor is kept as a read-only view, not
     copied.  None stands for the unitary of the model's ``block``: the
-    first read assembles it with :func:`_joint_unitary` and keeps it, and
-    the lock makes every reader get that one array.
+    first read assembles it with :func:`_joint_unitary` and keeps it.
+    Two threads that read it first at once may each assemble it; both
+    arrays are equal and read-only, and the last one is kept.
     """
-
-    _lock = threading.Lock()
 
     def __set_name__(self, owner, name):
         self._name = name
@@ -146,10 +144,7 @@ class _LazyJointUnitary:
             raise AttributeError(self._name)
         u = obj.__dict__[self._name]
         if u is None:
-            with self._lock:
-                u = obj.__dict__[self._name]
-                if u is None:
-                    u = obj.__dict__[self._name] = _joint_unitary(obj.block)
+            u = obj.__dict__[self._name] = _joint_unitary(obj.block)
         return u
 
     def __set__(self, obj, value):
@@ -176,10 +171,11 @@ class DilationModel:
     ``joint_unitary`` given as None, as
     :func:`build_dilation` gives it, is assembled from ``block`` on its
     first read, which allocates 16 n^4 bytes and raises ValidationError
-    above ``MAX_DILATION_BYTES``; the default ``repr``, ``==`` and
-    ``dataclasses.replace`` read it too.  A given array is kept as is, and
-    ``block`` is then not checked against it.  Arrays that are already
-    read-only are shared, writable ones copied.
+    above ``MAX_DILATION_BYTES``.  ``repr`` leaves ``joint_unitary`` out,
+    but ``==`` and ``dataclasses.replace`` read it and so assemble it.  A
+    given array is kept as is, and ``block`` is then not checked against
+    it.  Arrays that are already read-only are shared, writable ones
+    copied.
     """
 
     system_dim: int
@@ -194,6 +190,13 @@ class DilationModel:
     def __post_init__(self):
         for name in ("state_coords", "block", "post_states"):
             object.__setattr__(self, name, _readonly(getattr(self, name), complex))
+
+    def __repr__(self):
+        # not the generated repr, which would assemble joint_unitary;
+        # block shows the same unitary
+        shown = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)
+                 if f.name != "joint_unitary"]
+        return f"{type(self).__name__}({', '.join(shown)})"
 
 
 def success_probability(coupling: CouplingMatrix) -> float:

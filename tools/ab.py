@@ -1,7 +1,7 @@
 """A/B the benchmark harness: a parent commit against the working tree.
 
     python tools/ab.py --parent <rev> --workload W [--workload W ...] \
-        --seeds A-B --seconds S [--smoke] [--out DIR]
+        --seeds A-B --seconds S [--smoke]
 
 The parent's committed files are exported with ``git archive`` into a
 temporary directory (no network).  For each workload and each seed k in
@@ -12,11 +12,11 @@ deleted before each of its runs: the harness's ``setup_s`` times fresh
 interpreters importing qsd, and a bytecode cache left by an earlier run or
 a test session would make it read faster on one side than on the other.
 
-The result is written to ``DIR/BENCH_<parent short sha>.json`` (DIR
-defaults to the checkout root): per workload its seeds, every run, and per
-end-to-end metric of ``BENCHMARK.json`` the medians and quartiles of both
-sides and the number of seed pairs in which the change is better (ties
-count for neither side).  For each metric it prints whether the change won
+The result is written to ``BENCH_<parent short sha>.json`` at the
+checkout root: per workload its seeds, every run, and per end-to-end
+metric of ``BENCHMARK.json`` the medians and quartiles of both sides and
+the number of seed pairs in which the change is better (ties count for
+neither side).  For each metric it prints whether the change won
 at least 9 of 10 pairs and whether the medians differ, in the metric's
 better direction, by more than the parent's interquartile range.
 """
@@ -134,7 +134,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="A-B, inclusive")
     parser.add_argument("--seconds", required=True, type=float)
     parser.add_argument("--smoke", action="store_true", help="the harness's tiny inputs, one round")
-    parser.add_argument("--out", type=pathlib.Path, default=ROOT, help="directory for BENCH_<parent>.json")
     args = parser.parse_args(argv)
 
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
@@ -186,8 +185,7 @@ def main(argv=None) -> int:
         "machine": machine,
         "workloads": workloads,
     }
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / f"BENCH_{parent[:7]}.json"
+    path = ROOT / f"BENCH_{parent[:7]}.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")

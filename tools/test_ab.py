@@ -18,15 +18,19 @@ SUMMARY_KEYS = {
 }
 
 
-def test_head_against_working_tree(tmp_path):
-    cmd = [sys.executable, "tools/ab.py", "--parent", "HEAD", "--workload", "dilation"]
-    cmd += ["--seeds", "1-2", "--seconds", "1", "--smoke", "--out", str(tmp_path)]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
+def test_head_against_working_tree():
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True).stdout.strip()
-    (path,) = tmp_path.glob("BENCH_*.json")
-    assert path.name == f"BENCH_{head[:7]}.json"
-    result = json.loads(path.read_text())
+    path = ROOT / f"BENCH_{head[:7]}.json"
+    # the tool writes here: never overwrite a committed result
+    assert not path.exists(), path
+    cmd = [sys.executable, "tools/ab.py", "--parent", "HEAD", "--workload", "dilation"]
+    cmd += ["--seeds", "1-2", "--seconds", "1", "--smoke"]
+    try:
+        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(path.read_text())
+    finally:
+        path.unlink(missing_ok=True)
 
     assert set(result) == {"what", "parent", "change", "machine", "workloads"}
     assert result["parent"] == head
