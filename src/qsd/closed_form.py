@@ -16,12 +16,16 @@ import numpy as np
 from .ensembles import (
     CIRCULANT_TOL,
     EIGENVALUE_FLOOR,
-    RANK_TOL,
     Ensemble,
     check_binary,
     check_symmetric,
 )
 from .errors import NotCirculantError, UnsupportedPriorsError, ValidationError
+
+# eigenvalues of G below this fraction of the largest get a zero square
+# root in srm_error_general; the oracle's own cut, independent of the
+# solver's ensembles.RANK_TOL, so that a change to one leaves the other
+ORACLE_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,14 +133,17 @@ def srm_error_general(ensemble: Ensemble) -> float:
     eigendecomposition is accurate relative to the small overlaps, where
     that of G would carry an absolute error of ~1e-16 (a relative error
     of ~4e-6 at 3-PSK, ``alpha_sq = 15``).  Modes whose eigenvalue
-    ``1 + mu`` falls below the rank cut get ``f = -1`` (square root 0),
-    so rank-deficient ensembles are handled without pseudo-inverse blowup.
+    ``1 + mu`` falls below ``ORACLE_RANK_TOL`` times the largest get
+    ``f = -1`` (square root 0), so rank-deficient ensembles are handled
+    without pseudo-inverse blowup.  That cut is the oracle's own: it is
+    independent of the spectral factor's ``RANK_TOL``, which the solver
+    reads, so the check does not move with the solver.
     """
     _require_equal_priors(ensemble)
     n = ensemble.n
     mu, w = np.linalg.eigh(ensemble.gram - np.eye(n))
     lam = 1.0 + mu
-    keep = lam > RANK_TOL * lam.max()
+    keep = lam > ORACLE_RANK_TOL * lam.max()
     f = np.where(keep, mu / (np.sqrt(np.where(keep, lam, 0.0)) + 1.0), -1.0)
     mass = np.abs((w * f) @ w.conj().T) ** 2
     np.fill_diagonal(mass, 0.0)

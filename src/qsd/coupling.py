@@ -54,7 +54,7 @@ MAX_DILATION_BYTES = 1 << 30
 POLAR_NS_BOUND = 1e-4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingMatrix:
     """Amplitudes ``c[j, k]`` of ancilla outcome k given input state j.
 
@@ -153,7 +153,7 @@ class _LazyJointUnitary:
         obj.__dict__[self._name] = value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DilationModel:
     """Concrete realization of a coupling as a joint-space unitary.
 
@@ -172,7 +172,7 @@ class DilationModel:
     :func:`build_dilation` gives it, is assembled from ``block`` on its
     first read, which allocates 16 n^4 bytes and raises ValidationError
     above ``MAX_DILATION_BYTES``.  ``repr`` leaves ``joint_unitary`` out,
-    but ``==`` and ``dataclasses.replace`` read it and so assemble it.  A
+    but ``dataclasses.replace`` reads it and so assembles it.  A
     given array is kept as is, and ``block`` is then not checked against
     it.  Arrays that are already read-only are shared, writable ones
     copied.

@@ -49,7 +49,7 @@ def _readonly(a, dtype) -> np.ndarray:
     return _frozen(np.array(a, dtype=dtype))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """N pure states given by their Gram matrix and prior probabilities.
 
@@ -138,7 +138,7 @@ class Ensemble:
         return bool(np.max(np.abs(self.priors - 1.0 / self.n)) <= PRIOR_TOL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralFactor:
     """Spectral data of a Gram matrix restricted to its numerical rank.
 
@@ -284,7 +284,9 @@ def spectral_factor(ensemble: Ensemble) -> SpectralFactor:
     that the ensemble keeps since validation; none is computed here.
 
     Eigenvalues below ``RANK_TOL`` times the largest are dropped from the
-    factor and zeroed in the support square root; tiny negative
+    factor and zeroed in the support square root (the oracle
+    :func:`~qsd.closed_form.srm_error_general` cuts at its own
+    ``ORACLE_RANK_TOL``, independent of this one); tiny negative
     eigenvalues (roundoff) were clamped to zero at validation.  The factor
     is built once per ensemble and returned again on every later call; it
     shares the ensemble's read-only eigenvalues and eigenvectors.

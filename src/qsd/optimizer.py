@@ -97,7 +97,7 @@ class PskParams:
             raise ValidationError("row amplitudes must satisfy unit norm")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizeResult:
     """Coupling found, its error, and the trace of the weight solve.
 
@@ -309,30 +309,37 @@ def _weight_hessian(priors, s, y):
     return np.outer(priors**2, priors**2) * _daleckii_krein(y, kern)
 
 
-def _backtrack(b, eta, w, point, arc, min_step):
-    """The first of ``t = 1, 1/2, ...`` down to ``min_step`` at which the
-    weights ``arc(t)`` pass Armijo's test on Phi within ``PHI_ROUNDOFF``
-    (near the optimum Phi changes by less than its roundoff while the
-    gradient still shrinks) and keep M clear of singular: no singular
-    value above roundoff is lost, and the smallest shrinks by at most
-    ``SINGULAR_DROP``.  Returns those weights and their
-    :func:`_weight_point`, or None."""
+def _trial(b, eta, w, point, trial_w):
+    """``(trial_w, its _weight_point)`` if those weights pass Armijo's test
+    on Phi within ``PHI_ROUNDOFF`` (near the optimum Phi changes by less
+    than its roundoff while the gradient still shrinks) and keep M clear
+    of singular: no singular value above roundoff is lost, and the
+    smallest shrinks by at most ``SINGULAR_DROP``; else None."""
     phi, grad, _, s = point[:4]
     floor = phi - PHI_ROUNDOFF * (abs(phi) + float(eta @ w))
+    trial = _weight_point(b, eta, trial_w)
+    if (
+        trial is not None
+        and len(trial[3]) >= len(s)
+        and trial[3][len(s) - 1] >= SINGULAR_DROP * s[-1]
+        and trial[0] >= floor + 1e-4 * float(np.dot(grad, trial_w - w))
+    ):
+        return trial_w, trial
+    return None
+
+
+def _backtrack(b, eta, w, point, arc, min_step):
+    """The first of ``t = 1, 1/2, ...`` down to ``min_step`` at which the
+    weights ``arc(t)`` pass :func:`_trial`.  Returns those weights and
+    their :func:`_weight_point`, or None."""
     t = 1.0
     while t >= min_step:
         # an overflowing log step gives non-finite weights, which the
         # point evaluator refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            trial_w = arc(t)
-            trial = _weight_point(b, eta, trial_w)
-        if (
-            trial is not None
-            and len(trial[3]) >= len(s)
-            and trial[3][len(s) - 1] >= SINGULAR_DROP * s[-1]
-            and trial[0] >= floor + 1e-4 * float(np.dot(grad, trial_w - w))
-        ):
-            return trial_w, trial
+            found = _trial(b, eta, w, point, arc(t))
+        if found is not None:
+            return found
         t *= 0.5
     return None
 
@@ -360,6 +367,13 @@ def _ascend_weights(b, priors, eta, log_steps, max_steps):
       points ``w exp(t d / w)``, positive for every t.  A log step that
       needs ``t < NEWTON_MIN_DAMPING`` hands the solve to projected steps
       for good.
+    * The first log step first tries the Jacobi step ``w (1 + g)**2``,
+      g the KKT residual: Newton's step on ``-log(1 + g) = 0`` in log w
+      with the Jacobian replaced by ``-I/2``, its value for mutually
+      orthogonal states, which is twice Mochon's reweighting
+      ``q <- eta diag(S)``.  It costs one :func:`_weight_point` and no
+      Hessian, and is taken only undamped, where it passes
+      :func:`_trial`; otherwise that step is the Newton step above.
     * Projected steps (Bertsekas 1982): weights within
       ``eps_k = |w - max(w + grad, 0)|`` of 0 whose gradient points out
       of the feasible set are active and move along the gradient; the
@@ -368,14 +382,15 @@ def _ascend_weights(b, priors, eta, log_steps, max_steps):
       is a bound here, so these steps reach the zero weights that log
       steps only approach.
 
-    Each step backtracks by halves (:func:`_backtrack`).  In w the
-    gradient is ``eta g``, so pg weighs each state's KKT residual by its
-    prior, as the duality gap does.  The gap is evaluated wherever
+    Each Newton step backtracks by halves (:func:`_backtrack`).  In w
+    the gradient is ``eta g``, so pg weighs each state's KKT residual by
+    its prior, as the duality gap does.  The gap is evaluated wherever
     ``|pg| <= GAP_SCREEN`` and at the end.  The ascent stops once the gap
     certifies, ``|pg| <= WEIGHT_GRAD_TOL``, backtracking fails or
-    ``max_steps`` steps are taken.  Returns the isometry, whether
-    ``|pg| <= WEIGHT_GRAD_TOL``, the gap and the trace: the success
-    probability at the start and after each step that raised it.
+    ``max_steps`` steps, the Jacobi step among them, are taken.  Returns
+    the isometry, whether ``|pg| <= WEIGHT_GRAD_TOL``, the gap and the
+    trace: the success probability at the start and after each step that
+    raised it.
     """
     # scaling w by c leaves V, Y and the success probability as they are
     w = (eta > 0.0).astype(float)
@@ -387,12 +402,15 @@ def _ascend_weights(b, priors, eta, log_steps, max_steps):
     for step in range(max_steps + 1):
         _, grad, _, s, y, u, vh = point
         pgn = float(np.linalg.norm(np.where(w > 0.0, grad, np.maximum(grad, 0.0))))
-        gap = dual_gap(b, priors, u @ vh) if pgn <= GAP_SCREEN else None
+        v = u @ vh if pgn <= GAP_SCREEN else None
+        gap = None if v is None else dual_gap(b, priors, v)
         if (gap is not None and gap <= CERT_TOL) or pgn <= WEIGHT_GRAD_TOL or step == max_steps:
             break
         lam = WEIGHT_DAMPING * pgn
         found = None
-        if log_steps:
+        if log_steps and step == 0:
+            found = _trial(b, eta, w, point, w * (1.0 + grad / eta) ** 2)
+        if log_steps and found is None:
             rhs = (eta + grad) * np.log1p(grad / eta)
             hess = _weight_hessian(eta, s, y)
             try:
@@ -417,8 +435,10 @@ def _ascend_weights(b, priors, eta, log_steps, max_steps):
         w, point = found
         if point[2] > trace[-1]:
             trace.append(point[2])
-    v = u @ vh
-    return v, pgn <= WEIGHT_GRAD_TOL, dual_gap(b, priors, v) if gap is None else gap, trace
+    if v is None:
+        v = u @ vh
+        gap = dual_gap(b, priors, v)
+    return v, pgn <= WEIGHT_GRAD_TOL, gap, trace
 
 
 def optimize_general(ensemble: Ensemble, *, max_iters: int = DEFAULT_MAX_ITERS) -> OptimizeResult:
@@ -428,8 +448,9 @@ def optimize_general(ensemble: Ensemble, *, max_iters: int = DEFAULT_MAX_ITERS) 
     Priors below ``CERT_TOL / (2 rank)`` count as 0 in the weight
     problem, never in the duality gap.  Every input starts at the scaled
     ``w = 1`` of :func:`_ascend_weights`, which takes at most ``max_iters``
-    Newton steps: log steps while the Gram has full rank and every weight
-    is positive, projected steps otherwise.  No random numbers are drawn.
+    steps: log steps, the first of them a Jacobi step where that passes,
+    while the Gram has full rank and every weight is positive, projected
+    Newton steps otherwise.  No random numbers are drawn.
     A best-effort result with ``converged=False`` is returned when neither
     the certificate nor the gradient test is met.
 

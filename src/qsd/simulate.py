@@ -28,7 +28,7 @@ MAX_SHOTS = 2**63
 NEGLIGIBLE_PROB = 1e-15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationReport:
     shots: int
     seed: int

@@ -335,6 +335,35 @@ def test_near_dependent_grams_certified():
         assert feasibility_residual(res.coupling) <= 1e-8, k
 
 
+def extreme_prior_ensembles(seed, draw_priors):
+    """200 random full-rank Grams, n drawn from 2 to 24, with priors from
+    draw_priors(rng, n)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        n = int(rng.integers(2, 25))
+        gram = random_gram(rng, n, n)
+        yield Ensemble(n, gram, draw_priors(rng, n))
+
+
+def log_uniform_priors(rng, n):
+    priors = 10 ** rng.uniform(-8, 0, n)
+    return priors / priors.sum()
+
+
+@pytest.mark.parametrize(
+    "seed, draw_priors",
+    [(2201, lambda rng, n: rng.dirichlet(np.full(n, 0.1))), (2203, log_uniform_priors)],
+    ids=["dirichlet0.1", "log-uniform"],
+)
+def test_extreme_priors_certified(seed, draw_priors):
+    # Dirichlet(0.1) puts most of the mass on a few states and leaves
+    # priors far below CERT_TOL; log-uniform priors span eight decades
+    for k, ens in enumerate(extreme_prior_ensembles(seed, draw_priors)):
+        res = optimize_general(ens)
+        assert res.certified and res.converged, (k, res.dual_gap)
+        assert feasibility_residual(res.coupling) <= 1e-8, k
+
+
 @pytest.mark.parametrize("one_minus_s", [1e-11, 1e-12])
 @pytest.mark.parametrize("eta1", [0.1, 0.3])
 @pytest.mark.parametrize("phase", [0.0, 0.7])

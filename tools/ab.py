@@ -7,7 +7,8 @@ The parent's committed files are exported with ``git archive`` into a
 temporary directory (no network).  For each workload and each seed k in
 A..B, ``python3 qsdbench/run.py --workload W --seed k --seconds S --trace 0``
 runs once in that export and once in the working tree, one run at a time,
-the parent first on odd seeds.  Each side's ``src/**/__pycache__`` is
+the parent first on odd seeds.  On the first seed a ``--trace 1`` run of
+each side follows, in the same order, for the per-layer values.  Each side's ``src/**/__pycache__`` is
 deleted before each of its runs: the harness's ``setup_s`` times fresh
 interpreters importing qsd, and a bytecode cache left by an earlier run or
 a test session would make it read faster on one side than on the other.
@@ -16,7 +17,9 @@ The result is written to ``BENCH_<parent short sha>.json`` at the
 checkout root: per workload its seeds, every run, and per end-to-end
 metric of ``BENCHMARK.json`` the medians and quartiles of both sides and
 the number of seed pairs in which the change is better (ties count for
-neither side).  For each metric it prints whether the change won
+neither side), and under ``per_layer`` the traced pair's values of both
+sides, whose change / parent ratios it prints.  For each metric it also
+prints whether the change won
 at least 9 of 10 pairs and whether the medians differ, in the metric's
 better direction, by more than the parent's interquartile range.
 """
@@ -57,17 +60,17 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(root: pathlib.Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
-    """One trace-0 harness run in root, after deleting its source bytecode;
+def run_once(root: pathlib.Path, workload: str, seed: int, seconds: float, smoke: bool, trace: int = 0) -> dict:
+    """One harness run in root, after deleting its source bytecode;
     returns the harness's result file."""
     for cache in (root / "src").rglob("__pycache__"):
         shutil.rmtree(cache)
     cmd = [sys.executable, "qsdbench/run.py", "--workload", workload, "--seed", str(seed)]
-    cmd += ["--seconds", str(seconds), "--trace", "0"] + (["--smoke"] if smoke else [])
+    cmd += ["--seconds", str(seconds), "--trace", str(trace)] + (["--smoke"] if smoke else [])
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
-    name = f"{workload}-seed{seed}-trace0{'-smoke' if smoke else ''}.json"
+    name = f"{workload}-seed{seed}-trace{trace}{'-smoke' if smoke else ''}.json"
     with open(root / "qsdbench" / "results" / name, encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -127,6 +130,15 @@ def yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def layer_ratios(per_layer: dict) -> list[str]:
+    lines = []
+    for name, parent in per_layer["parent"].items():
+        change = per_layer["change"][name]
+        ratio = f"{change / parent:.3f}" if parent else "-"
+        lines.append(f"  {name:44s} parent {parent:.6g}  change {change:.6g}  ratio {ratio}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -149,7 +161,7 @@ def main(argv=None) -> int:
         export(parent, parent_root)
         sides = {"parent": parent_root, "change": ROOT}
         for workload in args.workload:
-            runs = []
+            runs, per_layer = [], {"seed": args.seeds[0]}
             for seed in args.seeds:
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for i, side in enumerate(order):
@@ -168,17 +180,24 @@ def main(argv=None) -> int:
                     if machine is None:
                         env = rec["environment"]
                         machine = {k: v for k, v in env.items() if k not in ("git_commit", "seed")}
+                if seed == per_layer["seed"]:
+                    for side in order:
+                        rec = run_once(sides[side], workload, seed, args.seconds, args.smoke, trace=1)
+                        per_layer[side] = {k: v["value"] for k, v in rec["metrics"].items()}
             summary = summarize(runs, metrics)
-            workloads[workload] = {"seeds": args.seeds, "summary": summary, "runs": runs}
+            workloads[workload] = {"seeds": args.seeds, "summary": summary, "runs": runs, "per_layer": per_layer}
             failed = {side: sum(r["failed"] for r in runs if r["side"] == side) for side in sides}
             print(f"{workload}: {len(args.seeds)} pairs, failed ops parent {failed['parent']} change {failed['change']}")
-            print("\n".join(verdicts(summary, metrics)), flush=True)
+            print("\n".join(verdicts(summary, metrics)))
+            print(f"{workload}: per layer, traced pair on seed {per_layer['seed']}")
+            print("\n".join(layer_ratios(per_layer)), flush=True)
 
     result = {
         "what": (
             f"qsdbench/run.py --seconds {args.seconds:g} --trace 0{' --smoke' if args.smoke else ''}, "
             "run on the parent commit and on this change, in alternating order per seed "
-            "(odd seed: parent first), one run at a time"
+            "(odd seed: parent first), one run at a time; per_layer: one --trace 1 run "
+            "of each side on the first seed, in the same order"
         ),
         "parent": parent,
         "change": change,

@@ -37,7 +37,8 @@ def test_head_against_working_tree():
     assert set(result["workloads"]) == {"dilation"}
     dilation = result["workloads"]["dilation"]
     assert dilation["seeds"] == [1, 2]
-    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = [m["name"] for m in benchmark["end_to_end"]]
     assert list(dilation["summary"]) == metrics
     for summary in dilation["summary"].values():
         assert set(summary) == SUMMARY_KEYS and summary["pairs"] == 2
@@ -53,3 +54,10 @@ def test_head_against_working_tree():
     assert all(r["attempted"] > 0 and r["failed"] == 0 for r in runs)
     assert all(set(r["metrics"]) == set(metrics) for r in runs)
     assert "better in" in proc.stdout
+
+    # one traced pair, on the first seed
+    per_layer = dilation["per_layer"]
+    assert set(per_layer) == {"seed", "parent", "change"} and per_layer["seed"] == 1
+    layers = {m["name"] for m in benchmark["per_layer"]}
+    assert set(per_layer["parent"]) == set(per_layer["change"]) == layers
+    assert "coupling.build_dilation.calls" in proc.stdout and "ratio" in proc.stdout
