@@ -8,20 +8,21 @@ temporary directory (no network).  For each workload and each seed k in
 A..B, ``python3 qsdbench/run.py --workload W --seed k --seconds S --trace 0``
 runs once in that export and once in the working tree, one run at a time,
 the parent first on odd seeds.  On the first seed a ``--trace 1`` run of
-each side follows, in the same order, for the per-layer values.  Each side's ``src/**/__pycache__`` is
-deleted before each of its runs: the harness's ``setup_s`` times fresh
-interpreters importing qsd, and a bytecode cache left by an earlier run or
-a test session would make it read faster on one side than on the other.
+each side follows, in the same order, for the per-layer values.  Each
+side's ``src/**/__pycache__`` is deleted before each of its runs: the
+harness's ``setup_s`` times fresh interpreters importing qsd, and a
+bytecode cache left by an earlier run or a test session would make it
+read faster on one side than on the other.
 
 The result is written to ``BENCH_<parent short sha>.json`` at the
 checkout root: per workload its seeds, every run, and per end-to-end
 metric of ``BENCHMARK.json`` the medians and quartiles of both sides and
 the number of seed pairs in which the change is better (ties count for
 neither side), and under ``per_layer`` the traced pair's values of both
-sides, whose change / parent ratios it prints.  For each metric it also
-prints whether the change won
-at least 9 of 10 pairs and whether the medians differ, in the metric's
-better direction, by more than the parent's interquartile range.
+sides, whose change / parent ratios it prints.  For each end-to-end
+metric it also prints whether the change won at least 9 of 10 pairs and
+whether the medians differ, in the metric's better direction, by more
+than the parent's interquartile range.
 """
 
 from __future__ import annotations
