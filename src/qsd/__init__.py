@@ -57,6 +57,7 @@ from .optimizer import (
     PskParams,
     dual_gap,
     objective_gradient,
+    optimal_coupling,
     optimize_general,
     psk3_solve,
     psk4_solve,
@@ -111,6 +112,7 @@ __all__ = [
     "gram_symmetric",
     "helstrom_bound",
     "objective_gradient",
+    "optimal_coupling",
     "optimize_general",
     "post_measurement_state",
     "preservation_residual",

@@ -20,6 +20,8 @@ from . import closed_form, coupling as coupling_mod, optimizer, simulate as simu
 from ._serialize import CSV_DIGITS, complex_obj, dumps, fmt_float
 from .ensembles import (
     Ensemble,
+    _check_dense,
+    check_state_count,
     ensemble_from_json,
     gram_binary,
     gram_psk,
@@ -34,7 +36,8 @@ EXIT_NUMERICAL = 4
 
 SWEEP_HEADER = "family,n,axis,value,p_err_closed,p_err_srm,p_err_opt"
 SWEEP_OUTPUTS = ("closed_form", "srm_oracle", "optimizer")
-# grid points per state count in one sweep, checked before the grid is built
+# grid points in one sweep, steps times state counts, checked before the
+# first row is computed
 MAX_SWEEP_STEPS = 10**6
 
 
@@ -52,43 +55,11 @@ def _load_ensemble(text: str) -> Ensemble:
     return ensemble_from_json(raw if raw.startswith("{") else _read_text(raw))
 
 
-def _optimal_coupling(ensemble: Ensemble) -> coupling_mod.CouplingMatrix:
-    """Best-known coupling for an ensemble: the closed form of the first
-    structure it has (two states; equal priors with equal real overlaps;
-    equal priors with a circulant Gram matrix), else the weight solve of
-    :func:`~qsd.optimizer.optimize_general`.
-
-    The weight solve also takes over when a closed form refuses the ensemble:
-    ``Ensemble`` admits Gram matrices up to its own tolerances (eigenvalues
-    down to -1e-10, circulant to 1e-10), beyond the closed forms' tighter ones.
-    A weight solve that does not converge raises NoSolutionError: exit 4,
-    as from ``qsd optimize``.
-    """
-    n, gram = ensemble.n, ensemble.gram
-    try:
-        if n == 2:
-            return coupling_mod.binary_optimal_coupling(
-                float(ensemble.priors[0]), complex(gram[0, 1])
-            )
-        if ensemble.equal_priors:
-            row = gram[0, 1:]
-            equal = n > 2 and ensemble._circulant_deviation == 0.0 and np.all(row == row[0])
-            if equal and row[0].imag == 0.0:
-                return coupling_mod.symmetric_optimal_coupling(n, row[0].real)
-            return coupling_mod.circulant_optimal_coupling(ensemble)
-    except QsdError:
-        pass
-    result = optimizer.optimize_general(ensemble)
-    if not result.converged:
-        raise NoSolutionError(f"the weight solve did not converge (dual gap {result.dual_gap:.3e})")
-    return result.coupling
-
-
 def _coupling_arg(source: str, ensemble: Ensemble) -> coupling_mod.CouplingMatrix:
     """Resolve a --coupling argument: "optimal" or a path to a JSON file
     holding a coupling that must be feasible for the ensemble."""
     if source == "optimal":
-        return _optimal_coupling(ensemble)
+        return optimizer.optimal_coupling(ensemble)
     try:
         raw = json.loads(_read_text(source))
     except json.JSONDecodeError as exc:
@@ -117,7 +88,7 @@ def cmd_symmetric(args) -> int:
         "s": args.s,
         "p_error": p_error,
         "p": p_plus,
-        "r": (1.0 - p_plus) / (args.n - 1),
+        "r": p_error / (args.n - 1),
         "p_minus": p_minus,
     }
     if args.emit_coupling:
@@ -130,7 +101,7 @@ def cmd_symmetric(args) -> int:
 
 def cmd_psk(args) -> int:
     n, alpha_sq = args.n, args.alpha_sq
-    cpl = coupling_mod.circulant_optimal_coupling(gram_psk(n, alpha_sq))
+    cpl = optimizer.optimal_coupling(gram_psk(n, alpha_sq))
     payload = {"n": n, "alpha_sq": alpha_sq}
     if n in (3, 4):
         params, payload["p_error"] = optimizer.psk_params(cpl.c[0])
@@ -228,8 +199,7 @@ def _sweep_row(family, n, axis, value, outputs, fixed_s, fixed_eta1) -> str:
         if "srm_oracle" in outputs:
             srm = closed_form.srm_error_circulant(gram_psk(n, value))
         if "optimizer" in outputs:
-            cpl = coupling_mod.circulant_optimal_coupling(gram_psk(n, value))
-            opt = coupling_mod.error_probability(cpl)
+            opt = coupling_mod.error_probability(optimizer.optimal_coupling(gram_psk(n, value)))
     else:  # binary; n is always 2
         eta1, s = (value, fixed_s) if axis == "eta1" else (fixed_eta1, value)
         if "closed_form" in outputs:
@@ -271,6 +241,14 @@ def cmd_sweep(args) -> int:
             n_list = [int(tok) for tok in args.n.split(",")]
         except ValueError as exc:
             raise ValidationError(f"--n must be comma-separated integers: {exc}") from exc
+        for n in n_list:
+            _check_dense(check_state_count(n))
+    points = args.steps * len(n_list)
+    if points > MAX_SWEEP_STEPS:
+        raise ValidationError(
+            f"{args.steps} steps for {len(n_list)} state counts make {points} grid points, "
+            f"above the limit of {MAX_SWEEP_STEPS}"
+        )
 
     values = np.linspace(args.min, args.max, args.steps)
     lines = [SWEEP_HEADER]
@@ -340,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-coupling", action="store_true")
     p.set_defaults(func=cmd_symmetric)
 
-    p = sub.add_parser("psk", help="optimal circulant coupling for PSK coherent sets")
+    p = sub.add_parser("psk", help="optimal coupling for PSK coherent sets")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha-sq", type=float, required=True)
     p.add_argument("--emit-coupling", action="store_true")

@@ -45,36 +45,44 @@ class BinarySolution:
 def helstrom_bound(eta1: float, overlap: complex) -> float:
     """Minimum average error probability for two pure states.
 
-    Returns ``(1 - sqrt(1 - 4*eta1*eta2*s**2)) / 2`` with ``s = |overlap|``
-    and ``eta2 = 1 - eta1``; always in [0, 1/2].
+    Equals ``(1 - sqrt(1 - 4*eta1*eta2*s**2)) / 2`` with ``s = |overlap|``
+    and ``eta2 = 1 - eta1``, in [0, 1/2]; computed as the ``p_error`` of
+    :func:`binary_individual_errors`, which keeps its relative accuracy.
     """
-    eta1, overlap = check_binary(eta1, overlap)
-    s = min(abs(overlap), 1.0)
-    disc = 1.0 - 4.0 * eta1 * (1.0 - eta1) * s * s
-    return 0.5 * (1.0 - math.sqrt(max(disc, 0.0)))
+    return binary_individual_errors(eta1, overlap).p_error
 
 
 def binary_individual_errors(eta1: float, overlap: complex) -> BinarySolution:
     """Per-state error rates of the optimal binary measurement.
 
-    ``r1 = (1 - (1 - 2*eta2*s**2)/sqrt(1 - 4*eta1*eta2*s**2)) / 2`` and
-    symmetrically for r2; their prior-weighted average is the minimum
-    error.  The degenerate point eta1 = eta2 = 1/2, s = 1 returns the
-    continuous limit r1 = r2 = 1/2.
+    With ``disc = 1 - 4*eta1*eta2*s**2``, ``p_error = (1 - sqrt(disc)) / 2``
+    and ``r1 = (1 - (1 - 2*eta2*s**2)/sqrt(disc)) / 2``, symmetrically for
+    r2.  Each is computed without a subtraction that cancels, so that it
+    keeps its relative accuracy when small: ``p_error`` as
+    ``2*eta1*eta2*s**2 / (1 + sqrt(disc))``, r1 as
+    ``eta2*s**2 * (sqrt(disc) - (eta1 - eta2)) / ((1 + sqrt(disc)) * sqrt(disc))``,
+    and disc as ``(eta1 - eta2)**2 + 4*eta1*eta2*(1 - s)*(1 + s)``.  The
+    degenerate point eta1 = eta2 = 1/2, s = 1 returns the continuous limit
+    r1 = r2 = 1/2.
     """
     eta1, overlap = check_binary(eta1, overlap)
     s = min(abs(overlap), 1.0)
     eta2 = 1.0 - eta1
-    disc = 1.0 - 4.0 * eta1 * eta2 * s * s
-    if disc <= 0.0:
+    mixed = 4.0 * eta1 * eta2 * (1.0 - s) * (1.0 + s)
+    root = math.sqrt((eta1 - eta2) ** 2 + mixed)
+    if root == 0.0:
         # only reachable at eta1 = eta2 = 1/2, s = 1
         return BinarySolution(p_error=0.5, r1=0.5, r2=0.5)
-    root = math.sqrt(disc)
-    r1 = 0.5 * (1.0 - (1.0 - 2.0 * eta2 * s * s) / root)
-    r2 = 0.5 * (1.0 - (1.0 - 2.0 * eta1 * s * s) / root)
-    r1 = min(max(r1, 0.0), 1.0)
-    r2 = min(max(r2, 0.0), 1.0)
-    return BinarySolution(p_error=eta1 * r1 + eta2 * r2, r1=r1, r2=r2)
+    scale = (1.0 + root) * root
+    r1 = min(eta2 * s * s * _root_minus(root, eta1 - eta2, mixed) / scale, 1.0)
+    r2 = min(eta1 * s * s * _root_minus(root, eta2 - eta1, mixed) / scale, 1.0)
+    return BinarySolution(p_error=2.0 * eta1 * eta2 * s * s / (1.0 + root), r1=r1, r2=r2)
+
+
+def _root_minus(root: float, x: float, mixed: float) -> float:
+    """``root - x >= 0`` where ``root**2 = x**2 + mixed``, written
+    ``mixed / (root + x)`` where the difference would cancel."""
+    return root - x if x <= 0.0 else mixed / (root + x)
 
 
 def binary_constraint_residual(s: float, r1: float, r2: float) -> float:
@@ -102,12 +110,19 @@ def symmetric_p_quadratic(n: int, s: float) -> tuple[float, float]:
 def symmetric_min_error(n: int, s: float) -> float:
     """Minimum error probability for n states with common real overlap s.
 
-    Equals ``1 - (sqrt(1+s*(n-1)) + (n-1)*sqrt(1-s))**2 / n**2``, which
-    lies in [0, 1 - 1/n].  At n = 2 this reduces to the equal-prior
-    binary bound.
+    Equals ``1 - ((a + b) / n)**2`` with ``a = sqrt(1+s*(n-1))`` and
+    ``b = (n-1)*sqrt(1-s)``, which lies in [0, 1 - 1/n].  It is computed
+    as ``(n - a - b) * (n + a + b) / n**2`` with
+    ``n - a - b = s**2 n (n-1) / ((1 + c) (1 + a) (a + c))``,
+    ``c = sqrt(1-s)``, so that it keeps its relative accuracy for nearly
+    orthogonal states.  At n = 2 this reduces to the equal-prior binary
+    bound.
     """
-    p_plus, _ = symmetric_p_quadratic(n, s)
-    return max(1.0 - p_plus, 0.0)
+    n, s = check_symmetric(n, s)
+    a = math.sqrt(max(1.0 + s * (n - 1), 0.0))
+    c = math.sqrt(max(1.0 - s, 0.0))
+    short = s * s * n * (n - 1) / ((1.0 + c) * (1.0 + a) * (a + c))
+    return short * (n + a + (n - 1) * c) / (n * n)
 
 
 def _require_equal_priors(ensemble: Ensemble) -> None:

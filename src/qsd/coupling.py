@@ -21,7 +21,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .closed_form import _circulant_roots, binary_individual_errors, symmetric_p_quadratic
+from .closed_form import (
+    _circulant_roots,
+    binary_individual_errors,
+    symmetric_min_error,
+    symmetric_p_quadratic,
+)
 from .ensembles import (
     Ensemble,
     _frozen,
@@ -272,13 +277,15 @@ def symmetric_optimal_coupling(n: int, s: float) -> CouplingMatrix:
     """Optimal coupling for n states with common real overlap s.
 
     Diagonal ``sqrt(p)`` with p the larger quadratic root, constant
-    off-diagonal t with ``t**2 = (1-p)/(n-1)``.  The off-diagonal sign
-    follows the overlap constraint ``2*sqrt(p)*t + (n-2)*t**2 = s``, so
-    negative overlaps get a negative t.
+    off-diagonal t with ``t**2 = r``, where ``r = (1-p)/(n-1)`` is taken
+    from :func:`~qsd.closed_form.symmetric_min_error` so that it keeps its
+    relative accuracy.  The off-diagonal sign follows the overlap
+    constraint ``2*sqrt(p)*t + (n-2)*t**2 = s``, so negative overlaps get a
+    negative t.
     """
     ensemble = gram_symmetric(n, s)
     p, _ = symmetric_p_quadratic(n, s)
-    r = (1.0 - p) / (n - 1)
+    r = symmetric_min_error(n, s) / (n - 1)
     t = (s - (n - 2) * r) / (2.0 * np.sqrt(p))
     c = np.full((n, n), t, dtype=complex)
     np.fill_diagonal(c, np.sqrt(p))

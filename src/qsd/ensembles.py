@@ -381,6 +381,9 @@ def ensemble_from_json(source: str | dict) -> Ensemble:
         {"kind": "psk", "n": 3, "alpha_sq": 0.5}
         {"kind": "gram", "matrix": [[{"re": ..., "im": ...}, ...], ...],
          "priors": [...]}
+
+    Every kind is capped at ``MAX_STATES`` states; a ``gram`` matrix's rows
+    are counted before any entry is parsed.
     """
     if isinstance(source, str):
         try:
@@ -406,7 +409,10 @@ def ensemble_from_json(source: str | dict) -> Ensemble:
         if kind == "gram":
             from ._serialize import parse_matrix
 
-            matrix = parse_matrix(source["matrix"])
+            rows = source["matrix"]
+            if isinstance(rows, list):
+                _check_dense(len(rows))
+            matrix = parse_matrix(rows)
             priors = np.array([float(p) for p in source["priors"]])
             return Ensemble(matrix.shape[0], matrix, priors)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -1,16 +1,15 @@
-"""Maximization of the correct-identification probability.
-
-Two routes to the same objective ``sum_j eta_j |c_jj|**2``:
+"""Maximization of the correct-identification probability
+``sum_j eta_j |c_jj|**2``.
 
 * :func:`optimize_general` solves for the weights of the optimal
   square-root measurement, which exist for every Gram matrix (Mochon
   2006), some of them possibly 0, by damped Newton on the concave weight
   function Phi: log steps while every weight is positive on a full-rank
   Gram, projected steps otherwise.
-* :func:`psk3_solve` / :func:`psk4_solve` need no search: they read the
-  parameters of the circulant ``G^{1/2}`` from
-  :func:`~qsd.coupling.circulant_optimal_coupling`, which is optimal for
-  every equal-prior circulant ensemble.
+* :func:`optimal_coupling` takes a closed form where the ensemble's
+  structure gives one and that weight solve elsewhere; every caller that
+  wants the optimal coupling, :func:`psk3_solve` / :func:`psk4_solve`
+  among them, reads it.
 """
 
 from __future__ import annotations
@@ -24,11 +23,13 @@ from .coupling import (
     ROW_NORM_TOL,
     CouplingMatrix,
     _checked_isometry,
+    binary_optimal_coupling,
     circulant_optimal_coupling,
     error_probability,
+    symmetric_optimal_coupling,
 )
 from .ensembles import RANK_TOL, Ensemble, check_integer, gram_psk, spectral_factor
-from .errors import ValidationError
+from .errors import NoSolutionError, QsdError, ValidationError
 
 # duality gap below which a coupling counts as certified optimal
 CERT_TOL = 1e-10
@@ -496,6 +497,34 @@ def optimize_general(ensemble: Ensemble, *, max_iters: int = DEFAULT_MAX_ITERS) 
     )
 
 
+def optimal_coupling(ensemble: Ensemble) -> CouplingMatrix:
+    """Best-known coupling for an ensemble: the closed form of the first
+    structure it has (two states; equal priors with equal real overlaps;
+    equal priors with a circulant Gram matrix), else the weight solve of
+    :func:`optimize_general`.
+
+    The weight solve also takes over when a closed form refuses the ensemble:
+    ``Ensemble`` admits Gram matrices up to its own tolerances (eigenvalues
+    down to -1e-10, circulant to 1e-10), beyond the closed forms' tighter ones.
+    A weight solve that does not converge raises NoSolutionError.
+    """
+    n, gram = ensemble.n, ensemble.gram
+    try:
+        if n == 2:
+            return binary_optimal_coupling(float(ensemble.priors[0]), complex(gram[0, 1]))
+        if ensemble.equal_priors:
+            row = gram[0, 1:]
+            if ensemble._circulant_deviation == 0.0 and np.all(row == row[0]) and row[0].imag == 0.0:
+                return symmetric_optimal_coupling(n, row[0].real)
+            return circulant_optimal_coupling(ensemble)
+    except QsdError:
+        pass
+    result = optimize_general(ensemble)
+    if not result.converged:
+        raise NoSolutionError(f"the weight solve did not converge (dual gap {result.dual_gap:.3e})")
+    return result.coupling
+
+
 # ---------------------------------------------------------------------------
 # structured PSK solvers
 
@@ -518,9 +547,9 @@ def psk_params(row: np.ndarray) -> tuple[PskParams, float]:
 
 def psk3_solve(alpha_sq: float) -> tuple[PskParams, float]:
     """Optimal coupling parameters for three PSK states (:func:`psk_params`)."""
-    return psk_params(circulant_optimal_coupling(gram_psk(3, alpha_sq)).c[0])
+    return psk_params(optimal_coupling(gram_psk(3, alpha_sq)).c[0])
 
 
 def psk4_solve(alpha_sq: float) -> tuple[PskParams, float]:
     """Optimal coupling parameters for four PSK states (:func:`psk_params`)."""
-    return psk_params(circulant_optimal_coupling(gram_psk(4, alpha_sq)).c[0])
+    return psk_params(optimal_coupling(gram_psk(4, alpha_sq)).c[0])

@@ -15,17 +15,19 @@ import pytest
 import qsd.cli
 from conftest import REFUSED_SETTINGS, cli_json, main_cli, mp_psk_error, near_dependent, run_cli
 from qsd._serialize import matrix_obj
-from qsd.cli import _optimal_coupling, main
+from qsd.cli import main
 from qsd.closed_form import symmetric_min_error
 from qsd.coupling import (
     FEASIBILITY_TOL,
     circulant_optimal_coupling,
+    error_probability,
     feasibility_residual,
     symmetric_optimal_coupling,
 )
-from qsd import optimizer
+from qsd import optimal_coupling, optimizer
 from qsd.ensembles import (
     CIRCULANT_TOL,
+    MAX_STATES,
     Ensemble,
     circulant,
     gram_psk,
@@ -451,15 +453,23 @@ class TestSimulate:
         assert "Traceback" not in err
 
 
+def test_oversized_gram_refused_before_parsing():
+    # every entry is unparseable: only a row count taken first names the limit
+    ensemble = json.dumps({"kind": "gram", "matrix": [["x"]] * (MAX_STATES + 1), "priors": [1.0]})
+    code, out, err = main_cli("optimize", "--ensemble", ensemble)
+    assert (code, out) == (2, "")
+    assert err == f"error: n={MAX_STATES + 1} is above the limit of {MAX_STATES} states for a dense Gram\n"
+
+
 def test_optimal_coupling_dispatches_on_the_ensemble():
     # explicit Gram matrices get the closed forms their structure allows
     psk, sym = gram_psk(5, 0.7), gram_symmetric(4, 0.3)
     as_gram = Ensemble(5, psk.gram, psk.priors)
-    assert np.array_equal(_optimal_coupling(as_gram).c, circulant_optimal_coupling(psk).c)
+    assert np.array_equal(optimal_coupling(as_gram).c, circulant_optimal_coupling(psk).c)
     as_gram = Ensemble(4, sym.gram, sym.priors)
-    assert np.array_equal(_optimal_coupling(as_gram).c, symmetric_optimal_coupling(4, 0.3).c)
+    assert np.array_equal(optimal_coupling(as_gram).c, symmetric_optimal_coupling(4, 0.3).c)
     unequal = Ensemble(5, psk.gram, [0.3, 0.2, 0.2, 0.2, 0.1])
-    assert np.array_equal(_optimal_coupling(unequal).c, optimize_general(unequal).coupling.c)
+    assert np.array_equal(optimal_coupling(unequal).c, optimize_general(unequal).coupling.c)
     # equal real overlaps, but a diagonal entry 5e-13 off 1 (inside
     # DIAGONAL_TOL): circulant only to within CIRCULANT_TOL, so the
     # circulant closed form of the ensemble itself, not the symmetric one
@@ -467,9 +477,26 @@ def test_optimal_coupling_dispatches_on_the_ensemble():
     gram[2, 2] += 5e-13
     near = Ensemble(4, gram, sym.priors)
     assert near._circulant_deviation == pytest.approx(5e-13, rel=1e-3)
-    cpl = _optimal_coupling(near)
+    cpl = optimal_coupling(near)
     assert cpl.ensemble is near
     assert np.array_equal(cpl.c, circulant_optimal_coupling(near).c)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("alpha_sq", [0.5, 6.0])
+def test_psk_commands_take_the_one_route(n, alpha_sq):
+    # qsd psk, --coupling optimal and the library read optimal_coupling; 2-PSK
+    # at alpha_sq = 6 once printed 9.4378363604e-12 from one and
+    # 9.4378393989e-12 from the other.  3- and 4-PSK print the first row's
+    # 2 r (+ r_prime), equal to the coupling's error up to roundoff
+    ensemble = json.dumps({"kind": "psk", "n": n, "alpha_sq": alpha_sq})
+    psk = json.loads(main_cli("psk", "--n", str(n), "--alpha-sq", str(alpha_sq))[1])["p_error"]
+    simulated = json.loads(main_cli("simulate", "--ensemble", ensemble, "--shots", "1000")[1])
+    simulated = simulated["analytic_error"]
+    library = error_probability(optimal_coupling(gram_psk(n, alpha_sq)))
+    assert simulated == library
+    assert psk == pytest.approx(library, rel=1e-14, abs=0.0)
+    assert abs(library / float(mp_psk_error(n, alpha_sq)) - 1.0) <= 1e-12
 
 
 # n = 24 nearly dependent states with Dirichlet priors, drawn by
@@ -499,7 +526,7 @@ def _fallback_coupling(ensemble, closed_form):
     # the closed form refuses this ensemble, which Ensemble itself accepts
     with pytest.raises(QsdError):
         closed_form(ensemble)
-    cpl = _optimal_coupling(ensemble)
+    cpl = optimal_coupling(ensemble)
     assert feasibility_residual(cpl) <= FEASIBILITY_TOL
     return cpl
 
@@ -546,7 +573,7 @@ def test_near_circulant_route_follows_the_kept_deviation(bump, circulant_route):
         if circulant_route
         else optimize_general(ensemble).coupling
     )
-    assert np.array_equal(_optimal_coupling(ensemble).c, expected.c)
+    assert np.array_equal(optimal_coupling(ensemble).c, expected.c)
 
 
 @pytest.mark.parametrize("n", ["3.7", "true", '"3"'])
@@ -799,6 +826,24 @@ class TestSweep:
             args += [key, value]
         code, _, _ = run_cli(*args)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "n, steps, message",
+        [
+            ("2,3", "600000", "600000 steps for 2 state counts make 1200000 grid points, "
+             "above the limit of 1000000"),
+            ("3,4097", "4", "n=4097 is above the limit of 4096 states for a dense Gram"),
+            ("3,1", "4", "n must be at least 2, got 1"),
+        ],
+        ids=["grid", "above_max_states", "below_two"],
+    )
+    def test_whole_grid_refused_before_the_first_row(self, monkeypatch, n, steps, message):
+        monkeypatch.setattr(qsd.cli, "_sweep_row", lambda *args: pytest.fail("a row was computed"))
+        code, out, err = main_cli(
+            "sweep", "--family", "symmetric", "--n", n, "--axis", "s",
+            "--min", "0.1", "--max", "0.5", "--steps", steps,
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_psk_optimizer_column_any_n(self):
         out = run_cli(

@@ -16,6 +16,7 @@ from qsd.closed_form import (
     symmetric_min_error,
     symmetric_p_quadratic,
 )
+from qsd.coupling import binary_optimal_coupling, error_probability, symmetric_optimal_coupling
 from qsd.ensembles import Ensemble, gram_binary, gram_psk, gram_symmetric
 from qsd.errors import NotCirculantError, UnsupportedPriorsError, ValidationError
 
@@ -224,3 +225,42 @@ def test_srm_general_full_relative_accuracy(n, alpha_sq):
     # below the absolute error of an eigendecomposition of G itself
     exact = mp_psk_error(n, alpha_sq)
     assert abs(mpmath.mpf(srm_error_general(gram_psk(n, alpha_sq))) / exact - 1) <= 1e-12
+
+
+def _relative_error(value, exact):
+    return float(abs(mpmath.mpf(value) / exact - 1))
+
+
+@pytest.mark.parametrize("alpha_sq", [4.0, 6.0, 8.0])
+@pytest.mark.parametrize("eta1", [0.5, 0.3])
+def test_binary_closed_forms_keep_relative_accuracy(alpha_sq, eta1):
+    # the 2-PSK overlap exp(-2 alpha_sq); (1 - sqrt(disc)) / 2 was 3.2e-7
+    # relative off at alpha_sq = 6 and equal priors
+    s = float(gram_psk(2, alpha_sq).gram[0, 1].real)
+    with mpmath.workdps(60):
+        m_eta1, m_s = mpmath.mpf(eta1), mpmath.mpf(s)
+        m_eta2 = 1 - m_eta1
+        root = mpmath.sqrt(1 - 4 * m_eta1 * m_eta2 * m_s**2)
+        p_error = (1 - root) / 2
+        r1 = (1 - (1 - 2 * m_eta2 * m_s**2) / root) / 2
+        r2 = (1 - (1 - 2 * m_eta1 * m_s**2) / root) / 2
+    sol = binary_individual_errors(eta1, s)
+    assert _relative_error(helstrom_bound(eta1, s), p_error) <= 1e-12
+    assert _relative_error(sol.p_error, p_error) <= 1e-12
+    assert _relative_error(sol.r1, r1) <= 1e-12
+    assert _relative_error(sol.r2, r2) <= 1e-12
+    coupling = binary_optimal_coupling(eta1, s)
+    assert _relative_error(error_probability(coupling), p_error) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("s", [1e-5, 1e-4, -1e-4])
+def test_symmetric_closed_form_keeps_relative_accuracy(n, s):
+    # 1 - ((a + b) / n)**2 was 6.4e-7 relative off at n = 3, s = 1e-5
+    with mpmath.workdps(60):
+        m_s = mpmath.mpf(s)
+        root_sum = mpmath.sqrt(1 + (n - 1) * m_s) + (n - 1) * mpmath.sqrt(1 - m_s)
+        exact = 1 - (root_sum / n) ** 2
+    assert _relative_error(symmetric_min_error(n, s), exact) <= 1e-12
+    coupling = symmetric_optimal_coupling(n, s)
+    assert _relative_error(error_probability(coupling), exact) <= 1e-12

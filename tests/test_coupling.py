@@ -26,7 +26,7 @@ from conftest import (
     reference_residuals,
 )
 from qsd import coupling as coupling_mod, ensembles
-from qsd.cli import _optimal_coupling
+from qsd import optimal_coupling
 from qsd.closed_form import helstrom_bound, srm_error_circulant, symmetric_min_error
 from qsd.coupling import (
     POLAR_NS_BOUND,
@@ -277,7 +277,7 @@ class TestCirculantOptimalCoupling:
 @pytest.mark.parametrize(
     "n, call",
     [
-        (16, _optimal_coupling),
+        (16, optimal_coupling),
         (8, srm_error_circulant),
         (None, lambda ensemble: psk3_solve(1.0)),
     ],

@@ -13,6 +13,8 @@ def test_every_export_resolves():
 
 def test_exports_sorted_without_duplicates():
     assert list(qsd.__all__) == sorted(set(qsd.__all__))
+    # the one route to the optimal coupling is public
+    assert "optimal_coupling" in qsd.__all__
 
 
 def test_star_import_in_fresh_interpreter():

@@ -2,7 +2,9 @@
 
 Each file in ``golden/`` holds the stdout of one command below, written by
 ``python -m qsd <argv> > tests/golden/<name>.out`` from the repository root:
-the first seven at 74f177e, the five from ``psk16_coupling`` on at 65fbc0e.
+the first seven at 74f177e, the five from ``psk16_coupling`` on at 65fbc0e;
+``bound`` and ``symmetric`` again (last digits) when the binary and
+equal-overlap closed forms stopped subtracting nearly equal numbers.
 Those five cover the circulant routes: the closed form, the dilation check
 on its coupling, the dilation a 10^6-shot simulation builds, and
 ``psk5_near_circulant.json``, a 5-PSK Gram at alpha_sq = 0.7 with 1e-12

@@ -19,10 +19,15 @@ checkout root: per workload its seeds, every run, and per end-to-end
 metric of ``BENCHMARK.json`` the medians and quartiles of both sides and
 the number of seed pairs in which the change is better (ties count for
 neither side), and under ``per_layer`` the traced pair's values of both
-sides, whose change / parent ratios it prints.  For each end-to-end
-metric it also prints whether the change won at least 9 of 10 pairs and
-whether the medians differ, in the metric's better direction, by more
-than the parent's interquartile range.
+sides, whose change / parent ratios it prints.  ``per_layer`` also holds,
+under ``self_s_share``, each ``*.self_s`` layer as a share of its side's
+summed ``*.self_s``, with their ratios printed beside the raw ones: the
+harness scales a traced run's self times by one speed factor per run,
+which moves every raw value together (up to 1.65x for unchanged code)
+but cancels in a share.  For each end-to-end metric it also prints
+whether the change won at least 9 of 10 pairs and whether the medians
+differ, in the metric's better direction, by more than the parent's
+interquartile range.
 """
 
 from __future__ import annotations
@@ -131,10 +136,17 @@ def yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def layer_ratios(per_layer: dict) -> list[str]:
+def self_s_shares(layers: dict) -> dict:
+    """Each ``*.self_s`` value of one traced run as a share of their sum."""
+    self_s = {name: value for name, value in layers.items() if name.endswith(".self_s")}
+    total = sum(self_s.values())
+    return {name: value / total if total else 0.0 for name, value in self_s.items()}
+
+
+def layer_ratios(parent_layers: dict, change_layers: dict) -> list[str]:
     lines = []
-    for name, parent in per_layer["parent"].items():
-        change = per_layer["change"][name]
+    for name, parent in parent_layers.items():
+        change = change_layers[name]
         ratio = f"{change / parent:.3f}" if parent else "-"
         lines.append(f"  {name:44s} parent {parent:.6g}  change {change:.6g}  ratio {ratio}")
     return lines
@@ -185,20 +197,25 @@ def main(argv=None) -> int:
                     for side in order:
                         rec = run_once(sides[side], workload, seed, args.seconds, args.smoke, trace=1)
                         per_layer[side] = {k: v["value"] for k, v in rec["metrics"].items()}
+                    per_layer["self_s_share"] = {side: self_s_shares(per_layer[side]) for side in order}
             summary = summarize(runs, metrics)
             workloads[workload] = {"seeds": args.seeds, "summary": summary, "runs": runs, "per_layer": per_layer}
             failed = {side: sum(r["failed"] for r in runs if r["side"] == side) for side in sides}
             print(f"{workload}: {len(args.seeds)} pairs, failed ops parent {failed['parent']} change {failed['change']}")
             print("\n".join(verdicts(summary, metrics)))
             print(f"{workload}: per layer, traced pair on seed {per_layer['seed']}")
-            print("\n".join(layer_ratios(per_layer)), flush=True)
+            print("\n".join(layer_ratios(per_layer["parent"], per_layer["change"])))
+            print(f"{workload}: *.self_s as shares of each side's summed *.self_s")
+            shares = per_layer["self_s_share"]
+            print("\n".join(layer_ratios(shares["parent"], shares["change"])), flush=True)
 
     result = {
         "what": (
             f"qsdbench/run.py --seconds {args.seconds:g} --trace 0{' --smoke' if args.smoke else ''}, "
             "run on the parent commit and on this change, in alternating order per seed "
             "(odd seed: parent first), one run at a time; per_layer: one --trace 1 run "
-            "of each side on the first seed, in the same order"
+            "of each side on the first seed, in the same order, and each side's "
+            "*.self_s values as shares of their sum"
         ),
         "parent": parent,
         "change": change,

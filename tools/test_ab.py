@@ -7,6 +7,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SUMMARY_KEYS = {
     "parent_median",
@@ -57,7 +59,19 @@ def test_head_against_working_tree():
 
     # one traced pair, on the first seed
     per_layer = dilation["per_layer"]
-    assert set(per_layer) == {"seed", "parent", "change"} and per_layer["seed"] == 1
+    assert set(per_layer) == {"seed", "parent", "change", "self_s_share"} and per_layer["seed"] == 1
     layers = {m["name"] for m in benchmark["per_layer"]}
     assert set(per_layer["parent"]) == set(per_layer["change"]) == layers
     assert "coupling.build_dilation.calls" in proc.stdout and "ratio" in proc.stdout
+
+    # each *.self_s layer as a share of the side's summed *.self_s
+    shares = per_layer["self_s_share"]
+    self_s_layers = {name for name in layers if name.endswith(".self_s")}
+    assert set(shares) == {"parent", "change"}
+    for side in ("parent", "change"):
+        assert set(shares[side]) == self_s_layers
+        assert sum(shares[side].values()) == pytest.approx(1.0)
+        build = per_layer[side]["coupling.build_dilation.self_s"]
+        total = sum(per_layer[side][name] for name in self_s_layers)
+        assert shares[side]["coupling.build_dilation.self_s"] == pytest.approx(build / total)
+    assert "as shares of each side's summed *.self_s" in proc.stdout
