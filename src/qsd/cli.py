@@ -102,13 +102,12 @@ def cmd_symmetric(args) -> int:
 def cmd_psk(args) -> int:
     n, alpha_sq = args.n, args.alpha_sq
     cpl = optimizer.optimal_coupling(gram_psk(n, alpha_sq))
-    payload = {"n": n, "alpha_sq": alpha_sq}
+    payload = {"n": n, "alpha_sq": alpha_sq, "p_error": coupling_mod.error_probability(cpl)}
     if n in (3, 4):
-        params, payload["p_error"] = optimizer.psk_params(cpl.c[0])
+        params = optimizer.psk_params(cpl.c[0])
         keys = ("p", "r", "r_prime", "theta1", "theta2", "u", "v")
         payload["params"] = {key: getattr(params, key) for key in keys}
     else:
-        payload["p_error"] = coupling_mod.error_probability(cpl)
         payload["row"] = [complex_obj(z) for z in cpl.c[0]]
     if args.emit_coupling:
         payload["coupling"] = coupling_mod.coupling_to_json(cpl)
@@ -118,7 +117,7 @@ def cmd_psk(args) -> int:
 
 def cmd_optimize(args) -> int:
     ensemble = _load_ensemble(args.ensemble)
-    result = optimizer.optimize_general(ensemble, max_iters=args.max_iters)
+    result = optimizer.optimize_general(ensemble)
     payload = {
         "p_error": result.p_error,
         "converged": result.converged,
@@ -182,43 +181,30 @@ def _sweep_outputs(text: str) -> set:
     return wanted
 
 
-def _sweep_cell(value: float | None) -> str:
-    return "" if value is None else fmt_float(value, CSV_DIGITS)
-
-
 def _sweep_row(family, n, axis, value, outputs, fixed_s, fixed_eta1) -> str:
     closed = srm = opt = None
-    if family == "symmetric":
-        if "closed_form" in outputs:
-            closed = closed_form.symmetric_min_error(n, value)
-        if "srm_oracle" in outputs:
-            srm = closed_form.srm_error_general(gram_symmetric(n, value))
-        if "optimizer" in outputs:
-            opt = optimizer.optimize_general(gram_symmetric(n, value)).p_error
-    elif family == "psk":
-        if "srm_oracle" in outputs:
-            srm = closed_form.srm_error_circulant(gram_psk(n, value))
-        if "optimizer" in outputs:
-            opt = coupling_mod.error_probability(optimizer.optimal_coupling(gram_psk(n, value)))
-    else:  # binary; n is always 2
+    psk = family == "psk"
+    if family == "binary":  # n is always 2
         eta1, s = (value, fixed_s) if axis == "eta1" else (fixed_eta1, value)
         if "closed_form" in outputs:
             closed = closed_form.helstrom_bound(eta1, s)
-        if "srm_oracle" in outputs:
+    elif family == "symmetric" and "closed_form" in outputs:
+        closed = closed_form.symmetric_min_error(n, value)
+    if not outputs.isdisjoint(("srm_oracle", "optimizer")):
+        # one ensemble for both columns: the oracles read its Gram and
+        # priors, never the factor that the solver memoizes on it
+        if family == "binary":
             ens = gram_binary(s, eta1)
-            srm = closed_form.srm_error_general(ens) if ens.equal_priors else None
-        if "optimizer" in outputs:
-            opt = optimizer.optimize_general(gram_binary(s, eta1)).p_error
-    cells = [
-        family,
-        str(n),
-        axis,
-        fmt_float(value, CSV_DIGITS),
-        _sweep_cell(closed),
-        _sweep_cell(srm),
-        _sweep_cell(opt),
-    ]
-    return ",".join(cells)
+        else:
+            ens = (gram_psk if psk else gram_symmetric)(n, value)
+        if "srm_oracle" in outputs and (psk or ens.equal_priors):
+            srm = (closed_form.srm_error_circulant if psk else closed_form.srm_error_general)(ens)
+        if "optimizer" in outputs and psk:
+            opt = coupling_mod.error_probability(optimizer.optimal_coupling(ens))
+        elif "optimizer" in outputs:
+            opt = optimizer.optimize_general(ens).p_error
+    cells = ("" if x is None else fmt_float(x, CSV_DIGITS) for x in (value, closed, srm, opt))
+    return ",".join([family, str(n), axis, *cells])
 
 
 def cmd_sweep(args) -> int:
@@ -274,6 +260,9 @@ class _Parser(argparse.ArgumentParser):
     an unrecognized argument before a missing required option."""
 
     def error(self, message):
+        # an unrecognized argument is named as given: escape its line breaks
+        if message.splitlines() != [message]:
+            message = repr(message)[1:-1]
         raise ValidationError(f"{self.prog}: {message}")
 
     def parse_known_args(self, args=None, namespace=None):
@@ -326,9 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="optimal coupling from square-root-measurement weights")
     p.add_argument("--ensemble", required=True)
-    p.add_argument(
-        "--max-iters", type=int, default=optimizer.DEFAULT_MAX_ITERS, help="default: %(default)s"
-    )
     p.add_argument("--emit-coupling", action="store_true")
     p.set_defaults(func=cmd_optimize)
 

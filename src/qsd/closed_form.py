@@ -165,20 +165,28 @@ def srm_error_general(ensemble: Ensemble) -> float:
     return float(mass.sum()) / n
 
 
-def _circulant_roots(ensemble: Ensemble) -> np.ndarray:
-    """Square roots of the ``numpy.fft`` eigenvalues of an equal-prior
-    ensemble's circulant Gram matrix, negative roundoff clamped to zero;
+def _circulant_row(ensemble: Ensemble) -> np.ndarray:
+    """First row of an equal-prior ensemble's circulant Gram matrix;
     NotCirculantError when its kept circulant deviation is above
     ``CIRCULANT_TOL``."""
     _require_equal_priors(ensemble)
     if not ensemble._circulant_deviation <= CIRCULANT_TOL:
         raise NotCirculantError("ensemble Gram matrix is not circulant")
-    lam = np.fft.fft(ensemble.gram[0]).real
+    return ensemble.gram[0]
+
+
+def _psd_spectrum(lam: np.ndarray) -> np.ndarray:
+    """lam, a circulant spectrum; ValidationError below ``EIGENVALUE_FLOOR``."""
     if lam.min() < EIGENVALUE_FLOOR:
-        raise ValidationError(
-            f"circulant matrix not positive semidefinite (eigenvalue {lam.min():.3e})"
-        )
-    return np.sqrt(np.clip(lam, 0.0, None))
+        raise ValidationError(f"circulant matrix not positive semidefinite (eigenvalue {lam.min():.3e})")
+    return lam
+
+
+def _circulant_roots(ensemble: Ensemble) -> np.ndarray:
+    """Square roots of the ``numpy.fft`` eigenvalues of an equal-prior
+    ensemble's circulant Gram matrix (:func:`_circulant_row`), negative
+    roundoff clamped to zero: the spectrum of the circulant closed form."""
+    return np.sqrt(np.clip(_psd_spectrum(np.fft.fft(_circulant_row(ensemble)).real), 0.0, None))
 
 
 def srm_error_circulant(ensemble: Ensemble) -> float:
@@ -187,9 +195,15 @@ def srm_error_circulant(ensemble: Ensemble) -> float:
     Independent of :func:`srm_error_general`: the success probability is
     ``((1/n) * sum_k sqrt(lambda_k))**2`` with lambda_k the circulant
     eigenvalues of the Gram matrix.  They sum to the trace n, so the error
-    is the variance ``(1/n) sum_k (sqrt(lambda_k) - mean)**2`` of their
-    square roots, which keeps its relative accuracy where ``1 - p`` would
-    cancel.
+    is the variance of their square roots, which keeps its relative
+    accuracy where ``1 - p`` would cancel.  Those roots less 1 are taken
+    as ``d / (sqrt(1 + d) + 1)`` (-1 where ``1 + d <= 0``) from
+    ``d = fft(row - e_0)``, the spectrum of ``G - I``, which keeps the
+    small overlaps that ``fft(row)``, the closed form's, rounds against 1.
     """
-    roots = _circulant_roots(ensemble)
-    return float(np.mean((roots - roots.mean()) ** 2))
+    row = _circulant_row(ensemble).copy()
+    row[0] -= 1.0
+    d = np.fft.fft(row).real
+    lam = _psd_spectrum(1.0 + d)
+    f = np.where(lam > 0.0, d / (np.sqrt(np.maximum(lam, 0.0)) + 1.0), -1.0)
+    return float(np.mean((f - f.mean()) ** 2))

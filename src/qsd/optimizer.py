@@ -28,7 +28,7 @@ from .coupling import (
     error_probability,
     symmetric_optimal_coupling,
 )
-from .ensembles import RANK_TOL, Ensemble, check_integer, gram_psk, spectral_factor
+from .ensembles import RANK_TOL, Ensemble, gram_psk, spectral_factor
 from .errors import NoSolutionError, QsdError, ValidationError
 
 # duality gap below which a coupling counts as certified optimal
@@ -58,8 +58,9 @@ NEWTON_MIN_DAMPING = 0.25
 WEIGHT_MIN_STEP = 2.0**-30
 PHI_ROUNDOFF = 1e-15
 SINGULAR_DROP = 1e-2
-# cap on the Newton steps of one weight solve
-DEFAULT_MAX_ITERS = 2000
+# cap on the Newton steps of one weight solve: it only bounds a stall,
+# since no solve of the tested and benchmarked families takes more than 32
+MAX_STEPS = 2000
 
 
 @dataclass(frozen=True)
@@ -345,7 +346,7 @@ def _backtrack(b, eta, w, point, arc, min_step):
     return None
 
 
-def _ascend_weights(b, priors, eta, log_steps, max_steps):
+def _ascend_weights(b, priors, eta, log_steps):
     """Damped Newton on Phi in w from the scaled ``w = 1``, with
     :func:`_weight_point` for the priors eta; the duality gap takes the
     ensemble's priors.
@@ -388,7 +389,7 @@ def _ascend_weights(b, priors, eta, log_steps, max_steps):
     its prior, as the duality gap does.  The gap is evaluated wherever
     ``|pg| <= GAP_SCREEN`` and at the end.  The ascent stops once the gap
     certifies, ``|pg| <= WEIGHT_GRAD_TOL``, backtracking fails or
-    ``max_steps`` steps, the Jacobi step among them, are taken.  Returns
+    ``MAX_STEPS`` steps, the Jacobi step among them, are taken.  Returns
     the isometry, whether ``|pg| <= WEIGHT_GRAD_TOL``, the gap and the
     trace: the success probability at the start and after each step that
     raised it.
@@ -400,12 +401,12 @@ def _ascend_weights(b, priors, eta, log_steps, max_steps):
     w *= root_c**2
     point = (root_c * float(s.sum()), (grad + eta) / root_c - eta, success, root_c * s, y, u, vh)
     trace = [success]
-    for step in range(max_steps + 1):
+    for step in range(MAX_STEPS + 1):
         _, grad, _, s, y, u, vh = point
         pgn = float(np.linalg.norm(np.where(w > 0.0, grad, np.maximum(grad, 0.0))))
         v = u @ vh if pgn <= GAP_SCREEN else None
         gap = None if v is None else dual_gap(b, priors, v)
-        if (gap is not None and gap <= CERT_TOL) or pgn <= WEIGHT_GRAD_TOL or step == max_steps:
+        if (gap is not None and gap <= CERT_TOL) or pgn <= WEIGHT_GRAD_TOL or step == MAX_STEPS:
             break
         lam = WEIGHT_DAMPING * pgn
         found = None
@@ -442,13 +443,13 @@ def _ascend_weights(b, priors, eta, log_steps, max_steps):
     return v, pgn <= WEIGHT_GRAD_TOL, gap, trace
 
 
-def optimize_general(ensemble: Ensemble, *, max_iters: int = DEFAULT_MAX_ITERS) -> OptimizeResult:
+def optimize_general(ensemble: Ensemble) -> OptimizeResult:
     """Optimal coupling of an ensemble: the square-root measurement of
     the weights that maximize Phi (:func:`_weight_point`).
 
     Priors below ``CERT_TOL / (2 rank)`` count as 0 in the weight
     problem, never in the duality gap.  Every input starts at the scaled
-    ``w = 1`` of :func:`_ascend_weights`, which takes at most ``max_iters``
+    ``w = 1`` of :func:`_ascend_weights`, which takes at most ``MAX_STEPS``
     steps: log steps, the first of them a Jacobi step where that passes,
     while the Gram has full rank and every weight is positive, projected
     Newton steps otherwise.  No random numbers are drawn.
@@ -461,9 +462,8 @@ def optimize_general(ensemble: Ensemble, *, max_iters: int = DEFAULT_MAX_ITERS) 
     ``alpha_sq = 1`` loses a 4.5e-12 eigenvalue, and its certified p_error
     is 1.4e-7 above the optimum); a cut that leaves the rows of every
     coupling ``B V`` more than ``ROW_NORM_TOL`` short of unit norm raises
-    ValidationError, as does a max_iters that is not an integer >= 1.
+    ValidationError.
     """
-    check_integer(max_iters, "max_iters", 1)
     sf = spectral_factor(ensemble)
     b = sf.factor
     priors = ensemble.priors
@@ -483,7 +483,7 @@ def optimize_general(ensemble: Ensemble, *, max_iters: int = DEFAULT_MAX_ITERS) 
     # lambda_min(H - eta_j psi_j psi_j^H) >= -eta_j), and its weight only
     # makes Phi ill-scaled: the weight solve takes it as 0
     eta = np.where(priors >= CERT_TOL / (2 * rank), priors, 0.0)
-    v, grad_ok, gap, trace = _ascend_weights(b, priors, eta, rank == n and eta.min() > 0.0, max_iters)
+    v, grad_ok, gap, trace = _ascend_weights(b, priors, eta, rank == n and eta.min() > 0.0)
     coupling = CouplingMatrix(b @ v, ensemble)
     certified = gap <= CERT_TOL
     return OptimizeResult(
@@ -529,27 +529,25 @@ def optimal_coupling(ensemble: Ensemble) -> CouplingMatrix:
 # structured PSK solvers
 
 
-def psk_params(row: np.ndarray) -> tuple[PskParams, float]:
+def psk_params(row: np.ndarray) -> PskParams:
     """PskParams of the first row of an optimal 3- or 4-PSK coupling (the
-    opposite-state amplitude is real, so theta2 is 0 or pi), and the
-    error probability as the row's off-diagonal mass ``2 r (+ r_prime)``,
-    which keeps its relative accuracy where ``1 - p`` would cancel."""
+    opposite-state amplitude is real, so theta2 is 0 or pi)."""
     q, w = float(row[0].real), complex(row[1])
     u, v = w.real, -w.imag
-    r = u * u + v * v
-    common = dict(p=q * q, r=r, theta1=math.atan2(v, u), u=u, v=v)
+    common = dict(p=q * q, r=u * u + v * v, theta1=math.atan2(v, u), u=u, v=v)
     if len(row) == 3:
-        return PskParams(**common), 2.0 * r
+        return PskParams(**common)
     z = float(row[2].real)
-    params = PskParams(**common, r_prime=z * z, theta2=0.0 if z >= 0.0 else math.pi)
-    return params, 2.0 * r + z * z
+    return PskParams(**common, r_prime=z * z, theta2=0.0 if z >= 0.0 else math.pi)
 
 
 def psk3_solve(alpha_sq: float) -> tuple[PskParams, float]:
-    """Optimal coupling parameters for three PSK states (:func:`psk_params`)."""
-    return psk_params(optimal_coupling(gram_psk(3, alpha_sq)).c[0])
+    """Parameters (:func:`psk_params`) and error of the optimal 3-PSK coupling."""
+    cpl = optimal_coupling(gram_psk(3, alpha_sq))
+    return psk_params(cpl.c[0]), error_probability(cpl)
 
 
 def psk4_solve(alpha_sq: float) -> tuple[PskParams, float]:
-    """Optimal coupling parameters for four PSK states (:func:`psk_params`)."""
-    return psk_params(optimal_coupling(gram_psk(4, alpha_sq)).c[0])
+    """Parameters (:func:`psk_params`) and error of the optimal 4-PSK coupling."""
+    cpl = optimal_coupling(gram_psk(4, alpha_sq))
+    return psk_params(cpl.c[0]), error_probability(cpl)

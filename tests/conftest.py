@@ -18,7 +18,8 @@ from qsd.cli import main
 from qsd.ensembles import Ensemble, spectral_factor
 
 
-# settings that optimize_general refuses, and qsd optimize with them
+# values of a step-cap setting, which neither optimize_general nor qsd
+# optimize takes: each is refused as an unknown keyword or flag
 REFUSED_SETTINGS = [
     {"max_iters": 0},
     {"max_iters": -1},

@@ -171,8 +171,8 @@ def test_sweep_and_size_arguments(family, tokens, axis, bounds, outputs, psk_n):
     run(["symmetric", "--n", psk_n, "--s", "0.25", "--emit-coupling"])
 
 
-# identical states: the first weights are certified at once, so no drawn
-# iteration count can make the run long
+# identical states, certified at once: qsd optimize has no --max-iters, so
+# each drawn token must end as a one-line unrecognized-argument error
 IDENTITY = json.dumps({"kind": "symmetric", "n": 2, "s": 0.0})
 SETTING_TOKEN = st.one_of(
     st.sampled_from(
