@@ -56,7 +56,6 @@ from .optimizer import (
     OptimizeResult,
     PskParams,
     dual_gap,
-    objective_gradient,
     optimal_coupling,
     optimize_general,
     psk3_solve,
@@ -111,7 +110,6 @@ __all__ = [
     "gram_psk",
     "gram_symmetric",
     "helstrom_bound",
-    "objective_gradient",
     "optimal_coupling",
     "optimize_general",
     "post_measurement_state",

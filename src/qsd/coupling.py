@@ -70,9 +70,10 @@ class CouplingMatrix:
 
     Validation computes the outcome law once and keeps it, read-only:
     ``_mass[j, k] = |c[j, k]|**2``, the probability of outcome k on input
-    j, and its row sums ``_row_mass``.  The success and error
-    probabilities, the post-measurement probability, the Monte Carlo
-    sampler and the dilation's outcome-probability residual all read it.
+    j, its row sums ``_row_mass`` and its off-diagonal row sums
+    ``_off_row_mass``.  The success and error probabilities, the
+    post-measurement probability, the Monte Carlo sampler and the
+    dilation's outcome-probability residual all read it.
     """
 
     c: np.ndarray
@@ -91,8 +92,11 @@ class CouplingMatrix:
             raise ValidationError(
                 f"coupling rows must be unit vectors (residual {row_norm_err:.3e})"
             )
+        off = mass.copy()
+        np.fill_diagonal(off, 0.0)
         object.__setattr__(self, "_mass", _frozen(mass))
         object.__setattr__(self, "_row_mass", _frozen(row_mass))
+        object.__setattr__(self, "_off_row_mass", _frozen(off.sum(axis=1)))
 
     @property
     def n(self) -> int:
@@ -219,9 +223,7 @@ def error_probability(coupling: CouplingMatrix) -> float:
     errors, which ``1 - success_probability`` loses to cancellation
     (below ~1e-16 it returns 0 or a rounding residue).
     """
-    off = coupling._mass.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.dot(coupling.ensemble.priors, off.sum(axis=1)))
+    return float(np.dot(coupling.ensemble.priors, coupling._off_row_mass))
 
 
 def _gram_residual(rows: np.ndarray, gram: np.ndarray) -> float:

@@ -22,7 +22,6 @@ import numpy as np
 from .coupling import (
     ROW_NORM_TOL,
     CouplingMatrix,
-    _checked_isometry,
     binary_optimal_coupling,
     circulant_optimal_coupling,
     error_probability,
@@ -124,13 +123,6 @@ class OptimizeResult:
     certified: bool
 
 
-def _riemannian_grad(b: np.ndarray, priors: np.ndarray, v: np.ndarray) -> np.ndarray:
-    diag = np.einsum("ij,ji->i", b, v)
-    egrad = 2.0 * b.conj().T * (priors * diag)[None, :]
-    x = egrad @ v.conj().T
-    return egrad - 0.5 * (x + x.conj().T) @ v
-
-
 def dual_gap(b: np.ndarray, priors: np.ndarray, v: np.ndarray) -> float:
     """Certified bound on the success probability missing at ``C = B V``.
 
@@ -224,17 +216,6 @@ def _lowest_downdated_eigenvalue(lam: np.ndarray, z: np.ndarray) -> float:
         if np.all(step <= SECULAR_STEP_TOL * delta):
             break
     return x_c - float((delta - d_low).max())
-
-
-def objective_gradient(ensemble: Ensemble, v: np.ndarray) -> np.ndarray:
-    """Riemannian gradient of the success probability at isometry v.
-
-    The tangent space at v consists of matrices d with
-    ``d v^H + v d^H = 0``; the returned matrix is the projection of the
-    (Wirtinger) Euclidean gradient onto it.  Zero at stationary points.
-    """
-    sf = spectral_factor(ensemble)
-    return _riemannian_grad(sf.factor, ensemble.priors, _checked_isometry(v, sf.rank, ensemble.n))
 
 
 def _daleckii_krein(w, kern):

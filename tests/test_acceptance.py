@@ -16,6 +16,7 @@ from conftest import (
     dilation_input_vector,
     dilation_target_vector,
     outcome_amplitudes,
+    random_gram,
     random_isometry,
 )
 from qsd.closed_form import (
@@ -43,7 +44,7 @@ from qsd.ensembles import (
 )
 from qsd.optimizer import (
     CERT_TOL,
-    objective_gradient,
+    _weight_point,
     optimize_general,
     psk3_solve,
     psk4_solve,
@@ -327,34 +328,31 @@ def test_criterion_7_sequential_floor():
 
 
 def test_criterion_8_gradient_finite_differences():
+    # Phi's gradient in the weights w, the one every weight solve steps
+    # on, against central differences of Phi along a random direction:
+    # even points have full-rank Grams, odd ones rank 1 to n - 1, and
+    # every fifth point has a prior of 1e-9
     start = time.perf_counter()
     rng = np.random.default_rng(31337)
     h = 1e-6
     worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        g = m @ m.conj().T
-        d = np.sqrt(np.diag(g).real)
-        g = g / np.outer(d, d)
-        g = 0.5 * (g + g.conj().T)
-        np.fill_diagonal(g, 1.0)
-        priors = rng.random(n)
-        ens = Ensemble(n, g, priors / priors.sum())
-        sf = spectral_factor(ens)
-        v = random_isometry(rng, sf.rank, n)
-        grad = objective_gradient(ens, v)
-        b = sf.factor
+    for k in range(100):
+        n = int(rng.integers(2, 9))
+        rank = n if k % 2 == 0 else int(rng.integers(1, n))
+        priors = rng.dirichlet(np.ones(n))
+        if k % 5 == 0:
+            priors[rng.integers(n)] = 1e-9
+            priors /= priors.sum()
+        ens = Ensemble(n, random_gram(rng, n, rank), priors)
+        b = spectral_factor(ens).factor
+        w = rng.uniform(0.5, 2.0, n)
+        direction = rng.standard_normal(n)
 
-        def objective(mat):
-            diag = np.einsum("ij,ji->i", b, mat)
-            return float(np.dot(ens.priors, np.abs(diag) ** 2))
+        def phi(weights):
+            return _weight_point(b, ens.priors, weights)[0]
 
-        raw = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
-        x = raw @ v.conj().T
-        direction = raw - 0.5 * (x + x.conj().T) @ v  # tangent projection
-        fd = (objective(v + h * direction) - objective(v - h * direction)) / (2 * h)
-        analytic = float(np.sum(grad.conj() * direction).real)
+        fd = (phi(w + h * direction) - phi(w - h * direction)) / (2 * h)
+        analytic = float(_weight_point(b, ens.priors, w)[1] @ direction)
         rel = abs(fd - analytic) / max(abs(fd), 1e-12)
         worst = max(worst, rel)
     elapsed = time.perf_counter() - start

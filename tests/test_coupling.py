@@ -386,7 +386,7 @@ class TestKeptOutcomeLaw:
         cpl = make()
         assert np.array_equal(cpl._mass, np.abs(cpl.c) ** 2)
         assert np.array_equal(cpl._row_mass, (np.abs(cpl.c) ** 2).sum(axis=1))
-        for kept in (cpl._mass, cpl._row_mass):
+        for kept in (cpl._mass, cpl._row_mass, cpl._off_row_mass):
             assert kept.dtype == float
             assert not kept.flags.writeable
             with pytest.raises(ValueError):
@@ -415,6 +415,32 @@ class TestKeptOutcomeLaw:
                 prob = (np.abs(c) ** 2)[j, k]
                 if prob > 1e-24:
                     assert post_measurement_state(dilation, j, k)[1] == prob
+
+    @pytest.mark.parametrize("n", [2, 4, 16, 64])
+    def test_error_probability_is_the_off_diagonal_sum(self, n):
+        rng = np.random.default_rng([4410, n])
+        couplings = [
+            symmetric_optimal_coupling(n, 0.3),
+            circulant_optimal_coupling(gram_psk(n, 0.7)),
+            coupling_from_unitary(random_rank_ensemble(rng, n, n), random_isometry(rng, n, n)),
+        ]
+        if n == 2:
+            couplings.append(binary_optimal_coupling(0.3, 0.6 * np.exp(0.7j)))
+        for cpl in couplings:
+            off = cpl._mass.copy()
+            np.fill_diagonal(off, 0.0)
+            assert error_probability(cpl) == float(np.dot(cpl.ensemble.priors, off.sum(axis=1)))
+
+    def test_error_probability_copies_nothing(self):
+        cpl = symmetric_optimal_coupling(1024, 0.3)
+        tracemalloc.start()
+        try:
+            error_probability(cpl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an n x n copy of the outcome law would be 8 MiB
+        assert peak < 64 * 1024
 
 
 class TestBuildDilation:

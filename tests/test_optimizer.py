@@ -54,16 +54,10 @@ from qsd.optimizer import (
     _weight_hessian,
     _weight_point,
     dual_gap,
-    objective_gradient,
     optimize_general,
     psk3_solve,
     psk4_solve,
 )
-
-
-def tangent_project(v, d):
-    x = d @ v.conj().T
-    return d - 0.5 * (x + x.conj().T) @ v
 
 
 def random_ensemble(rng, n, rank):
@@ -640,61 +634,6 @@ class TestSecularGap:
             warnings.simplefilter("error")
             low = _lowest_downdated_eigenvalue(lam, z)
         assert abs(low - np.linalg.eigvalsh(np.diag(lam) - np.outer(u, u))[0]) <= 1e-15
-
-
-class TestObjectiveGradient:
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(314)
-        h = 1e-6
-        worst = 0.0
-        for _ in range(20):
-            n = int(rng.integers(2, 5))
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            g = m @ m.conj().T
-            d = np.sqrt(np.diag(g).real)
-            g = g / np.outer(d, d)
-            g = 0.5 * (g + g.conj().T)
-            np.fill_diagonal(g, 1.0)
-            from qsd.ensembles import Ensemble
-
-            pr = rng.random(n)
-            pr /= pr.sum()
-            ens = Ensemble(n, g, pr)
-            sf = spectral_factor(ens)
-            v = random_isometry(rng, sf.rank, n)
-            grad = objective_gradient(ens, v)
-            b = sf.factor
-
-            def f(mat):
-                diag = np.einsum("ij,ji->i", b, mat)
-                return float(np.dot(pr, np.abs(diag) ** 2))
-
-            for _ in range(3):
-                direction = tangent_project(
-                    v, rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
-                )
-                fd = (f(v + h * direction) - f(v - h * direction)) / (2 * h)
-                analytic = float(np.sum(grad.conj() * direction).real)
-                rel = abs(fd - analytic) / max(abs(fd), 1e-12)
-                worst = max(worst, rel)
-        assert worst < 1e-5
-
-    def test_zero_at_binary_optimum(self):
-        from qsd.coupling import binary_optimal_coupling
-
-        ens = gram_binary(0.6, 0.25)
-        sf = spectral_factor(ens)
-        target = binary_optimal_coupling(0.25, 0.6)
-        v = np.linalg.solve(sf.factor, target.c)
-        assert np.max(np.abs(v @ v.conj().T - np.eye(2))) <= 1e-10
-        grad = objective_gradient(ens, v)
-        assert np.linalg.norm(grad) <= 1e-8
-
-    def test_rejects_non_isometry(self):
-        ens = gram_symmetric(3, 0.3)
-        bad = np.full((3, 3), 0.5, dtype=complex)
-        with pytest.raises(Exception):
-            objective_gradient(ens, bad)
 
 
 class TestWeightHessian:

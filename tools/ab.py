@@ -27,13 +27,18 @@ which moves every raw value together (up to 1.65x for unchanged code)
 but cancels in a share.  For each end-to-end metric it also prints
 whether the change won at least 9 of 10 pairs and whether the medians
 differ, in the metric's better direction, by more than the parent's
-interquartile range.
+interquartile range; and, against the metric's ``bound`` in
+``BENCHMARK.json``, how much worse the change's median is than the
+parent's, relative to it, with one of ``ok``, ``REGRESSED`` or
+``unresolved`` (the parent's runs spread by more than the bound, and not
+every change run beats every parent run).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import shutil
 import statistics
@@ -111,19 +116,41 @@ def quartiles(values: list[float]) -> list[float]:
     return [q[0], q[2]]
 
 
-def verdicts(summary: dict, metrics: list[dict]) -> list[str]:
+def verdicts(summary: dict, metrics: list[dict], runs: list[dict]) -> list[str]:
+    """Two lines per metric: the gain check (9 of 10 pairs, median gain
+    beyond the parent's IQR) and the no-regression check against the
+    metric's ``bound``.  The latter reads ``ok``, ``REGRESSED`` when the
+    change's median is worse than the parent's by more than the bound
+    (relative), or ``unresolved`` when the parent's IQR exceeds the bound
+    times its median, unless every change run beats every parent run."""
     lines = []
     for m in metrics:
-        s = summary[m["name"]]
+        name, bound = m["name"], m["bound"]
+        s = summary[name]
         sign = 1 if m["better"] == "higher" else -1
         gain = sign * (s["change_median"] - s["parent_median"])
         iqr = s["parent_quartiles"][1] - s["parent_quartiles"][0]
         wins = s["change_better_pairs"] >= 0.9 * s["pairs"]
+        # relative to the parent's median; a median of 0 gives NaN, which
+        # reads as unresolved
+        scale = abs(s["parent_median"]) or math.nan
+        worse, spread = -gain / scale, iqr / scale
+        side = {k: [sign * r["metrics"][name] for r in runs if r["side"] == k] for k in ("parent", "change")}
+        if min(side["change"]) > max(side["parent"]):
+            check = "ok"
+        elif not spread <= bound:
+            check = "unresolved"
+        else:
+            check = "REGRESSED" if worse > bound else "ok"
         lines.append(
-            f"  {m['name']:16s} parent {s['parent_median']:.6g} {fmt(s['parent_quartiles'])}"
+            f"  {name:16s} parent {s['parent_median']:.6g} {fmt(s['parent_quartiles'])}"
             f"  change {s['change_median']:.6g} {fmt(s['change_quartiles'])}"
             f"  better in {s['change_better_pairs']}/{s['pairs']} pairs (>= 9/10: {yes(wins)})"
             f"  median gain {gain:.4g} vs parent IQR {iqr:.4g} ({yes(gain > iqr)})"
+        )
+        lines.append(
+            f"  {'':16s} median worse by {worse:+.2%} (bound {bound:.0%},"
+            f" parent IQR {spread:.2%} of median): {check}"
         )
     return lines
 
@@ -202,7 +229,7 @@ def main(argv=None) -> int:
             workloads[workload] = {"seeds": args.seeds, "summary": summary, "runs": runs, "per_layer": per_layer}
             failed = {side: sum(r["failed"] for r in runs if r["side"] == side) for side in sides}
             print(f"{workload}: {len(args.seeds)} pairs, failed ops parent {failed['parent']} change {failed['change']}")
-            print("\n".join(verdicts(summary, metrics)))
+            print("\n".join(verdicts(summary, metrics, runs)))
             print(f"{workload}: per layer, traced pair on seed {per_layer['seed']}")
             print("\n".join(layer_ratios(per_layer["parent"], per_layer["change"])))
             print(f"{workload}: *.self_s as shares of each side's summed *.self_s")

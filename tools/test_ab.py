@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from ab import summarize, verdicts
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SUMMARY_KEYS = {
     "parent_median",
@@ -75,3 +77,25 @@ def test_head_against_working_tree():
         total = sum(per_layer[side][name] for name in self_s_layers)
         assert shares[side]["coupling.build_dilation.self_s"] == pytest.approx(build / total)
     assert "as shares of each side's summed *.self_s" in proc.stdout
+
+
+def test_verdicts_no_regression_check():
+    # per metric: the better direction, its bound, and the parent's and
+    # the change's value on each of four seeds
+    cases = {
+        "ok": ("higher", 0.25, [100, 101, 99, 100], [98, 99, 100, 97]),
+        "regressed": ("lower", 0.25, [10, 10, 10, 10.5], [14, 14, 15, 14]),
+        "unresolved": ("higher", 0.15, [50, 100, 150, 100], [60, 90, 140, 95]),
+        "wide_but_beaten": ("lower", 0.15, [50, 100, 150, 100], [10, 11, 12, 13]),
+    }
+    metrics = [{"name": name, "better": better, "bound": bound} for name, (better, bound, _, _) in cases.items()]
+    runs = [
+        {"seed": seed, "side": side, "metrics": {name: case[2 + i][seed] for name, case in cases.items()}}
+        for seed in range(4)
+        for i, side in enumerate(("parent", "change"))
+    ]
+    lines = verdicts(summarize(runs, metrics), metrics, runs)
+    assert len(lines) == 2 * len(cases)
+    outcomes = {name: lines[2 * i + 1].rsplit(": ", 1)[1] for i, name in enumerate(cases)}
+    assert outcomes == {"ok": "ok", "regressed": "REGRESSED", "unresolved": "unresolved", "wide_but_beaten": "ok"}
+    assert "median worse by +40.00% (bound 25%" in lines[3]
