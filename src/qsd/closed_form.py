@@ -17,6 +17,7 @@ from .ensembles import (
     CIRCULANT_TOL,
     EIGENVALUE_FLOOR,
     Ensemble,
+    _circulant_spectrum,
     check_binary,
     check_symmetric,
 )
@@ -183,10 +184,9 @@ def _psd_spectrum(lam: np.ndarray) -> np.ndarray:
 
 
 def _circulant_roots(ensemble: Ensemble) -> np.ndarray:
-    """Square roots of the ``numpy.fft`` eigenvalues of an equal-prior
-    ensemble's circulant Gram matrix (:func:`_circulant_row`), negative
-    roundoff clamped to zero: the spectrum of the circulant closed form."""
-    return np.sqrt(np.clip(_psd_spectrum(np.fft.fft(_circulant_row(ensemble)).real), 0.0, None))
+    """Square roots of the :func:`~qsd.ensembles._circulant_spectrum` of
+    :func:`_circulant_row`, negative roundoff clamped to zero."""
+    return np.sqrt(np.clip(_psd_spectrum(_circulant_spectrum(_circulant_row(ensemble))), 0.0, None))
 
 
 def srm_error_circulant(ensemble: Ensemble) -> float:

@@ -51,6 +51,8 @@ ISOMETRY_TOL = 1e-8
 ROOT_RESIDUAL_TOL = 1e-10
 # largest dense joint unitary a DilationModel will assemble (16 n^4 bytes)
 MAX_DILATION_BYTES = 1 << 30
+# outcome probability at or below which no conditional state is defined
+CONDITIONAL_PROB_FLOOR = 1e-24
 # ||X X^H - I||_F up to which _polar_orthonormal iterates instead of
 # taking the SVD; two Newton-Schulz steps reach roundoff from there.  The
 # dilation inputs of feasible couplings lie far inside it (at most 7e-14
@@ -518,14 +520,14 @@ def post_measurement_state(
 
     In this shared-post-state construction the conditional state is
     ``post_states[:, k]`` for every input; the probability is
-    ``|c[j, k]|**2``.  Outcomes with probability below 1e-24 have no
-    defined conditional state.
+    ``|c[j, k]|**2``.  Outcomes with probability at most
+    ``CONDITIONAL_PROB_FLOOR`` have no defined conditional state.
     """
     n = dilation.system_dim
     if not (0 <= input_j < n and 0 <= outcome_k < n):
         raise ValidationError("state or outcome index out of range")
     prob = float(dilation.coupling._mass[input_j, outcome_k])
-    if prob <= 1e-24:
+    if prob <= CONDITIONAL_PROB_FLOOR:
         raise UndefinedConditionalError(
             f"outcome {outcome_k} has probability {prob:.3e} on input {input_j}; "
             "the conditional state is undefined"

@@ -23,6 +23,8 @@ HERMITIAN_TOL = 1e-12
 DIAGONAL_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 PRIOR_TOL = 1e-12
+# roundoff allowed outside the ranges of check_binary and check_symmetric
+RANGE_SLACK = 1e-12
 # eigenvalues below this fraction of the largest leave the spectral factor
 RANK_TOL = 1e-12
 # circulant deviation up to which the circulant closed forms take a Gram
@@ -32,7 +34,7 @@ CIRCULANT_TOL = 1e-10
 # Ensemble whose Gram is not circulant also holds its n x n eigenvectors
 MAX_STATES = 4096
 # entries of the largest temporary that the circulant deviation and the
-# DFT blocks below allocate (1 MiB of complex entries)
+# Fourier columns below allocate (1 MiB of complex entries)
 BLOCK_ENTRIES = 2**16
 
 
@@ -65,11 +67,11 @@ class Ensemble:
 
     Validation reads the Gram's deviation from the circulant of its first
     row once and keeps it as ``_circulant_deviation`` (exact up to
-    ``CIRCULANT_TOL``, a lower bound above it): 0 selects the DFT spectrum
-    below, and at most ``CIRCULANT_TOL`` admits the circulant closed
-    forms, which read the kept value instead of the Gram.  It also
-    computes the one eigendecomposition of the Gram matrix that the
-    package uses and keeps it, read-only, for :func:`spectral_factor`:
+    ``CIRCULANT_TOL``, a lower bound above it): 0 selects
+    :func:`_circulant_spectrum`, and at most ``CIRCULANT_TOL`` admits the
+    circulant closed forms, which read the kept value instead of the Gram.
+    It also computes the one eigendecomposition of the Gram matrix that
+    the package uses and keeps it, read-only, for :func:`spectral_factor`:
     ``eigh`` for a general Gram, and for one that is exactly the circulant
     of its first row the DFT of that row, whose eigenvectors (Fourier
     columns) are built only when a factor is asked for.
@@ -106,8 +108,9 @@ class Ensemble:
         if diag > DIAGONAL_TOL:
             raise ValidationError(f"gram diagonal must be 1 (residual {diag:.3e})")
         deviation = _circulant_deviation(gram)
+        vectors = modes = None
         if deviation == 0.0:
-            lam, vectors = _fourier_eigenvalues(gram[0]), None
+            lam = _circulant_spectrum(gram[0])[-np.arange(n) % n]
             modes = np.argsort(lam, kind="stable")
             lam = lam[modes]
         else:
@@ -115,7 +118,6 @@ class Ensemble:
                 lam, vectors = np.linalg.eigh(gram)
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise ValidationError(f"eigendecomposition failed: {exc}") from exc
-            modes = None
         if lam[0] < EIGENVALUE_FLOOR:
             raise ValidationError(
                 f"gram is not positive semidefinite (min eigenvalue {lam[0]:.3e})"
@@ -184,7 +186,7 @@ def check_prior(eta1: float) -> float:
 def check_binary(eta1: float, overlap: complex) -> tuple[float, complex]:
     """Validated ``(eta1, overlap)``: a prior in [0, 1], ``|overlap| <= 1``."""
     eta1, overlap = check_prior(eta1), complex(overlap)
-    if not abs(overlap) <= 1.0 + 1e-12:  # also rejects NaN
+    if not abs(overlap) <= 1.0 + RANGE_SLACK:  # also rejects NaN
         raise ValidationError(f"|overlap| must be <= 1, got {abs(overlap)!r}")
     return eta1, overlap
 
@@ -192,7 +194,7 @@ def check_binary(eta1: float, overlap: complex) -> tuple[float, complex]:
 def check_symmetric(n: int, s: float) -> tuple[int, float]:
     """Validated ``(n, s)``: ``n >= 2`` and s in ``[-1/(n-1), 1]``."""
     n, s = check_state_count(n), float(s)
-    if not -1.0 / (n - 1) - 1e-12 <= s <= 1.0 + 1e-12:
+    if not -1.0 / (n - 1) - RANGE_SLACK <= s <= 1.0 + RANGE_SLACK:
         raise ValidationError(
             f"s={s!r} outside the positive-semidefinite range [{-1.0/(n-1)}, 1]"
         )
@@ -335,32 +337,23 @@ def _circulant_deviation(gram: np.ndarray) -> float:
     return deviation
 
 
-def _dft_blocks(n: int, cols: np.ndarray):
-    """Row blocks ``(start, block)`` of the n x len(cols) matrix
-    ``omega**(j * cols[l])``, ``omega = exp(2 pi i / n)``, each of at most
-    ``BLOCK_ENTRIES`` entries.  Exponents are reduced mod n first, so
-    every entry is one of the n roots of unity to within an ulp."""
-    roots = np.exp(2j * np.pi / n * np.arange(n))
-    rows = max(1, BLOCK_ENTRIES // n)
-    for start in range(0, n, rows):
-        yield start, roots[np.outer(np.arange(start, min(start + rows, n)), cols) % n]
-
-
-def _fourier_eigenvalues(first_row: np.ndarray) -> np.ndarray:
-    """Real parts of ``lam_k = sum_m first_row[m] omega**(k m)``, the
-    eigenvalues of the circulant of a Hermitian first row, k = 0..n-1:
-    the Fourier column k is its eigenvector (Ban, Kurokawa, Momose &
-    Hirota 1997).  O(n^2) by a direct product, without numpy.fft."""
-    n = first_row.shape[0]
-    return np.concatenate([block @ first_row for _, block in _dft_blocks(n, np.arange(n))]).real
+def _circulant_spectrum(first_row: np.ndarray) -> np.ndarray:
+    """Real parts of ``fft(first_row)``, the eigenvalues of the circulant of
+    a Hermitian first row: Fourier column k, ``exp(2 pi i j k / n)``, has
+    the one at index -k mod n (Ban, Kurokawa, Momose & Hirota 1997).
+    Validation and the circulant closed form both read this one spectrum."""
+    return np.fft.fft(first_row).real
 
 
 def _fourier_columns(n: int, modes: np.ndarray) -> np.ndarray:
-    """Unitary Fourier columns ``omega**(j k) / sqrt(n)`` for k in modes."""
+    """Unitary Fourier columns ``omega**(j k) / sqrt(n)``, ``omega = exp(2 pi i / n)``,
+    for k in modes, in row blocks of at most ``BLOCK_ENTRIES`` entries; exponents
+    are reduced mod n first, so each entry is a root of unity to within an ulp."""
+    roots = np.exp(2j * np.pi / n * np.arange(n)) / np.sqrt(n)
     w = np.empty((n, len(modes)), dtype=complex)
-    for start, block in _dft_blocks(n, modes):
-        w[start : start + len(block)] = block
-    w /= np.sqrt(n)
+    rows = max(1, BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        w[start : start + rows] = roots[np.outer(np.arange(start, min(start + rows, n)), modes) % n]
     return w
 
 

@@ -60,6 +60,8 @@ SINGULAR_DROP = 1e-2
 # cap on the Newton steps of one weight solve: it only bounds a stall,
 # since no solve of the tested and benchmarked families takes more than 32
 MAX_STEPS = 2000
+# PskParams' residual bound on u**2 + v**2 = r and on its row's unit norm
+PSK_ROW_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,14 +89,14 @@ class PskParams:
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0 and 0.0 <= self.r <= 1.0):
             raise ValidationError("p and r must be probabilities")
-        if abs(self.u * self.u + self.v * self.v - self.r) > 1e-10:
+        if abs(self.u * self.u + self.v * self.v - self.r) > PSK_ROW_TOL:
             raise ValidationError("u**2 + v**2 must equal r")
         budget = self.p + 2.0 * self.r
         if self.r_prime is not None:
             if not 0.0 <= self.r_prime <= 1.0:
                 raise ValidationError("r_prime must be a probability")
             budget += self.r_prime
-        if abs(budget - 1.0) > 1e-10:
+        if abs(budget - 1.0) > PSK_ROW_TOL:
             raise ValidationError("row amplitudes must satisfy unit norm")
 
 
@@ -264,9 +266,9 @@ def _weight_point(b, priors, w):
     sum s``, ``g_j = eta_j sum_a |(B U)_ja|**2 / s_a - 1`` over the
     singular values above ``len(s) eps s_max``, and ``V = U Vh``, whose
     rows the SVD keeps orthonormal even where M is singular.  Returns
-    ``(Phi, eta g, success probability, s, Y, U, Vh)`` with s and
-    ``Y = B U`` cut to those singular values, or None where X is not
-    finite or all of them are 0.
+    ``(Phi, eta g, success probability, s, Y, U, Vh)``, that probability
+    capped at 1 against roundoff, with s and ``Y = B U`` cut to those
+    singular values, or None where X is not finite or all of them are 0.
     """
     x = b.conj().T * (priors * np.sqrt(w))
     if not np.isfinite(x).all():
@@ -276,7 +278,7 @@ def _weight_point(b, priors, w):
     if kept == 0:
         return None
     y = b @ u
-    success = float(np.dot(priors, np.abs(np.einsum("ja,aj->j", y, vh)) ** 2))
+    success = min(float(np.dot(priors, np.abs(np.einsum("ja,aj->j", y, vh)) ** 2)), 1.0)
     s, y = s[:kept], y[:, :kept]
     grad = priors * (priors * ((np.abs(y) ** 2) @ (1.0 / s)) - 1.0)
     return 2.0 * float(s.sum()) - float(priors @ w), grad, success, s, y, u, vh

@@ -26,6 +26,8 @@ from .errors import InfeasibleSequentialError, ValidationError
 MAX_SHOTS = 2**63
 # outcome probabilities below this are treated as an impossible branch
 NEGLIGIBLE_PROB = 1e-15
+# preservation residual up to which two_stage_binary accepts a first stage
+PRESERVATION_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +167,7 @@ def two_stage_binary(eta1: float, s: float, params: TwoStageParams) -> TwoStageR
     s = float(s)
     if not 0.0 <= s <= 1.0:
         raise ValidationError("s must lie in [0, 1]")
-    if preservation_residual(s, params) > 1e-10:
+    if preservation_residual(s, params) > PRESERVATION_TOL:
         raise InfeasibleSequentialError(
             "stage-one parameters cannot preserve the states' inner product"
         )

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lapack_spies
-from qsd.closed_form import _circulant_roots, srm_error_circulant, srm_error_general
+from qsd.closed_form import srm_error_circulant, srm_error_general
 from qsd.ensembles import (
     CIRCULANT_TOL,
     MAX_STATES,
     Ensemble,
-    circulant,
+    _circulant_spectrum,
     ensemble_from_json,
     ensemble_to_json,
     gram_binary,
@@ -304,33 +304,39 @@ class TestStoredSpectrum:
         assert spectral_factor(ens) is sf
 
 
-def circulant_ensemble(first_row) -> Ensemble:
-    n = len(first_row)
-    return Ensemble(n, circulant(np.asarray(first_row, dtype=complex)), np.full(n, 1.0 / n))
-
-
 class TestCirculantEigenvalues:
-    """The numpy.fft spectrum of the circulant closed forms, squared back
-    from its roots."""
+    """The one circulant spectrum, which validation and the circulant
+    closed forms share."""
 
     def test_binary_row(self):
-        lam = _circulant_roots(circulant_ensemble([1.0, 0.5])) ** 2
+        lam = _circulant_spectrum(np.array([1.0, 0.5]))
         assert sorted(lam) == pytest.approx([0.5, 1.5], abs=1e-14)
 
     def test_identity_row(self):
-        lam = _circulant_roots(circulant_ensemble([1.0, 0.0, 0.0])) ** 2
+        lam = _circulant_spectrum(np.array([1.0, 0.0, 0.0]))
         assert np.allclose(lam, 1.0, atol=1e-14)
 
     def test_all_ones_row(self):
-        lam = _circulant_roots(gram_psk(3, 0.0)) ** 2
+        lam = _circulant_spectrum(gram_psk(3, 0.0).gram[0])
         assert sorted(lam) == pytest.approx([0.0, 0.0, 3.0], abs=1e-14)
 
     def test_agrees_with_dense_eigendecomposition(self):
         for n, a in [(3, 0.4), (4, 1.1), (5, 0.05), (6, 2.0)]:
             ens = gram_psk(n, a)
-            lam = np.sort(_circulant_roots(ens) ** 2)
+            lam = np.sort(_circulant_spectrum(ens.gram[0]))
             dense = np.sort(np.linalg.eigvalsh(ens.gram))
             assert np.max(np.abs(lam - dense)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "make, n, x",
+        [(gram_psk, n, a) for n in (2, 3, 4, 8, 16, 64) for a in (0.3, 2.0)]
+        + [(gram_symmetric, 3, 0.4), (gram_symmetric, 5, -0.2)],
+    )
+    def test_validation_reads_the_shared_spectrum(self, make, n, x):
+        ens = make(n, x)
+        assert ens._circulant_deviation == 0.0
+        lam = np.sort(np.clip(_circulant_spectrum(ens.gram[0]), 0.0, None))
+        assert np.array_equal(ens._eigenvalues, lam)
 
     def test_is_circulant(self):
         assert gram_psk(4, 0.3)._circulant_deviation == 0.0

@@ -17,7 +17,12 @@ coupling's ``error_probability`` in place of its first row's off-diagonal
 mass, and ``sweep_psk`` again when the circulant SRM oracle got its own
 spectrum: the 8-PSK alpha_sq = 0.05 ``p_err_srm`` cell moved from
 0.810000147972 to 0.810000147973, mpmath's 0.8100001479728263 correctly
-rounded.  A change that moves one byte of these outputs fails here; the
+rounded.  ``dilation_psk5`` again (last digits of its residuals: unitary
+8.74e-16 to 5.12e-16, gram 3.33e-16 to 2.83e-16, map 2.233e-16 to
+2.238e-16) when validation took an exact circulant's eigenvalues from
+``numpy.fft``, the closed form's spectrum, in place of a direct DFT whose
+twiddles are not exact (``exp(2j*pi/3).real`` is -0.4999999999999998).
+A change that moves one byte of these outputs fails here; the
 ROADMAP promises that default stdout stays byte-identical.
 """
 

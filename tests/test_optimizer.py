@@ -117,10 +117,13 @@ class TestOptimizeGeneral:
         assert abs(res.p_error - symmetric_min_error(4, 0.5)) <= 1e-6
 
     def test_identity_gram_immediate(self):
-        res = optimize_general(gram_symmetric(3, 0.0))
-        assert res.converged
-        assert res.p_error <= 1e-12
-        assert len(res.objective_trace) == 1
+        # the trace entry once read 1.0000000000000004 at n = 6
+        for n in (3, 6, 10, 12):
+            res = optimize_general(gram_symmetric(n, 0.0))
+            assert res.converged
+            assert res.p_error <= 1e-12
+            assert len(res.objective_trace) == 1
+            assert all(p <= 1.0 for p in res.objective_trace)
 
     def test_complex_binary_overlap(self):
         z = 0.55 * np.exp(2.1j)
@@ -382,6 +385,12 @@ def test_overflowing_log_step_refused_quietly():
         warnings.simplefilter("error")
         found = _backtrack(b, eta, w, point, lambda t: w * np.exp(t * 1e4 / w), NEWTON_MIN_DAMPING)
     assert found is None
+
+
+def test_zero_weights_have_no_point():
+    # every singular value of X is 0: no measurement to read a point from
+    ens = gram_symmetric(4, 0.3)
+    assert _weight_point(spectral_factor(ens).factor, ens.priors, np.zeros(4)) is None
 
 
 def test_full_rank_solve_allocates_no_cubic_temporaries():
