@@ -102,10 +102,8 @@ def symmetric_p_quadratic(n: int, s: float) -> tuple[float, float]:
     """
     n, s = check_symmetric(n, s)
     a = math.sqrt(max(1.0 + s * (n - 1), 0.0))
-    b = (n - 1) * math.sqrt(max(1.0 - s, 0.0))
-    p_plus = ((a + b) / n) ** 2
-    p_minus = ((a - b) / n) ** 2
-    return p_plus, p_minus
+    b = (n - 1) * math.sqrt(1.0 - s)
+    return ((a + b) / n) ** 2, ((a - b) / n) ** 2
 
 
 def symmetric_min_error(n: int, s: float) -> float:
@@ -121,7 +119,7 @@ def symmetric_min_error(n: int, s: float) -> float:
     """
     n, s = check_symmetric(n, s)
     a = math.sqrt(max(1.0 + s * (n - 1), 0.0))
-    c = math.sqrt(max(1.0 - s, 0.0))
+    c = math.sqrt(1.0 - s)
     short = s * s * n * (n - 1) / ((1.0 + c) * (1.0 + a) * (a + c))
     return short * (n + a + (n - 1) * c) / (n * n)
 

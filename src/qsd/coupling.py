@@ -31,6 +31,7 @@ from .ensembles import (
     Ensemble,
     _frozen,
     _readonly,
+    check_symmetric,
     circulant,
     gram_binary,
     gram_symmetric,
@@ -287,6 +288,7 @@ def symmetric_optimal_coupling(n: int, s: float) -> CouplingMatrix:
     constraint ``2*sqrt(p)*t + (n-2)*t**2 = s``, so negative overlaps get a
     negative t.
     """
+    n, s = check_symmetric(n, s)
     ensemble = gram_symmetric(n, s)
     p, _ = symmetric_p_quadratic(n, s)
     r = symmetric_min_error(n, s) / (n - 1)

@@ -12,7 +12,6 @@ algebra everything else builds on.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +62,7 @@ class Ensemble:
         Pairwise overlaps, ``gram[j, l] = <psi_j|psi_l>``.  Hermitian,
         unit diagonal, positive semidefinite.
     priors : (n,) float ndarray
-        Nonnegative, sums to one.
+        Nonnegative, sums to one; roundoff down to ``-PRIOR_TOL`` is stored as 0.
 
     Validation reads the Gram's deviation from the circulant of its first
     row once and keeps it as ``_circulant_deviation`` (exact up to
@@ -126,9 +125,10 @@ class Ensemble:
             raise ValidationError("priors must be nonnegative")
         if abs(priors.sum() - 1.0) > PRIOR_TOL:
             raise ValidationError(f"priors must sum to 1, got {priors.sum()!r}")
-        # the circulant deviation; ascending eigenvalues, negative roundoff
-        # clamped to zero; the eigenvectors, or for a circulant the DFT mode of
-        # each eigenvalue; and the SpectralFactor, on first request
+        # priors and ascending eigenvalues with negative roundoff clamped to
+        # zero; the circulant deviation; the eigenvectors, or for a circulant
+        # the DFT mode of each eigenvalue; and the SpectralFactor, on first request
+        object.__setattr__(self, "priors", _frozen(np.clip(priors, 0.0, None)))
         object.__setattr__(self, "_circulant_deviation", deviation)
         object.__setattr__(self, "_eigenvalues", _frozen(np.clip(lam, 0.0, None)))
         object.__setattr__(self, "_eigenvectors", None if vectors is None else _frozen(vectors))
@@ -192,13 +192,13 @@ def check_binary(eta1: float, overlap: complex) -> tuple[float, complex]:
 
 
 def check_symmetric(n: int, s: float) -> tuple[int, float]:
-    """Validated ``(n, s)``: ``n >= 2`` and s in ``[-1/(n-1), 1]``."""
+    """Validated ``(n, s)``: ``n >= 2`` and s in ``[-1/(n-1), 1]``, returned capped at 1."""
     n, s = check_state_count(n), float(s)
     if not -1.0 / (n - 1) - RANGE_SLACK <= s <= 1.0 + RANGE_SLACK:
         raise ValidationError(
             f"s={s!r} outside the positive-semidefinite range [{-1.0/(n-1)}, 1]"
         )
-    return n, s
+    return n, min(s, 1.0)
 
 
 def check_integer(value, name: str, low: int) -> int:
@@ -379,6 +379,8 @@ def ensemble_from_json(source: str | dict) -> Ensemble:
     are counted before any entry is parsed.
     """
     if isinstance(source, str):
+        import json
+
         try:
             source = json.loads(source)
         except json.JSONDecodeError as exc:

@@ -68,21 +68,19 @@ def run_monte_carlo(coupling: CouplingMatrix, shots: int, seed: int) -> Simulati
     mass = coupling._mass
 
     start = time.perf_counter()
-    # priors may dip to -PRIOR_TOL; multinomial refuses negative cells
-    joint = np.maximum(coupling.ensemble.priors, 0.0)[:, None] * mass / coupling._row_mass[:, None]
+    joint = coupling.ensemble.priors[:, None] * mass / coupling._row_mass[:, None]
     joint /= joint.sum()
     counts = np.random.default_rng(seed).multinomial(shots, joint.ravel()).reshape(mass.shape)
     elapsed = time.perf_counter() - start
 
-    # a prior at -PRIOR_TOL must not turn the error, and so std_error,
-    # negative; rows up to ROW_NORM_TOL long may take it just above 1
-    analytic = max(error_probability(coupling), 0.0)
+    analytic = error_probability(coupling)
     return SimulationReport(
         shots=shots,
         seed=seed,
         counts=counts,
         empirical_error=(shots - int(counts.trace())) / shots,
         analytic_error=analytic,
+        # rows up to ROW_NORM_TOL long may take the error just above 1
         std_error=math.sqrt(max(analytic * (1.0 - analytic), 0.0) / shots),
         elapsed=elapsed,
     )

@@ -161,6 +161,12 @@ class TestOptimize:
         trace = payload["objective_trace"]
         assert all(b >= a for a, b in zip(trace, trace[1:]))
 
+    def test_prior_roundoff_prints_no_negative_error(self):
+        ens = '{"kind":"gram","matrix":[[1,0.5],[0.5,1]],"priors":[1.0,-1e-12]}'
+        code, out, err = main_cli("optimize", "--ensemble", ens)
+        assert code == 0, err
+        assert json.loads(out)["p_error"] >= 0.0
+
     def test_ensemble_from_file(self, tmp_path):
         path = tmp_path / "ens.json"
         path.write_text(SYM_3_HALF)

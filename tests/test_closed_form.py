@@ -132,6 +132,10 @@ class TestSymmetricMinError:
         with pytest.raises(ValidationError):
             symmetric_min_error(4, -0.4)
 
+    def test_slack_above_one_computes_as_one(self):
+        assert symmetric_min_error(3, 1 + 5e-13) == symmetric_min_error(3, 1.0)
+        assert symmetric_p_quadratic(3, 1 + 5e-13) == symmetric_p_quadratic(3, 1.0)
+
 
 class TestSymmetricQuadratic:
     def test_reference_root(self):

@@ -165,6 +165,11 @@ class TestSymmetricOptimalCoupling:
             cb = binary_optimal_coupling(0.5, s)
             assert np.max(np.abs(c2.c - cb.c)) <= 1e-10
 
+    def test_slack_above_one_computes_as_one(self):
+        # p, r and t all read the overlap capped at 1
+        c = symmetric_optimal_coupling(3, 1 + 5e-13)
+        assert np.array_equal(c.c, symmetric_optimal_coupling(3, 1.0).c)
+
     def test_negative_overlap_feasible(self):
         c = symmetric_optimal_coupling(3, -0.49)
         assert feasibility_residual(c) <= 1e-10

@@ -13,6 +13,7 @@ from qsd.ensembles import (
     MAX_STATES,
     Ensemble,
     _circulant_spectrum,
+    check_symmetric,
     ensemble_from_json,
     ensemble_to_json,
     gram_binary,
@@ -71,6 +72,9 @@ class TestGramSymmetric:
     def test_above_one_rejected(self):
         with pytest.raises(ValidationError):
             gram_symmetric(3, 1.001)
+
+    def test_slack_above_one_capped(self):
+        assert check_symmetric(3, 1 + 5e-13)[1] == 1.0
 
     def test_priors_uniform(self):
         ens = gram_symmetric(5, 0.3)
@@ -152,6 +156,18 @@ class TestEnsembleValidation:
     def test_priors_must_sum_to_one(self):
         with pytest.raises(ValidationError):
             Ensemble(2, np.eye(2, dtype=complex), np.array([0.6, 0.6]))
+
+    @pytest.mark.parametrize("priors", [[1.5, -0.5], [1.0 + 2e-12, -2e-12]])
+    def test_negative_priors_rejected(self, priors):
+        with pytest.raises(ValidationError, match="priors must be nonnegative"):
+            Ensemble(2, np.eye(2, dtype=complex), np.array(priors))
+
+    def test_prior_roundoff_stored_as_zero(self):
+        # a prior down to -PRIOR_TOL is admitted, and stored as a probability
+        ens = Ensemble(2, np.array([[1, 0.5], [0.5, 1]], dtype=complex), np.array([1.0, -1e-12]))
+        assert ens.priors.min() == 0.0
+        assert ensemble_to_json(ens)["priors"] == [1.0, 0.0]
+        assert ens.validate() is None and ens.priors.min() == 0.0
 
     def test_arrays_frozen(self):
         ens = gram_binary(0.5, 0.5)

@@ -18,10 +18,13 @@ def test_exports_sorted_without_duplicates():
 
 
 def test_star_import_in_fresh_interpreter():
-    # a fresh interpreter: the test session has already imported qsd
+    # a fresh interpreter: the test session has already imported qsd; only
+    # ensemble_from_json's string branch loads json
     script = (
+        "import sys\n"
         "from qsd import *\n"
         "import qsd\n"
+        "assert 'json' not in sys.modules\n"
         "print(sorted(set(qsd.__all__) - set(globals())))\n"
     )
     proc = subprocess.run(

@@ -111,6 +111,15 @@ class TestOptimizeGeneral:
         assert res.converged
         assert abs(res.p_error - helstrom_bound(0.25, 0.6)) <= 1e-7
 
+    def test_prior_roundoff_gives_no_negative_error(self):
+        # a prior of -1e-12 is stored as 0, so neither the error nor the
+        # duality gap reads it
+        ens = Ensemble(2, np.array([[1, 0.5], [0.5, 1]], dtype=complex), np.array([1.0, -1e-12]))
+        res = optimize_general(ens)
+        assert res.certified
+        assert res.p_error >= 0.0
+        assert res.dual_gap == 0.0
+
     def test_symmetric_four_states(self):
         res = optimize_general(gram_symmetric(4, 0.5))
         assert res.converged

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsd._serialize import dumps, parse_complex, parse_matrix
+from qsd._serialize import dumps, fmt_float, parse_complex, parse_matrix
 from qsd.errors import ValidationError
 
 
@@ -21,6 +21,13 @@ class TestDumps:
 
     def test_plain_strings_unchanged(self):
         assert dumps({"p_error": "a/b"}) == '{"p_error": "a/b"}'
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_refused(self, bad):
+        with pytest.raises(ValueError, match="non-finite float in output"):
+            fmt_float(bad)
+        with pytest.raises(ValueError, match="non-finite float in output"):
+            dumps({"p_error": np.float64(bad)})
 
 
 class TestParse:

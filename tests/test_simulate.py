@@ -37,17 +37,17 @@ HELSTROM_30_40 = 0.03481186601547971  # decimal-evaluated, (eta1, s) = (0.3, 0.4
 def reference_report(coupling, shots, seed):
     """Counts, analytic error, empirical error and standard error of a run,
     recomputed from ``coupling.c`` alone with the sampler's arithmetic, in
-    its order: the clipped prior times |c|**2 over the row sums, normalized,
+    its order: the stored prior times |c|**2 over the row sums, normalized,
     then one multinomial from ``default_rng(seed)``."""
     c, priors, n = coupling.c, coupling.ensemble.priors, coupling.n
     rows = np.abs(c) ** 2
     rowsum = rows.sum(axis=1)
-    joint = np.clip(priors, 0, None)[:, None] * rows / rowsum[:, None]
+    joint = priors[:, None] * rows / rowsum[:, None]
     joint /= joint.sum()
     counts = np.random.default_rng(seed).multinomial(shots, joint.ravel()).reshape(n, n)
     off = np.abs(c) ** 2
     np.fill_diagonal(off, 0.0)
-    analytic = max(float(np.dot(priors, off.sum(axis=1))), 0.0)
+    analytic = float(np.dot(priors, off.sum(axis=1)))
     return (
         counts,
         analytic,
@@ -265,6 +265,24 @@ class TestRunMonteCarlo:
                 assert rpt.analytic_error == analytic
                 assert rpt.empirical_error == empirical
                 assert rpt.std_error == std
+
+    @pytest.mark.parametrize(
+        "gram, priors, expected",
+        [
+            ([[1, 0.5], [0.5, 1]], [1.0, -1e-12], [[93390, 6610], [0, 0]]),
+            (
+                [[1, 0.3, 0.2], [0.3, 1, 0.1], [0.2, 0.1, 1]],
+                [0.5, 0.5, -5e-13],
+                [[48216, 1131, 496], [1099, 48958, 100], [0, 0, 0]],
+            ),
+        ],
+    )
+    def test_prior_roundoff_counts_pinned(self, gram, priors, expected):
+        # a prior down to -PRIOR_TOL is sampled as 0; counts pinned at seed 3901
+        ens = Ensemble(len(priors), np.array(gram, dtype=complex), np.array(priors))
+        rpt = run_monte_carlo(coupling_from_unitary(ens, np.eye(len(priors))), 100_000, 3901)
+        assert rpt.counts.tolist() == expected
+        assert rpt.analytic_error >= 0.0
 
     def test_error_above_one_gives_zero_std_error(self):
         # rows 4e-11 over unit norm that never name their input: the error
