@@ -15,13 +15,12 @@ import numpy as np
 
 from .ensembles import (
     CIRCULANT_TOL,
-    EIGENVALUE_FLOOR,
     Ensemble,
     _circulant_spectrum,
     check_binary,
     check_symmetric,
 )
-from .errors import NotCirculantError, UnsupportedPriorsError, ValidationError
+from .errors import NotCirculantError, UnsupportedPriorsError
 
 # eigenvalues of G below this fraction of the largest get a zero square
 # root in srm_error_general; the oracle's own cut, independent of the
@@ -174,17 +173,10 @@ def _circulant_row(ensemble: Ensemble) -> np.ndarray:
     return ensemble.gram[0]
 
 
-def _psd_spectrum(lam: np.ndarray) -> np.ndarray:
-    """lam, a circulant spectrum; ValidationError below ``EIGENVALUE_FLOOR``."""
-    if lam.min() < EIGENVALUE_FLOOR:
-        raise ValidationError(f"circulant matrix not positive semidefinite (eigenvalue {lam.min():.3e})")
-    return lam
-
-
 def _circulant_roots(ensemble: Ensemble) -> np.ndarray:
     """Square roots of the :func:`~qsd.ensembles._circulant_spectrum` of
-    :func:`_circulant_row`, negative roundoff clamped to zero."""
-    return np.sqrt(np.clip(_psd_spectrum(_circulant_spectrum(_circulant_row(ensemble))), 0.0, None))
+    :func:`_circulant_row`, negatives clamped to zero (``Ensemble`` checks that G is PSD)."""
+    return np.sqrt(np.clip(_circulant_spectrum(_circulant_row(ensemble)), 0.0, None))
 
 
 def srm_error_circulant(ensemble: Ensemble) -> float:
@@ -202,6 +194,6 @@ def srm_error_circulant(ensemble: Ensemble) -> float:
     row = _circulant_row(ensemble).copy()
     row[0] -= 1.0
     d = np.fft.fft(row).real
-    lam = _psd_spectrum(1.0 + d)
+    lam = 1.0 + d
     f = np.where(lam > 0.0, d / (np.sqrt(np.maximum(lam, 0.0)) + 1.0), -1.0)
     return float(np.mean((f - f.mean()) ** 2))

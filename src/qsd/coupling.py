@@ -256,6 +256,17 @@ def feasibility_residual(coupling: CouplingMatrix) -> float:
     return _gram_residual(coupling.c, coupling.ensemble.gram)
 
 
+def _check_feasible(coupling: CouplingMatrix) -> None:
+    """InfeasibleCouplingError unless ``C C^H`` meets the Gram matrix to
+    ``FEASIBILITY_TOL``: the one refusal of an infeasible coupling."""
+    residual = feasibility_residual(coupling)
+    if not residual <= FEASIBILITY_TOL:
+        raise InfeasibleCouplingError(
+            f"coupling is infeasible for this ensemble (residual {residual:.3e}): "
+            "inner products are not preserved, so no unitary extension exists"
+        )
+
+
 def binary_optimal_coupling(eta1: float, overlap: complex) -> CouplingMatrix:
     """Optimal two-state coupling built from the closed-form error rates.
 
@@ -398,12 +409,7 @@ def _dilation_block(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
     modes contribute 0, so rank-deficient Grams do not leak
     sqrt(ulp)-size mass along them.
     """
-    residual = feasibility_residual(coupling)
-    if not residual <= FEASIBILITY_TOL:
-        raise InfeasibleCouplingError(
-            f"coupling does not reproduce the Gram matrix (residual {residual:.3e}); "
-            "inner products are not preserved, so no unitary extension exists"
-        )
+    _check_feasible(coupling)
     sf = spectral_factor(coupling.ensemble)
     # eigenvalues ascend, so the kept modes are the last rank columns
     cut = coupling.n - sf.rank
@@ -543,9 +549,20 @@ def coupling_to_json(coupling: CouplingMatrix) -> dict:
     return {"c": matrix_obj(coupling.c)}
 
 
-def coupling_from_json(source: dict, ensemble: Ensemble) -> CouplingMatrix:
+def coupling_from_json(source: str | dict, ensemble: Ensemble) -> CouplingMatrix:
+    """Coupling for ensemble from JSON text or its object ``{"c": matrix}``;
+    an infeasible one raises InfeasibleCouplingError (:func:`_check_feasible`)."""
     from ._serialize import parse_matrix
 
+    if isinstance(source, str):
+        import json
+
+        try:
+            source = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"malformed coupling JSON: {exc}") from exc
     if not isinstance(source, dict) or "c" not in source:
         raise ValidationError('coupling JSON must be an object with a "c" matrix')
-    return CouplingMatrix(parse_matrix(source["c"]), ensemble)
+    coupling = CouplingMatrix(parse_matrix(source["c"]), ensemble)
+    _check_feasible(coupling)
+    return coupling

@@ -60,8 +60,6 @@ SINGULAR_DROP = 1e-2
 # cap on the Newton steps of one weight solve: it only bounds a stall,
 # since no solve of the tested and benchmarked families takes more than 32
 MAX_STEPS = 2000
-# PskParams' residual bound on u**2 + v**2 = r and on its row's unit norm
-PSK_ROW_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,8 @@ class PskParams:
     neighbouring outcome and r_prime that of the opposite one, so the
     row norm reads ``p + 2 r (+ r_prime) = 1``.  ``r_prime`` and
     ``theta2`` are None for the ternary case; the optimal quaternary row
-    has theta2 in {0, pi}.
+    has theta2 in {0, pi}.  A record read off the coupling's first row by
+    :func:`psk_params`; not validated (``CouplingMatrix`` checks the row's norm).
     """
 
     p: float
@@ -85,19 +84,6 @@ class PskParams:
     v: float
     r_prime: float | None = None
     theta2: float | None = None
-
-    def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0 and 0.0 <= self.r <= 1.0):
-            raise ValidationError("p and r must be probabilities")
-        if abs(self.u * self.u + self.v * self.v - self.r) > PSK_ROW_TOL:
-            raise ValidationError("u**2 + v**2 must equal r")
-        budget = self.p + 2.0 * self.r
-        if self.r_prime is not None:
-            if not 0.0 <= self.r_prime <= 1.0:
-                raise ValidationError("r_prime must be a probability")
-            budget += self.r_prime
-        if abs(budget - 1.0) > PSK_ROW_TOL:
-            raise ValidationError("row amplitudes must satisfy unit norm")
 
 
 @dataclass(frozen=True, eq=False)
@@ -487,9 +473,9 @@ def optimal_coupling(ensemble: Ensemble) -> CouplingMatrix:
     :func:`optimize_general`.
 
     The weight solve also takes over when a closed form refuses the ensemble:
-    ``Ensemble`` admits Gram matrices up to its own tolerances (eigenvalues
-    down to -1e-10, circulant to 1e-10), beyond the closed forms' tighter ones.
-    A weight solve that does not converge raises NoSolutionError.
+    an overlap beyond ``check_binary``'s or ``check_symmetric``'s range, or a
+    circulant ``C C^H`` more than ``ROOT_RESIDUAL_TOL`` off G, that form's one
+    acceptance test.  A weight solve that does not converge raises NoSolutionError.
     """
     n, gram = ensemble.n, ensemble.gram
     try:

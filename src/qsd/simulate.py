@@ -172,7 +172,8 @@ def two_stage_binary(eta1: float, s: float, params: TwoStageParams) -> TwoStageR
     eta2 = 1.0 - eta1
     first_stage_error = eta1 * params.r1 + eta2 * params.r2
 
-    # posterior weight and ensemble behind each outcome
+    # posterior weight and ensemble behind each outcome; eta1_joint is the
+    # first of prob's two nonnegative terms, so eta1_joint / prob rounds into [0, 1]
     branches = (
         (eta1 * (1.0 - params.r1) + eta2 * params.r2, eta1 * (1.0 - params.r1), params.t1),
         (eta1 * params.r1 + eta2 * (1.0 - params.r2), eta1 * params.r1, params.t2),
@@ -183,7 +184,7 @@ def two_stage_binary(eta1: float, s: float, params: TwoStageParams) -> TwoStageR
         if prob <= NEGLIGIBLE_PROB:
             conditionals.append(None)
             continue
-        posterior = min(max(eta1_joint / prob, 0.0), 1.0)
+        posterior = eta1_joint / prob
         conditionals.append(gram_binary(abs(t), posterior))
         combined += prob * helstrom_bound(posterior, abs(t))
     return TwoStageResult(

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qsd.cli import main
-from qsd.ensembles import Ensemble, spectral_factor
+from qsd.ensembles import Ensemble, circulant, spectral_factor
 
 
 # values of a step-cap setting, which neither optimize_general nor qsd
@@ -116,6 +116,27 @@ def near_dependent(k: int) -> Ensemble:
     gram = 0.5 * (gram + gram.conj().T)
     np.fill_diagonal(gram, 1.0)
     return Ensemble(n, gram, rng.dirichlet(np.ones(n)))
+
+
+def near_circulant_dip() -> Ensemble:
+    """An equal-prior 8-state Gram that Ensemble admits (circulant to
+    2.0e-11, min eigenvalue -6.2e-11) while the spectrum of the circulant
+    of its first row dips to -1.7e-10, below EIGENVALUE_FLOOR: a circulant
+    with one eigenvalue at -1.8e-10, plus an off-circulant bump along its
+    lowest eigenvector that lifts that eigenvalue."""
+    lam = np.linspace(2.0, 0.5, 8)
+    lam[3] = -1.8e-10
+    lam *= 8 / lam.sum()
+    row = np.fft.ifft(lam)
+    g = circulant(row / row[0])
+    g = 0.5 * (g + g.conj().T)
+    np.fill_diagonal(g, 1.0)
+    f = np.linalg.eigh(g)[1][:, 0]
+    e = np.zeros((8, 8), dtype=complex)
+    e[1:, 1:] = np.outer(f[1:], f[1:].conj())
+    np.fill_diagonal(e, 0.0)
+    e *= 2e-11 / np.abs(e).max()
+    return Ensemble(8, g + e, np.full(8, 1 / 8))
 
 
 def coupling_isometry(coupling) -> np.ndarray:

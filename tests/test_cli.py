@@ -13,12 +13,23 @@ import numpy as np
 import pytest
 
 import qsd.cli
-from conftest import REFUSED_SETTINGS, cli_json, main_cli, mp_psk_error, near_dependent, run_cli
+from conftest import (
+    REFUSED_SETTINGS,
+    cli_json,
+    main_cli,
+    mp_psk_error,
+    near_circulant_dip,
+    near_dependent,
+    run_cli,
+)
 from qsd._serialize import matrix_obj
 from qsd.cli import main
 from qsd.closed_form import symmetric_min_error
 from qsd.coupling import (
     FEASIBILITY_TOL,
+    ROOT_RESIDUAL_TOL,
+    CouplingMatrix,
+    build_dilation,
     circulant_optimal_coupling,
     error_probability,
     feasibility_residual,
@@ -33,7 +44,7 @@ from qsd.ensembles import (
     gram_psk,
     gram_symmetric,
 )
-from qsd.errors import QsdError, ValidationError
+from qsd.errors import InfeasibleCouplingError, QsdError, ValidationError
 from qsd.optimizer import optimize_general
 
 BINARY_UNEQ = '{"kind":"binary","overlap":{"re":0.6,"im":0.0},"eta1":0.25}'
@@ -437,6 +448,18 @@ class TestSimulate:
         assert code == 2
         assert "infeasible" in err
 
+    @pytest.mark.parametrize("command", [("simulate", "--shots", "100"), ("dilation",)])
+    def test_infeasible_coupling_has_the_library_message(self, tmp_path, command):
+        # the loader refuses the file with the message build_dilation gives
+        identity = np.eye(2, dtype=complex)
+        with pytest.raises(InfeasibleCouplingError) as info:
+            build_dilation(CouplingMatrix(identity, gram_symmetric(2, 0.3)))
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps({"c": matrix_obj(identity)}))
+        ensemble = '{"kind":"symmetric","n":2,"s":0.3}'
+        code, out, err = main_cli(command[0], "--ensemble", ensemble, *command[1:], "--coupling", str(path))
+        assert (code, out, err) == (2, "", f"error: {info.value}\n")
+
     def test_bad_shots_exit_2(self):
         code, _, _ = run_cli("simulate", "--ensemble", BINARY_EQ, "--shots", "0")
         assert code == 2
@@ -580,6 +603,17 @@ def test_near_circulant_route_follows_the_kept_deviation(bump, circulant_route):
     assert np.array_equal(optimal_coupling(ensemble).c, expected.c)
 
 
+def test_near_circulant_below_the_floor_takes_the_closed_form():
+    # the circulant of G's first row has an eigenvalue below
+    # EIGENVALUE_FLOOR, G itself does not: the closed form's C C^H = G
+    # check accepts its coupling, and the weight solve agrees with it
+    ensemble = near_circulant_dip()
+    cpl = optimal_coupling(ensemble)
+    assert np.array_equal(cpl.c, circulant_optimal_coupling(ensemble).c)
+    assert feasibility_residual(cpl) <= ROOT_RESIDUAL_TOL
+    assert abs(error_probability(cpl) - optimize_general(ensemble).p_error) <= 1e-10
+
+
 @pytest.mark.parametrize("n", ["3.7", "true", '"3"'])
 def test_non_integer_json_state_count_exit_2(n):
     ensemble = f'{{"kind":"symmetric","n":{n},"s":0.4}}'
@@ -662,6 +696,35 @@ def test_nan_coupling_file_exit_2(tmp_path, command, extra):
     assert (code, out) == (2, "")
     assert "unit vectors" in err
     assert "Traceback" not in err
+
+
+SWEEP_S3 = (
+    "sweep", "--family", "symmetric", "--n", "3", "--axis", "s", "--min", "0", "--max", "0.5", "--steps", "3",
+)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("simulate", "--ensemble", "LATIN1", "--shots", "100"), "is not UTF-8 text"),
+        (("simulate", "--ensemble", BINARY_EQ, "--shots", "100", "--coupling", "TRUNCATED"),
+         "malformed coupling JSON"),
+        ((*SWEEP_S3, "--outputs", "bogus"), "unknown sweep outputs"),
+        ((*SWEEP_S3, "--outputs", ","), "at least one sweep output is required"),
+        (("sweep", "--family", "psk", "--axis", "alpha_sq", "--min", "0.1", "--max", "1", "--steps", "3"),
+         "--n is required for family 'psk'"),
+        (("simulate", "--ensemble", BINARY_EQ, "--shots", "100", "--seed", str(2**64)),
+         "seed must fit in 64 unsigned bits"),
+    ],
+    ids=["non-utf8-ensemble", "malformed-coupling", "unknown-output", "no-output", "psk-without-n", "seed-2**64"],
+)
+def test_input_refusal_exit_2(tmp_path, args, message):
+    files = {"LATIN1": tmp_path / "latin1.json", "TRUNCATED": tmp_path / "truncated.json"}
+    files["LATIN1"].write_bytes(b'{"kind": "symmetric", "n": 3, "s": 0.5, "note": "\xe9"}')
+    files["TRUNCATED"].write_text('{"c": [[1, 0], [0,')
+    code, out, err = main_cli(*(str(files.get(a, a)) for a in args))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
 
 
 class TestSweep:
@@ -971,6 +1034,25 @@ def test_cli_and_dilation_import_neither_scipy_nor_numpy_ma():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["[]", "[]", ""]
+
+
+def test_commands_without_json_input_load_no_json():
+    # a fresh interpreter: only the ensemble and coupling loaders parse JSON
+    script = (
+        "import sys\n"
+        "import qsd.cli\n"
+        "for argv in (['bound', '--eta1', '0.5', '--overlap-re', '0.6'],\n"
+        "             ['symmetric', '--n', '3', '--s', '0.5', '--emit-coupling'],\n"
+        "             ['psk', '--n', '3', '--alpha-sq', '0.5'],\n"
+        "             ['sweep', '--family', 'psk', '--n', '3', '--axis', 'alpha_sq',\n"
+        "              '--min', '0.1', '--max', '1', '--steps', '2', '--outputs', 'optimizer']):\n"
+        "    assert qsd.cli.main(argv) == 0\n"
+        "    assert 'json' not in sys.modules, argv\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # a fresh interpreter that runs the entry point with ``main`` wrapped: the

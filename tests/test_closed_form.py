@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mp_psk_error
+from conftest import mp_psk_error, near_circulant_dip
 from qsd.closed_form import (
     binary_constraint_residual,
     binary_individual_errors,
@@ -214,6 +214,12 @@ class TestSrmCirculant:
         cases += [gram_symmetric(n, s) for n, s in [(3, 0.4), (4, -0.2), (5, 0.7)]]
         for ens in cases:
             assert abs(srm_error_circulant(ens) - srm_error_general(ens)) <= 1e-12
+
+    def test_first_row_spectrum_below_the_floor(self):
+        # Ensemble admits G; the circulant of its first row dips below
+        # EIGENVALUE_FLOOR, and the oracle takes that mode's root as 0
+        ens = near_circulant_dip()
+        assert abs(srm_error_circulant(ens) - srm_error_general(ens)) <= 1e-10
 
 
 @pytest.mark.parametrize("oracle", [srm_error_general, srm_error_circulant])

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import json
 import math
 import sys
 import time
@@ -922,3 +923,14 @@ class TestCouplingJson:
         c = binary_optimal_coupling(0.25, 0.6 * np.exp(0.4j))
         again = coupling_from_json(coupling_to_json(c), c.ensemble)
         assert np.max(np.abs(again.c - c.c)) <= 1e-15
+
+    def test_text_equals_object(self):
+        c = circulant_optimal_coupling(gram_psk(5, 0.7))
+        obj = coupling_to_json(c)
+        text = json.dumps(obj)
+        assert np.array_equal(coupling_from_json(text, c.ensemble).c, coupling_from_json(obj, c.ensemble).c)
+
+    def test_infeasible_refused(self):
+        identity = {"c": [[1.0, 0.0], [0.0, 1.0]]}
+        with pytest.raises(InfeasibleCouplingError, match="infeasible"):
+            coupling_from_json(identity, gram_symmetric(2, 0.3))

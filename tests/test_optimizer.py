@@ -43,7 +43,6 @@ from qsd.ensembles import (
     gram_symmetric,
     spectral_factor,
 )
-from qsd.errors import ValidationError
 from qsd.optimizer import (
     CERT_TOL,
     NEWTON_MIN_DAMPING,
@@ -754,14 +753,6 @@ class TestPsk4:
 
 
 class TestPskParamsValidation:
-    def test_row_norm_enforced(self):
-        with pytest.raises(ValidationError):
-            PskParams(p=0.5, r=0.4, theta1=0.0, u=math.sqrt(0.4), v=0.0)
-
-    def test_u_v_consistency_enforced(self):
-        with pytest.raises(ValidationError):
-            PskParams(p=0.5, r=0.25, theta1=0.0, u=0.1, v=0.0)
-
     def test_valid_ternary(self):
         PskParams(p=0.5, r=0.25, theta1=0.0, u=0.5, v=0.0)
 
