@@ -43,7 +43,6 @@ from .ensembles import (
 )
 from .errors import (
     InfeasibleCouplingError,
-    InfeasibleSequentialError,
     InvalidIsometryError,
     NoSolutionError,
     NotCirculantError,
@@ -66,7 +65,6 @@ from .simulate import (
     TwoStageParams,
     TwoStageResult,
     check_against_dilation,
-    preservation_residual,
     run_monte_carlo,
     two_stage_binary,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "DilationModel",
     "Ensemble",
     "InfeasibleCouplingError",
-    "InfeasibleSequentialError",
     "InvalidIsometryError",
     "NoSolutionError",
     "NotCirculantError",
@@ -113,7 +110,6 @@ __all__ = [
     "optimal_coupling",
     "optimize_general",
     "post_measurement_state",
-    "preservation_residual",
     "psk3_solve",
     "psk4_solve",
     "run_monte_carlo",

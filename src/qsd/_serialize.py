@@ -7,6 +7,8 @@ round trip) and 12 in CSV.
 
 from __future__ import annotations
 
+import reprlib
+
 import numpy as np
 
 from .errors import ValidationError
@@ -30,14 +32,16 @@ def complex_obj(z: complex) -> dict:
 
 
 def parse_complex(obj) -> complex:
+    # reprlib cuts an echoed entry in depth and length: a deep or huge one
+    # can neither recurse nor flood the message
     if isinstance(obj, (int, float)):
         return complex(obj)
     if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
         try:
             return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
         except (TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed complex number {obj!r}: {exc}") from exc
-    raise ValidationError(f"expected a number or {{re, im}} object, got {obj!r}")
+            raise ValidationError(f"malformed complex number {reprlib.repr(obj)}") from exc
+    raise ValidationError(f"expected a number or {{re, im}} object, got {reprlib.repr(obj)}")
 
 
 def matrix_obj(m: np.ndarray) -> list:
@@ -54,6 +58,18 @@ def parse_matrix(rows) -> np.ndarray:
     if len({len(row) for row in parsed}) > 1:
         raise ValidationError("matrix rows must have equal length")
     return np.array(parsed, dtype=complex)
+
+
+def parse_json(text: str, what: str):
+    """Parsed JSON text, or a "malformed <what> JSON" ValidationError: json
+    raises ValueError (bad syntax, an integer past the interpreter's digit
+    limit) or RecursionError (nesting past its recursion limit)."""
+    import json
+
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"malformed {what} JSON: {exc}") from exc
 
 
 # JSON forbids raw control characters (U+0000-U+001F) inside strings

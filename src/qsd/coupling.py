@@ -77,6 +77,7 @@ class CouplingMatrix:
     ``_off_row_mass``.  The success and error probabilities, the
     post-measurement probability, the Monte Carlo sampler and the
     dilation's outcome-probability residual all read it.
+    :func:`feasibility_residual` keeps its value in ``_feasibility``.
     """
 
     c: np.ndarray
@@ -100,6 +101,7 @@ class CouplingMatrix:
         object.__setattr__(self, "_mass", _frozen(mass))
         object.__setattr__(self, "_row_mass", _frozen(row_mass))
         object.__setattr__(self, "_off_row_mass", _frozen(off.sum(axis=1)))
+        object.__setattr__(self, "_feasibility", None)
 
     @property
     def n(self) -> int:
@@ -252,14 +254,18 @@ def _circulant_root_residual(c: np.ndarray, gram: np.ndarray, deviation: float) 
 
 
 def feasibility_residual(coupling: CouplingMatrix) -> float:
-    """Max entrywise deviation of ``C C^H`` from the target Gram matrix."""
-    return _gram_residual(coupling.c, coupling.ensemble.gram)
+    """Max entrywise deviation of ``C C^H`` from the target Gram matrix,
+    computed once per coupling and returned again on every later call."""
+    if coupling._feasibility is None:
+        residual = _gram_residual(coupling.c, coupling.ensemble.gram)
+        object.__setattr__(coupling, "_feasibility", residual)
+    return coupling._feasibility
 
 
-def _check_feasible(coupling: CouplingMatrix) -> None:
-    """InfeasibleCouplingError unless ``C C^H`` meets the Gram matrix to
-    ``FEASIBILITY_TOL``: the one refusal of an infeasible coupling."""
-    residual = feasibility_residual(coupling)
+def _check_feasible(residual: float) -> None:
+    """InfeasibleCouplingError unless a feasibility residual (rows against
+    the Gram they must reproduce) is within ``FEASIBILITY_TOL``: the one
+    refusal, for a dilation and a sequential first stage alike."""
     if not residual <= FEASIBILITY_TOL:
         raise InfeasibleCouplingError(
             f"coupling is infeasible for this ensemble (residual {residual:.3e}): "
@@ -409,7 +415,7 @@ def _dilation_block(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
     modes contribute 0, so rank-deficient Grams do not leak
     sqrt(ulp)-size mass along them.
     """
-    _check_feasible(coupling)
+    _check_feasible(feasibility_residual(coupling))
     sf = spectral_factor(coupling.ensemble)
     # eigenvalues ascend, so the kept modes are the last rank columns
     cut = coupling.n - sf.rank
@@ -552,17 +558,12 @@ def coupling_to_json(coupling: CouplingMatrix) -> dict:
 def coupling_from_json(source: str | dict, ensemble: Ensemble) -> CouplingMatrix:
     """Coupling for ensemble from JSON text or its object ``{"c": matrix}``;
     an infeasible one raises InfeasibleCouplingError (:func:`_check_feasible`)."""
-    from ._serialize import parse_matrix
+    from ._serialize import parse_json, parse_matrix
 
     if isinstance(source, str):
-        import json
-
-        try:
-            source = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed coupling JSON: {exc}") from exc
+        source = parse_json(source, "coupling")
     if not isinstance(source, dict) or "c" not in source:
         raise ValidationError('coupling JSON must be an object with a "c" matrix')
     coupling = CouplingMatrix(parse_matrix(source["c"]), ensemble)
-    _check_feasible(coupling)
+    _check_feasible(feasibility_residual(coupling))
     return coupling

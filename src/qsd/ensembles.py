@@ -12,6 +12,7 @@ algebra everything else builds on.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,9 +205,9 @@ def check_symmetric(n: int, s: float) -> tuple[int, float]:
 def check_integer(value, name: str, low: int) -> int:
     """value as an int of at least low; a bool, float or str is refused, never cast."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {reprlib.repr(value)}")
     if value < low:
-        raise ValidationError(f"{name} must be at least {low}, got {value!r}")
+        raise ValidationError(f"{name} must be at least {low}, got {reprlib.repr(value)}")
     return int(value)
 
 
@@ -378,20 +379,15 @@ def ensemble_from_json(source: str | dict) -> Ensemble:
     Every kind is capped at ``MAX_STATES`` states; a ``gram`` matrix's rows
     are counted before any entry is parsed.
     """
-    if isinstance(source, str):
-        import json
+    from ._serialize import parse_complex, parse_json, parse_matrix
 
-        try:
-            source = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed ensemble JSON: {exc}") from exc
+    if isinstance(source, str):
+        source = parse_json(source, "ensemble")
     if not isinstance(source, dict):
         raise ValidationError("ensemble JSON must be an object")
     kind = source.get("kind")
     try:
         if kind == "binary":
-            from ._serialize import parse_complex
-
             return gram_binary(parse_complex(source["overlap"]), float(source["eta1"]))
         if kind in ("symmetric", "psk"):
             try:
@@ -402,8 +398,6 @@ def ensemble_from_json(source: str | dict) -> Ensemble:
                 return gram_symmetric(n, float(source["s"]))
             return gram_psk(n, float(source["alpha_sq"]))
         if kind == "gram":
-            from ._serialize import parse_matrix
-
             rows = source["matrix"]
             if isinstance(rows, list):
                 _check_dense(len(rows))
@@ -414,7 +408,7 @@ def ensemble_from_json(source: str | dict) -> Ensemble:
         if isinstance(exc, ValidationError):
             raise
         raise ValidationError(f"malformed ensemble JSON: {exc}") from exc
-    raise ValidationError(f"unknown ensemble kind {kind!r}")
+    raise ValidationError(f"unknown ensemble kind {reprlib.repr(kind)}")
 
 
 def ensemble_to_json(ensemble: Ensemble) -> dict:

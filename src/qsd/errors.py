@@ -23,15 +23,11 @@ class InvalidIsometryError(ValidationError):
 
 
 class InfeasibleCouplingError(ValidationError):
-    """A coupling matrix does not reproduce the target Gram matrix."""
+    """A coupling, or a sequential first stage, misses the target Gram matrix."""
 
 
 class UndefinedConditionalError(ValidationError):
     """A conditional state was requested for a zero-probability outcome."""
-
-
-class InfeasibleSequentialError(ValidationError):
-    """Two-stage parameters cannot preserve the required inner product."""
 
 
 class NoSolutionError(QsdError, RuntimeError):

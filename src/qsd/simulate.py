@@ -18,16 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import helstrom_bound
-from .coupling import DILATION_CHECK_TOL, CouplingMatrix, _block_residuals, error_probability
+from .coupling import CONDITIONAL_PROB_FLOOR, DILATION_CHECK_TOL, CouplingMatrix, _check_feasible
+from .coupling import _block_residuals, _gram_residual, error_probability
 from .ensembles import _frozen, check_integer, check_prior, check_seed, gram_binary
-from .errors import InfeasibleSequentialError, ValidationError
+from .errors import ValidationError
 
 # numpy's multinomial takes the shot count as a signed 64-bit integer
 MAX_SHOTS = 2**63
-# outcome probabilities below this are treated as an impossible branch
-NEGLIGIBLE_PROB = 1e-15
-# preservation residual up to which two_stage_binary accepts a first stage
-PRESERVATION_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,9 +114,7 @@ class TwoStageParams:
 
     r1, r2 are the stage-one misidentification probabilities; t1, t2 the
     real overlaps of the post-measurement system states conditioned on
-    outcomes 1 and 2.  Feasibility against a given overlap s (the
-    preservation constraint) is checked by :func:`two_stage_binary`.
-    """
+    outcomes 1 and 2."""
 
     r1: float
     r2: float
@@ -140,16 +135,6 @@ class TwoStageResult:
     combined_error: float
 
 
-def preservation_residual(s: float, params: TwoStageParams) -> float:
-    """Residual of the inner-product preservation law
-    ``sqrt((1-r1) r2) t1 + sqrt(r1 (1-r2)) t2 = s``."""
-    lhs = (
-        np.sqrt((1.0 - params.r1) * params.r2) * params.t1
-        + np.sqrt(params.r1 * (1.0 - params.r2)) * params.t2
-    )
-    return float(abs(lhs - s))
-
-
 def two_stage_binary(eta1: float, s: float, params: TwoStageParams) -> TwoStageResult:
     """Measure, keep the system, then measure the conditional pair optimally.
 
@@ -160,35 +145,42 @@ def two_stage_binary(eta1: float, s: float, params: TwoStageParams) -> TwoStageR
     single-shot optimum, and reaches it at the two endpoint
     constructions (optimal first stage with t1 = t2 = 1, or a vacuous
     first stage deferring everything to stage two).
+
+    Stage one is refused as a dilation is (InfeasibleCouplingError): a
+    unitary leaving input j in ``phi_jk`` on outcome k with amplitude
+    ``c[j, k]`` exists iff the rows ``(c[j, k] phi_jk)_k`` reproduce
+    ``[[1, s], [s, 1]]``, i.e. ``sqrt((1-r1) r2) t1 + sqrt(r1 (1-r2)) t2 = s``.
+    A branch of probability at most ``CONDITIONAL_PROB_FLOOR`` gets None.
     """
     eta1 = check_prior(eta1)
     s = float(s)
     if not 0.0 <= s <= 1.0:
         raise ValidationError("s must lie in [0, 1]")
-    if preservation_residual(s, params) > PRESERVATION_TOL:
-        raise InfeasibleSequentialError(
-            "stage-one parameters cannot preserve the states' inner product"
-        )
+    r1, r2, t1, t2 = params.r1, params.r2, params.t1, params.t2
+    c = np.sqrt([[1.0 - r1, r1], [r2, 1.0 - r2]])
+    # phi_1k = e_0 and phi_2k = (t_k, sqrt(1 - t_k**2))
+    phi = np.array([[[1.0, 0.0]] * 2, [[t, math.sqrt(1.0 - t * t)] for t in (t1, t2)]])
+    rows = (c[:, :, None] * phi).reshape(2, 4)
+    _check_feasible(_gram_residual(rows, np.array([[1.0, s], [s, 1.0]])))
     eta2 = 1.0 - eta1
-    first_stage_error = eta1 * params.r1 + eta2 * params.r2
 
     # posterior weight and ensemble behind each outcome; eta1_joint is the
     # first of prob's two nonnegative terms, so eta1_joint / prob rounds into [0, 1]
     branches = (
-        (eta1 * (1.0 - params.r1) + eta2 * params.r2, eta1 * (1.0 - params.r1), params.t1),
-        (eta1 * params.r1 + eta2 * (1.0 - params.r2), eta1 * params.r1, params.t2),
+        (eta1 * (1.0 - r1) + eta2 * r2, eta1 * (1.0 - r1), t1),
+        (eta1 * r1 + eta2 * (1.0 - r2), eta1 * r1, t2),
     )
     conditionals = []
     combined = 0.0
     for prob, eta1_joint, t in branches:
-        if prob <= NEGLIGIBLE_PROB:
+        if prob <= CONDITIONAL_PROB_FLOOR:
             conditionals.append(None)
             continue
         posterior = eta1_joint / prob
         conditionals.append(gram_binary(abs(t), posterior))
         combined += prob * helstrom_bound(posterior, abs(t))
     return TwoStageResult(
-        first_stage_error=first_stage_error,
+        first_stage_error=eta1 * r1 + eta2 * r2,
         conditional_ensembles=tuple(conditionals),
         combined_error=combined,
     )

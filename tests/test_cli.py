@@ -698,6 +698,37 @@ def test_nan_coupling_file_exit_2(tmp_path, command, extra):
     assert "Traceback" not in err
 
 
+# json.loads refuses the first two and the last with RecursionError or an
+# integer-digit ValueError; the middle two hold an entry whose full echo
+# would print every bracket
+OPTIMIZE_FILE = ("optimize", "--ensemble", "FILE")
+SIMULATE_FILE = ("simulate", "--ensemble", BINARY_EQ, "--shots", "100", "--coupling", "FILE")
+DEEP_ENTRY = "[" * 900 + "]" * 900
+
+
+@pytest.mark.parametrize(
+    "args, text, message",
+    [
+        (OPTIMIZE_FILE, "[" * 1000 + "]" * 1000, "malformed ensemble JSON"),
+        (SIMULATE_FILE, '{"c": ' * 990 + "null" + "}" * 990, "malformed coupling JSON"),
+        (OPTIMIZE_FILE, f'{{"kind": "gram", "matrix": [[{DEEP_ENTRY}]], "priors": [1]}}',
+         "expected a number or {re, im} object, got [[[[[[[...]]]]]]]"),
+        (SIMULATE_FILE, f'{{"c": [[{DEEP_ENTRY}, 0], [0, 1]]}}', "got [[[[[[[...]]]]]]]"),
+        (OPTIMIZE_FILE, '{"kind": "psk", "n": ' + "1" * 5000 + ', "alpha_sq": 1}',
+         "malformed ensemble JSON: Exceeds the limit"),
+    ],
+    ids=["ensemble-1000-deep", "coupling-990-deep", "ensemble-entry-900-deep",
+         "coupling-entry-900-deep", "ensemble-5000-digits"],
+)
+def test_deep_or_huge_json_exit_2(tmp_path, args, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run_cli(*(str(path) if a == "FILE" else a for a in args))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and len(err) < 300
+
+
 SWEEP_S3 = (
     "sweep", "--family", "symmetric", "--n", "3", "--axis", "s", "--min", "0", "--max", "0.5", "--steps", "3",
 )

@@ -934,3 +934,20 @@ class TestCouplingJson:
         identity = {"c": [[1.0, 0.0], [0.0, 1.0]]}
         with pytest.raises(InfeasibleCouplingError, match="infeasible"):
             coupling_from_json(identity, gram_symmetric(2, 0.3))
+
+    def test_feasibility_computed_once(self, monkeypatch):
+        # coupling_from_json checks C C^H = G and keeps the residual on
+        # the coupling; the dilation's check reads it and does not multiply
+        # C out again
+        c = circulant_optimal_coupling(gram_psk(5, 0.7))
+        calls, residual = [], coupling_mod._gram_residual
+
+        def spy(rows, gram):
+            calls.append(np.array_equal(rows, c.c))
+            return residual(rows, gram)
+
+        monkeypatch.setattr(coupling_mod, "_gram_residual", spy)
+        loaded = coupling_from_json(coupling_to_json(c), c.ensemble)
+        assert max(dilation_residuals(loaded).values()) <= 1e-10
+        assert feasibility_residual(loaded) <= 1e-12
+        assert calls.count(True) == 1

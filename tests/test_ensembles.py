@@ -403,6 +403,31 @@ class TestJsonInterface:
         with pytest.raises(ValidationError):
             ensemble_from_json(bad)
 
+    @pytest.mark.parametrize("bad", ["5", "[1, 2]", '"psk"', "null", 5, [1, 2]])
+    def test_non_object_refused(self, bad):
+        with pytest.raises(ValidationError, match="^ensemble JSON must be an object$"):
+            ensemble_from_json(bad)
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [("kind", "unknown ensemble kind "), ("n", "n must be an integer, got ")],
+    )
+    def test_refused_entry_echo_is_bounded(self, key, message):
+        deep = []
+        for _ in range(500):
+            deep = [deep]
+        source = {"kind": "psk", "alpha_sq": 0.5, key: deep}
+        with pytest.raises(ValidationError) as info:
+            ensemble_from_json(source)
+        assert str(info.value).endswith(message + "[[[[[[[...]]]]]]]")
+
+    @pytest.mark.parametrize("text", ["[" * 5000 + "]" * 5000, '{"n": ' + "1" * 5000 + "}"])
+    def test_unparsable_json_is_malformed(self, text):
+        # json.loads raises RecursionError or an integer-digit ValueError,
+        # not a JSONDecodeError
+        with pytest.raises(ValidationError, match="^malformed ensemble JSON: "):
+            ensemble_from_json(text)
+
     @pytest.mark.parametrize("n", ["Infinity", "-Infinity", "NaN", "1e400"])
     def test_non_finite_state_count_rejected(self, n):
         with pytest.raises(ValidationError, match="malformed"):

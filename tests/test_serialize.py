@@ -19,6 +19,11 @@ class TestDumps:
     def test_any_text_round_trips(self, obj):
         assert json.loads(dumps(obj)) == obj
 
+    @pytest.mark.parametrize("bad", [{1, 2}, 1j, object(), {"p": b"bytes"}])
+    def test_unserializable_refused(self, bad):
+        with pytest.raises(TypeError, match="^cannot serialize "):
+            dumps(bad)
+
     def test_plain_strings_unchanged(self):
         assert dumps({"p_error": "a/b"}) == '{"p_error": "a/b"}'
 
@@ -40,6 +45,20 @@ class TestParse:
     def test_bad_matrix_is_a_validation_error(self, bad):
         with pytest.raises(ValidationError):
             parse_matrix(bad)
+
+    @pytest.mark.parametrize(
+        "bad, echo",
+        [
+            (json.loads("[" * 500 + "]" * 500), "[[[[[[[...]]]]]]]"),
+            ("x" * 10**5, "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+            ({"re": "x" * 10**5}, "{'re': 'xxxxxxxxxxxx...xxxxxxxxxxxxx'}"),
+        ],
+        ids=["deep", "huge", "huge-re"],
+    )
+    def test_refusal_echo_is_bounded(self, bad, echo):
+        with pytest.raises(ValidationError) as info:
+            parse_complex(bad)
+        assert str(info.value).endswith(echo)
 
     def test_matrix_entries(self):
         m = parse_matrix([[1, {"re": 0.5, "im": -0.5}], [{"im": 2.0}, 0.0]])

@@ -20,13 +20,12 @@ from qsd.coupling import (
     symmetric_optimal_coupling,
 )
 from qsd.ensembles import Ensemble, gram_binary, gram_psk, gram_symmetric
-from qsd.errors import InfeasibleCouplingError, InfeasibleSequentialError, ValidationError
+from qsd.errors import InfeasibleCouplingError, ValidationError
 from qsd.optimizer import psk3_solve
 from qsd.simulate import (
     SimulationReport,
     TwoStageParams,
     check_against_dilation,
-    preservation_residual,
     run_monte_carlo,
     two_stage_binary,
 )
@@ -368,11 +367,18 @@ class TestCheckAgainstDilation:
             check_against_dilation(coupling)
 
 
+def law_residual(s, params):
+    """The stage-one feasibility law at n = 2, written out as a scalar:
+    ``sqrt((1-r1) r2) t1 + sqrt(r1 (1-r2)) t2 - s``."""
+    r1, r2, t1, t2 = params.r1, params.r2, params.t1, params.t2
+    return math.sqrt((1 - r1) * r2) * t1 + math.sqrt(r1 * (1 - r2)) * t2 - s
+
+
 class TestTwoStageBinary:
     def test_optimal_first_stage_endpoint(self):
         sol = binary_individual_errors(0.5, 0.6)
         params = TwoStageParams(r1=sol.r1, r2=sol.r2, t1=1.0, t2=1.0)
-        assert preservation_residual(0.6, params) <= 1e-10
+        assert abs(law_residual(0.6, params)) <= 1e-10
         out = two_stage_binary(0.5, 0.6, params)
         assert out.first_stage_error == pytest.approx(0.1, abs=1e-12)
         assert out.combined_error == pytest.approx(0.1, abs=1e-10)
@@ -390,9 +396,43 @@ class TestTwoStageBinary:
         assert out.conditional_ensembles[1] is None
 
     def test_infeasible_rejected(self):
+        # the coupling module's one refusal, word for word
         params = TwoStageParams(r1=0.0, r2=0.0, t1=1.0, t2=1.0)
-        with pytest.raises(InfeasibleSequentialError):
+        with pytest.raises(InfeasibleCouplingError) as info:
             two_stage_binary(0.5, 0.6, params)
+        assert str(info.value) == (
+            "coupling is infeasible for this ensemble (residual 6.000e-01): "
+            "inner products are not preserved, so no unitary extension exists"
+        )
+
+    @pytest.mark.parametrize("eta1, s", [(0.5, 0.6), (0.3, 0.4)])
+    def test_law_accepted_at_feasibility_tol(self, eta1, s):
+        # t2 solves the scalar law, then moves so that the law misses s by
+        # 5e-9 (inside FEASIBILITY_TOL = 1e-8) or 5e-8 (outside), either way
+        r1, r2, t1 = 0.4, 0.3, 0.5
+        a2 = math.sqrt(r1 * (1 - r2))
+        t2 = (s - math.sqrt((1 - r1) * r2) * t1) / a2
+        for miss, feasible in ((5e-9, True), (-5e-9, True), (5e-8, False), (-5e-8, False)):
+            params = TwoStageParams(r1=r1, r2=r2, t1=t1, t2=t2 + miss / a2)
+            assert law_residual(s, params) == pytest.approx(miss, rel=1e-6)
+            if feasible:
+                out = two_stage_binary(eta1, s, params)
+                assert out.combined_error >= helstrom_bound(eta1, s) - 1e-8
+            else:
+                with pytest.raises(InfeasibleCouplingError, match="inner products"):
+                    two_stage_binary(eta1, s, params)
+
+    def test_branch_above_the_floor_gets_an_ensemble(self):
+        # outcome 2 has probability eta1 * r1 = 1e-20, above
+        # CONDITIONAL_PROB_FLOOR (1e-24); at r1 = 0 it has probability 0
+        params = TwoStageParams(r1=2e-20, r2=1.0, t1=0.6, t2=0.0)
+        out = two_stage_binary(0.5, 0.6, params)
+        tiny = out.conditional_ensembles[1]
+        assert tiny is not None
+        assert tiny.priors.tolist() == [1.0, 0.0]
+        assert out.combined_error == pytest.approx(helstrom_bound(0.5, 0.6), abs=1e-10)
+        params = TwoStageParams(r1=0.0, r2=1.0, t1=0.6, t2=0.0)
+        assert two_stage_binary(0.5, 0.6, params).conditional_ensembles[1] is None
 
     def test_floor_random_scan(self):
         rng = np.random.default_rng(111)
