@@ -44,6 +44,14 @@ def parse_complex(obj) -> complex:
     raise ValidationError(f"expected a number or {{re, im}} object, got {reprlib.repr(obj)}")
 
 
+def cut_echo(message: str) -> str:
+    """message, which may echo an input whole, escaped as repr escapes a
+    string and cut in the middle to 200 characters by reprlib."""
+    echo = reprlib.Repr()
+    echo.maxstring = 200
+    return echo.repr(message)[1:-1]
+
+
 def matrix_obj(m: np.ndarray) -> list:
     return [[complex_obj(z) for z in row] for row in np.asarray(m)]
 

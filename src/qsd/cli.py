@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import closed_form, coupling as coupling_mod, optimizer, simulate as simulate_mod
-from ._serialize import CSV_DIGITS, complex_obj, dumps, fmt_float
+from ._serialize import CSV_DIGITS, complex_obj, cut_echo, dumps, fmt_float
 from .ensembles import (
     Ensemble,
     _check_dense,
@@ -164,7 +164,7 @@ def _sweep_outputs(text: str) -> set:
     wanted = {token.strip() for token in text.split(",") if token.strip()}
     unknown = wanted - set(SWEEP_OUTPUTS)
     if unknown:
-        raise ValidationError(f"unknown sweep outputs: {sorted(unknown)}")
+        raise ValidationError(cut_echo(f"unknown sweep outputs: {sorted(unknown)}"))
     if not wanted:
         raise ValidationError("at least one sweep output is required")
     return wanted
@@ -245,14 +245,12 @@ def cmd_sweep(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``error:`` line with exit code 2, like
-    every other input error, in place of argparse's usage text, and names
-    an unrecognized argument before a missing required option."""
+    every other input error, in place of argparse's usage text (the argument
+    it echoes cut by ``cut_echo``), and names an unrecognized argument
+    before a missing required option."""
 
     def error(self, message):
-        # an unrecognized argument is named as given: escape its line breaks
-        if message.splitlines() != [message]:
-            message = repr(message)[1:-1]
-        raise ValidationError(f"{self.prog}: {message}")
+        raise ValidationError(f"{self.prog}: {cut_echo(message)}")
 
     def parse_known_args(self, args=None, namespace=None):
         # a subcommand checks its required options before the top level
@@ -350,7 +348,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {cut_echo(str(exc))}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -310,9 +310,7 @@ def symmetric_optimal_coupling(n: int, s: float) -> CouplingMatrix:
     p, _ = symmetric_p_quadratic(n, s)
     r = symmetric_min_error(n, s) / (n - 1)
     t = (s - (n - 2) * r) / (2.0 * np.sqrt(p))
-    c = np.full((n, n), t, dtype=complex)
-    np.fill_diagonal(c, np.sqrt(p))
-    return CouplingMatrix(c, ensemble)
+    return CouplingMatrix(circulant(np.concatenate(([np.sqrt(p)], np.full(n - 1, t)))), ensemble)
 
 
 def circulant_optimal_coupling(ensemble: Ensemble) -> CouplingMatrix:

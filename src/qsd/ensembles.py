@@ -255,9 +255,7 @@ def gram_symmetric(n: int, s: float) -> Ensemble:
     """
     n, s = check_symmetric(n, s)
     _check_dense(n)
-    gram = np.full((n, n), s, dtype=complex)
-    np.fill_diagonal(gram, 1.0)
-    return Ensemble(n, gram, np.full(n, 1.0 / n))
+    return Ensemble(n, circulant(np.concatenate(([1.0], np.full(n - 1, s)))), np.full(n, 1.0 / n))
 
 
 def gram_psk(n: int, alpha_sq: float) -> Ensemble:
@@ -316,19 +314,14 @@ def spectral_factor(ensemble: Ensemble) -> SpectralFactor:
 
 
 def _circulant_deviation(gram: np.ndarray) -> float:
-    """Max entrywise deviation of gram from the circulant circ of its
-    first row, read in row blocks of at most ``BLOCK_ENTRIES`` entries;
+    """Max entrywise deviation of gram from the :func:`circulant` view of
+    its first row, read in row blocks of at most ``BLOCK_ENTRIES`` entries;
     the first block that takes it above ``CIRCULANT_TOL`` ends the read,
-    so a value above the tolerance is only a lower bound.
-
-    Row j of circ is the doubled first row from n - j on, so circ is a
-    strided view of 2n entries and is never built.  Row 1 comes alone
-    first: a Gram that is not circulant mostly differs there.
+    so a value above the tolerance is only a lower bound.  Row 1 comes
+    alone first: a Gram that is not circulant mostly differs there.
     """
     n = gram.shape[0]
-    doubled = np.concatenate((gram[0], gram[0]))
-    step = doubled.itemsize
-    circ = np.ndarray((n, n), doubled.dtype, buffer=doubled, offset=n * step, strides=(-step, step))
+    circ = circulant(gram[0])
     bounds = [1, *range(2, n, max(1, BLOCK_ENTRIES // n)), n]
     deviation = 0.0
     for a, b in zip(bounds, bounds[1:]):
@@ -359,10 +352,12 @@ def _fourier_columns(n: int, modes: np.ndarray) -> np.ndarray:
 
 
 def circulant(first_row: np.ndarray) -> np.ndarray:
-    """The circulant matrix ``C[j, l] = first_row[(l - j) mod n]``."""
-    first_row = np.asarray(first_row)
-    n = first_row.shape[0]
-    return first_row[(np.arange(n) - np.arange(n)[:, None]) % n]
+    """The circulant ``C[j, l] = first_row[(l - j) mod n]`` as a read-only view
+    of the doubled first row, in which row j starts at entry n - j: callers
+    copy it when they need a writable matrix, as ``Ensemble`` does."""
+    doubled = np.concatenate((first_row, first_row))
+    n, step = len(first_row), doubled.itemsize
+    return _frozen(np.ndarray((n, n), doubled.dtype, doubled, n * step, (-step, step)))
 
 
 def ensemble_from_json(source: str | dict) -> Ensemble:
@@ -379,7 +374,7 @@ def ensemble_from_json(source: str | dict) -> Ensemble:
     Every kind is capped at ``MAX_STATES`` states; a ``gram`` matrix's rows
     are counted before any entry is parsed.
     """
-    from ._serialize import parse_complex, parse_json, parse_matrix
+    from ._serialize import cut_echo, parse_complex, parse_json, parse_matrix
 
     if isinstance(source, str):
         source = parse_json(source, "ensemble")
@@ -407,7 +402,7 @@ def ensemble_from_json(source: str | dict) -> Ensemble:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ValidationError):
             raise
-        raise ValidationError(f"malformed ensemble JSON: {exc}") from exc
+        raise ValidationError(cut_echo(f"malformed ensemble JSON: {exc}")) from exc
     raise ValidationError(f"unknown ensemble kind {reprlib.repr(kind)}")
 
 

@@ -716,9 +716,12 @@ DEEP_ENTRY = "[" * 900 + "]" * 900
         (SIMULATE_FILE, f'{{"c": [[{DEEP_ENTRY}, 0], [0, 1]]}}', "got [[[[[[[...]]]]]]]"),
         (OPTIMIZE_FILE, '{"kind": "psk", "n": ' + "1" * 5000 + ', "alpha_sq": 1}',
          "malformed ensemble JSON: Exceeds the limit"),
+        # float() echoes the string it refuses whole
+        (OPTIMIZE_FILE, '{"kind": "binary", "overlap": 0.5, "eta1": "' + "x" * 100_000 + '"}',
+         "malformed ensemble JSON: could not convert string to float: 'xxx"),
     ],
     ids=["ensemble-1000-deep", "coupling-990-deep", "ensemble-entry-900-deep",
-         "coupling-entry-900-deep", "ensemble-5000-digits"],
+         "coupling-entry-900-deep", "ensemble-5000-digits", "ensemble-100k-float-string"],
 )
 def test_deep_or_huge_json_exit_2(tmp_path, args, text, message):
     path = tmp_path / "input.json"
@@ -742,12 +745,14 @@ SWEEP_S3 = (
          "malformed coupling JSON"),
         ((*SWEEP_S3, "--outputs", "bogus"), "unknown sweep outputs"),
         ((*SWEEP_S3, "--outputs", ","), "at least one sweep output is required"),
+        ((*SWEEP_S3, "--outputs", "x" * 100_000), "unknown sweep outputs: ['xxx"),
         (("sweep", "--family", "psk", "--axis", "alpha_sq", "--min", "0.1", "--max", "1", "--steps", "3"),
          "--n is required for family 'psk'"),
         (("simulate", "--ensemble", BINARY_EQ, "--shots", "100", "--seed", str(2**64)),
          "seed must fit in 64 unsigned bits"),
     ],
-    ids=["non-utf8-ensemble", "malformed-coupling", "unknown-output", "no-output", "psk-without-n", "seed-2**64"],
+    ids=["non-utf8-ensemble", "malformed-coupling", "unknown-output", "no-output", "huge-output",
+         "psk-without-n", "seed-2**64"],
 )
 def test_input_refusal_exit_2(tmp_path, args, message):
     files = {"LATIN1": tmp_path / "latin1.json", "TRUNCATED": tmp_path / "truncated.json"}
@@ -756,6 +761,7 @@ def test_input_refusal_exit_2(tmp_path, args, message):
     code, out, err = main_cli(*(str(files.get(a, a)) for a in args))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1 and len(err) <= 1000
 
 
 class TestSweep:
@@ -983,7 +989,7 @@ def assert_one_line_usage_error(args, message):
     code, out, err = run_cli(*args)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert message in err
+    assert message in err and len(err) <= 1000
 
 
 class TestTopLevel:
@@ -1005,6 +1011,9 @@ class TestTopLevel:
             (("simulate", "--bogus", "--shots", "5"), "unrecognized arguments: --bogus"),
             # line breaks in an unrecognized argument are escaped
             (("optimize", "--ensemble", SYM_3_HALF, "--a=\x0cb\n"), "arguments: --a=\\x0cb\\n\n"),
+            # an unrecognized argument and a refused value are cut
+            (("optimize", "--ensemble", SYM_3_HALF, "--" + "x" * 100_000), "arguments: --xxx"),
+            (("bound", "--eta1=" + "x" * 100_000, "--overlap-re", "0.5"), "invalid float value: 'xxx"),
         ],
     )
     def test_subcommand_usage_error_is_one_line_exit_2(self, args, message):

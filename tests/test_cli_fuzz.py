@@ -3,9 +3,10 @@
 Every input must end in exit 0 (with JSON on stdout for the JSON
 commands), 2, 3 or 4; any exception escaping ``qsd.cli.main`` is a
 defect, and so is an exit 2, 3 or 4 whose stderr is not a one-line
-``error:`` message, a usage error included.  State counts
-and sweep steps are drawn either small or above their limits, never in
-between, so that no example builds a large matrix or grid.
+``error:`` message of at most 1,000 characters, a usage error included.
+State counts and sweep steps are drawn either small or above their
+limits, never in between, so that no example builds a large matrix or
+grid.
 """
 
 import json
@@ -89,6 +90,7 @@ def run(argv):
     if code:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
+        assert len(lines[0]) <= 1000, (argv[:2], len(lines[0]))
     if code == 0 and argv[0] != "sweep":
         json.loads(out)
     return code

@@ -14,6 +14,7 @@ from qsd.ensembles import (
     Ensemble,
     _circulant_spectrum,
     check_symmetric,
+    circulant,
     ensemble_from_json,
     ensemble_to_json,
     gram_binary,
@@ -22,7 +23,7 @@ from qsd.ensembles import (
     spectral_factor,
 )
 from qsd.errors import ValidationError
-from qsd.optimizer import optimize_general
+from qsd.optimizer import optimal_coupling, optimize_general
 
 
 class TestGramBinary:
@@ -360,6 +361,44 @@ class TestCirculantEigenvalues:
         g3 = np.eye(3, dtype=complex)
         g3[0, 1] = g3[1, 0] = 0.5
         assert Ensemble(3, g3, np.full(3, 1.0 / 3))._circulant_deviation > CIRCULANT_TOL
+
+
+class TestCirculant:
+    """circulant is the one constructor of the package's circulants: a
+    read-only view of the doubled first row, which the owners copy."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    def test_view_of_the_doubled_row(self, n, dtype):
+        rng = np.random.default_rng(n)
+        row = rng.standard_normal(n)
+        if dtype is complex:
+            row = row + 1j * rng.standard_normal(n)
+        c = circulant(row)
+        assert c.dtype == row.dtype
+        assert np.array_equal(c, row[(np.arange(n) - np.arange(n)[:, None]) % n])
+        assert not c.flags.writeable
+        assert c.base.size == 2 * n and c.base.flags.owndata
+
+    @staticmethod
+    def _peak_mib(build) -> float:
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_gram_psk_copies_once(self):
+        # a dense complex 1024 x 1024 matrix is 16 MiB: the Gram's one copy
+        # and validation's temporaries peak at 48.2 MiB, one more dense
+        # circulant would pass the bound
+        assert self._peak_mib(lambda: gram_psk(1024, 1.0)) < 56
+
+    def test_circulant_coupling_copies_once(self):
+        # likewise for the coupling's one copy: 32.1 MiB
+        ens = gram_psk(1024, 1.0)
+        assert self._peak_mib(lambda: optimal_coupling(ens)) < 40
 
 
 class TestJsonInterface:
