@@ -10,6 +10,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import sys
 
@@ -20,7 +21,10 @@ from ._serialize import CSV_DIGITS, complex_obj, cut_echo, dumps, fmt_float
 from .ensembles import (
     Ensemble,
     _check_dense,
+    check_alpha_sq,
+    check_binary,
     check_state_count,
+    check_symmetric,
     ensemble_from_json,
     gram_binary,
     gram_psk,
@@ -127,12 +131,10 @@ def cmd_simulate(args) -> int:
     cpl = _coupling_arg(args.coupling, ensemble)
     report = simulate_mod.run_monte_carlo(cpl, args.shots, args.seed)
     if args.counts_csv:
-        lines = ["input,outcome,count"]
-        for j in range(ensemble.n):
-            for k in range(ensemble.n):
-                lines.append(f"{j},{k},{int(report.counts[j, k])}")
         with open(args.counts_csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("input,outcome,count\n")
+            for j, row in enumerate(report.counts.tolist()):
+                fh.writelines(f"{j},{k},{count}\n" for k, count in enumerate(row))
     print(
         dumps(
             {
@@ -170,30 +172,32 @@ def _sweep_outputs(text: str) -> set:
     return wanted
 
 
-def _sweep_row(family, n, axis, value, outputs, fixed_s, fixed_eta1) -> str:
+def _sweep_point(args, n: int, value: float) -> tuple:
+    """A grid point's parameters: ``(eta1, overlap)`` for the binary
+    family, ``(n, s)`` or ``(n, alpha_sq)`` for the others."""
+    if args.family == "binary":
+        return (value, args.s) if args.axis == "eta1" else (args.eta1, value)
+    return n, value
+
+
+def _sweep_row(args, n, value, outputs) -> str:
     closed = srm = opt = None
-    psk = family == "psk"
-    if family == "binary":  # n is always 2
-        eta1, s = (value, fixed_s) if axis == "eta1" else (fixed_eta1, value)
-        if "closed_form" in outputs:
-            closed = closed_form.helstrom_bound(eta1, s)
-    elif family == "symmetric" and "closed_form" in outputs:
-        closed = closed_form.symmetric_min_error(n, value)
+    binary, psk = args.family == "binary", args.family == "psk"
+    point = _sweep_point(args, n, value)
+    if "closed_form" in outputs and not psk:
+        closed = (closed_form.helstrom_bound if binary else closed_form.symmetric_min_error)(*point)
     if not outputs.isdisjoint(("srm_oracle", "optimizer")):
         # one ensemble for both columns: the oracles read its Gram and
         # priors, never the factor that the solver memoizes on it
-        if family == "binary":
-            ens = gram_binary(s, eta1)
-        else:
-            ens = (gram_psk if psk else gram_symmetric)(n, value)
+        ens = gram_binary(*point[::-1]) if binary else (gram_psk if psk else gram_symmetric)(*point)
         if "srm_oracle" in outputs and (psk or ens.equal_priors):
             srm = (closed_form.srm_error_circulant if psk else closed_form.srm_error_general)(ens)
         if "optimizer" in outputs and psk:
             opt = coupling_mod.error_probability(optimizer.optimal_coupling(ens))
         elif "optimizer" in outputs:
-            opt = optimizer.optimize_general(ens).p_error
+            opt = optimizer._converged_solve(ens).p_error
     cells = ("" if x is None else fmt_float(x, CSV_DIGITS) for x in (value, closed, srm, opt))
-    return ",".join([family, str(n), axis, *cells])
+    return ",".join([args.family, str(n), args.axis, *cells])
 
 
 def cmd_sweep(args) -> int:
@@ -216,8 +220,13 @@ def cmd_sweep(args) -> int:
             n_list = [int(tok) for tok in args.n.split(",")]
         except ValueError as exc:
             raise ValidationError(f"--n must be comma-separated integers: {exc}") from exc
-        for n in n_list:
-            _check_dense(check_state_count(n))
+    # each family's admissible values form an interval, so its grid's ends,
+    # taken in the rows' order, pass the validators every row calls
+    check = {"binary": check_binary, "symmetric": check_symmetric, "psk": lambda n, a: check_alpha_sq(a)}
+    for n in n_list:
+        _check_dense(check_state_count(n))
+        for end in (args.min, args.max):
+            check[args.family](*_sweep_point(args, n, end))
     points = args.steps * len(n_list)
     if points > MAX_SWEEP_STEPS:
         raise ValidationError(
@@ -226,20 +235,10 @@ def cmd_sweep(args) -> int:
         )
 
     values = np.linspace(args.min, args.max, args.steps)
-    lines = [SWEEP_HEADER]
-    for n in n_list:
-        for value in values:
-            lines.append(
-                _sweep_row(
-                    args.family, n, args.axis, float(value), outputs, args.s, args.eta1
-                )
-            )
-    text = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    out = contextlib.nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", encoding="utf-8")
+    with out as fh:
+        fh.write(SWEEP_HEADER + "\n")
+        fh.writelines(_sweep_row(args, n, float(value), outputs) + "\n" for n in n_list for value in values)
     return EXIT_OK
 
 

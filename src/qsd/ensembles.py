@@ -202,6 +202,14 @@ def check_symmetric(n: int, s: float) -> tuple[int, float]:
     return n, min(s, 1.0)
 
 
+def check_alpha_sq(alpha_sq: float) -> float:
+    """alpha_sq as a finite nonnegative float."""
+    alpha_sq = float(alpha_sq)
+    if not 0.0 <= alpha_sq < np.inf:  # also rejects NaN
+        raise ValidationError(f"alpha_sq must be finite and nonnegative, got {alpha_sq!r}")
+    return alpha_sq
+
+
 def check_integer(value, name: str, low: int) -> int:
     """value as an int of at least low; a bool, float or str is refused, never cast."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -268,9 +276,7 @@ def gram_psk(n: int, alpha_sq: float) -> Ensemble:
     """
     n = check_state_count(n)
     _check_dense(n)
-    alpha_sq = float(alpha_sq)
-    if not 0.0 <= alpha_sq < np.inf:
-        raise ValidationError(f"alpha_sq must be finite and nonnegative, got {alpha_sq!r}")
+    alpha_sq = check_alpha_sq(alpha_sq)
     k = np.arange(n)
     row = np.exp(-alpha_sq * (1.0 - np.exp(2j * np.pi / n) ** k))
     # exact Hermiticity (row[-k] = conj(row[k])) and unit diagonal,

@@ -488,10 +488,15 @@ def optimal_coupling(ensemble: Ensemble) -> CouplingMatrix:
             return circulant_optimal_coupling(ensemble)
     except QsdError:
         pass
+    return _converged_solve(ensemble).coupling
+
+
+def _converged_solve(ensemble: Ensemble) -> OptimizeResult:
+    """:func:`optimize_general`'s result, or NoSolutionError when it did not converge."""
     result = optimize_general(ensemble)
     if not result.converged:
         raise NoSolutionError(f"the weight solve did not converge (dual gap {result.dual_gap:.3e})")
-    return result.coupling
+    return result
 
 
 # ---------------------------------------------------------------------------

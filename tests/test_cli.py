@@ -407,6 +407,18 @@ class TestSimulate:
         total = sum(int(line.split(",")[2]) for line in lines[1:])
         assert total == 5000
 
+    def test_counts_csv_cells_match_counts(self, tmp_path):
+        # one line per (input, outcome) cell, row by row, as in "counts"
+        path = tmp_path / "counts.csv"
+        code, out, _ = main_cli(
+            "simulate", "--ensemble", '{"kind":"psk","n":5,"alpha_sq":1}',
+            "--shots", "20000", "--seed", "3", "--counts-csv", str(path),
+        )
+        counts = json.loads(out)["counts"]
+        cells = [f"{j},{k},{c}" for j, row in enumerate(counts) for k, c in enumerate(row)]
+        assert code == 0
+        assert path.read_text() == "\n".join(["input,outcome,count", *cells]) + "\n"
+
     def test_coupling_from_file(self, tmp_path):
         code, out, _ = run_cli(
             "optimize", "--ensemble", BINARY_UNEQ, "--emit-coupling"
@@ -932,22 +944,75 @@ class TestSweep:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "n, steps, message",
+        "args, message",
         [
-            ("2,3", "600000", "600000 steps for 2 state counts make 1200000 grid points, "
-             "above the limit of 1000000"),
-            ("3,4097", "4", "n=4097 is above the limit of 4096 states for a dense Gram"),
-            ("3,1", "4", "n must be at least 2, got 1"),
+            (("symmetric", "--n", "2,3", "--axis", "s", "--min", "0.1", "--max", "0.5", "--steps", "600000"),
+             "600000 steps for 2 state counts make 1200000 grid points, above the limit of 1000000"),
+            (("symmetric", "--n", "3,4097", "--axis", "s", "--min", "0.1", "--max", "0.5", "--steps", "4"),
+             "n=4097 is above the limit of 4096 states for a dense Gram"),
+            (("symmetric", "--n", "3,1", "--axis", "s", "--min", "0.1", "--max", "0.5", "--steps", "4"),
+             "n must be at least 2, got 1"),
+            # a value outside the family's range, at any n of the grid
+            (("symmetric", "--n", "2,3", "--axis", "s", "--min", "-0.9", "--max", "0.9", "--steps", "5"),
+             "s=-0.9 outside the positive-semidefinite range [-0.5, 1]"),
+            (("psk", "--n", "3", "--axis", "alpha_sq", "--min", "-1", "--max", "2", "--steps", "3"),
+             "alpha_sq must be finite and nonnegative, got -1.0"),
+            (("binary", "--axis", "eta1", "--min", "0.5", "--max", "1.5", "--steps", "3"),
+             "eta1 must lie in [0, 1], got 1.5"),
+            (("binary", "--axis", "eta1", "--min", "0.1", "--max", "0.9", "--steps", "3", "--s", "1.5"),
+             "|overlap| must be <= 1, got 1.5"),
+            (("binary", "--axis", "s", "--min", "0.1", "--max", "0.9", "--steps", "3", "--eta1", "-0.5"),
+             "eta1 must lie in [0, 1], got -0.5"),
         ],
-        ids=["grid", "above_max_states", "below_two"],
+        ids=[
+            "grid", "above_max_states", "below_two",
+            "symmetric_range", "psk_range", "binary_range", "fixed_s", "fixed_eta1",
+        ],
     )
-    def test_whole_grid_refused_before_the_first_row(self, monkeypatch, n, steps, message):
+    def test_whole_grid_refused_before_the_first_row(self, monkeypatch, args, message):
+        monkeypatch.setattr(qsd.cli, "_sweep_row", lambda *args: pytest.fail("a row was computed"))
+        code, out, err = main_cli("sweep", "--family", *args)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_unwritable_path_refused_before_the_first_row(self, monkeypatch):
         monkeypatch.setattr(qsd.cli, "_sweep_row", lambda *args: pytest.fail("a row was computed"))
         code, out, err = main_cli(
-            "sweep", "--family", "symmetric", "--n", n, "--axis", "s",
-            "--min", "0.1", "--max", "0.5", "--steps", steps,
+            "sweep", "--family", "symmetric", "--n", "3", "--axis", "s",
+            "--min", "0.1", "--max", "0.5", "--steps", "2", "--out", "/no/such/dir/sweep.csv",
         )
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert (code, out) == (3, "") and err.startswith("error: ")
+
+    def test_unconverged_optimizer_cell_exit_4(self):
+        # the weight solve ends with dual gaps of 1.2e-7 and 1.8e-7 here,
+        # and qsd optimize exits 4 on either ensemble; a row printed before
+        # the unconverged cell stays on stdout
+        for low, rows in (("0.9999999999979", 0), ("0.5", 1)):
+            code, out, err = main_cli(
+                "sweep", "--family", "binary", "--axis", "s", "--min", low,
+                "--max", "0.9999999999979702", "--steps", "2", "--eta1", "0.1",
+                "--outputs", "closed_form,optimizer",
+            )
+            assert code == 4
+            assert len(out.splitlines()) == 1 + rows and out.startswith(qsd.cli.SWEEP_HEADER)
+            assert err.startswith("error: the weight solve did not converge (dual gap ")
+            assert len(err.splitlines()) == 1
+
+    def test_rows_written_as_computed(self, tmp_path):
+        # 50,000 rows are about 2 MB of text: held whole, with the list of
+        # its lines, they peaked at 9.8 MiB
+        path = tmp_path / "sweep.csv"
+        argv = ["sweep", "--family", "symmetric", "--n", "2", "--axis", "s", "--min", "0",
+                "--max", "0.9", "--steps", "50000", "--outputs", "closed_form", "--out", str(path)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 << 20
+        lines = path.read_text().splitlines()
+        assert len(lines) == 50001 and lines[-1].startswith("symmetric,2,s,0.9,")
 
     def test_psk_optimizer_column_any_n(self):
         out = run_cli(

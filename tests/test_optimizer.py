@@ -46,6 +46,7 @@ from qsd.ensembles import (
 from qsd.optimizer import (
     CERT_TOL,
     NEWTON_MIN_DAMPING,
+    WEIGHT_MIN_STEP,
     OptimizeResult,
     PskParams,
     _backtrack,
@@ -301,6 +302,40 @@ class TestReweightedSrmStart:
         assert res.certified and res.converged
         assert feasibility_residual(res.coupling) <= 1e-8
         assert shortest and set(shortest) == {NEWTON_MIN_DAMPING}
+
+    def test_singular_newton_system(self):
+        # a LinAlgError from the first Newton solve hands the log steps to
+        # projected steps, which still certify; from every solve, the
+        # ascent stops at its start and returns a best-effort result
+        ens = full_rank_ensemble(5, 6, "dirichlet")
+        solve = np.linalg.solve
+        calls = []
+
+        def first_singular(*args):
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(*args)
+
+        shortest = []
+        backtrack = optimizer._backtrack
+
+        def spy(b, eta, w, point, arc, min_step):
+            shortest.append(min_step)
+            return backtrack(b, eta, w, point, arc, min_step)
+
+        with mock.patch.object(np.linalg, "solve", first_singular), mock.patch.object(optimizer, "_backtrack", spy):
+            res = optimize_general(ens)
+        assert len(calls) >= 2
+        assert shortest and set(shortest) == {WEIGHT_MIN_STEP}
+        assert res.certified and res.converged
+        assert feasibility_residual(res.coupling) <= 1e-8
+
+        with mock.patch.object(np.linalg, "solve", side_effect=np.linalg.LinAlgError("singular matrix")):
+            res = optimize_general(ens)
+        assert not res.converged and not res.certified
+        assert CERT_TOL < res.dual_gap < 1e-3
+        assert feasibility_residual(res.coupling) <= 1e-8
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(

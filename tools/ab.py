@@ -32,11 +32,42 @@ interquartile range; and, against the metric's ``bound`` in
 parent's, relative to it, with one of ``ok``, ``REGRESSED`` or
 ``unresolved`` (the parent's runs spread by more than the bound, and not
 every change run beats every parent run).
+
+    python tools/ab.py --parent <rev> --in-process --workload W [...] \
+        --seeds A-B --seconds S [--smoke]
+
+``--in-process`` compares the two trees inside one interpreter instead,
+for the library workloads (``solve``, ``dilation``, ``sample``).  The
+parent's ``src/qsd`` is loaded three times and the working tree's once,
+side by side, each as its own package
+(``importlib.util.spec_from_file_location`` with
+``submodule_search_locations``; qsd's modules import each other
+relatively), and the working tree's ``qsdbench/workloads.py``, unmodified,
+is bound to each.  For each seed the four make the same rounds from the
+same inputs (``run.py``'s number of rounds for ``--seconds``).  Every
+operation runs once untimed on the third parent copy, so that no timed run
+is the first of its kind in the caches (that run took 11 % longer than the
+next on ``dilation``), then on the parent, the second parent copy and the
+change in turn, the order rotating through the six permutations, with its
+wall time and its thread's CPU time recorded; each timed result is
+checked, untimed, by the workload's own check.  Per workload and
+clock it prints the median of the per-operation ratios change / parent,
+with the order statistics that bracket that median with at least 90 %
+confidence (the 5-95 % interval, distribution-free), and the same for the
+parent's second copy against the first: the null, whose interval shows
+what identical code reads.  CPU time is the calling thread's, so the
+work of BLAS threads and of ``sample``'s Monte Carlo workers is missing
+from it.  Nothing is pinned and no machine setting is changed.  The
+result goes to ``BENCH_<parent short sha>_in_process.json``: these
+summaries and the failed operations per side, not the per-operation
+times.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
+import itertools
 import json
 import math
 import pathlib
@@ -46,6 +77,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -179,6 +211,124 @@ def layer_ratios(parent_layers: dict, change_layers: dict) -> list[str]:
     return lines
 
 
+IN_PROCESS_SIDES = ("parent", "null", "change")
+IN_PROCESS_WORKLOADS = {"solve": "Solve", "dilation": "Dilation", "sample": "Sample"}
+
+
+def load_tree(src: pathlib.Path, name: str):
+    """The qsd package under src, imported as the package ``name``."""
+    init = src / "qsd" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def bind_workloads(package):
+    """qsdbench/workloads.py as a module of its own whose ``import qsd``
+    finds package."""
+    name = f"workloads_{package.__name__}"
+    spec = importlib.util.spec_from_file_location(name, ROOT / "qsdbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    sys.modules["qsd"] = package
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules["qsd"]
+    return module
+
+
+def median_ranks(n: int) -> tuple[int, int]:
+    """0-based ranks of the order statistics of n samples that bracket
+    their median with at least 90 % confidence: the l-th smallest and the
+    l-th largest, l the largest with P(Binomial(n, 1/2) <= l - 1) <= 5 %
+    (l = 1 when even the extremes fall short, below 5 samples)."""
+    cdf = term = 1  # P(B <= k) * 2**n, and C(n, k), at k = 0
+    k = 0
+    while 20 * cdf <= 2**n:
+        term = term * (n - k) // (k + 1)
+        cdf += term
+        k += 1
+    lo = max(k - 1, 0)
+    return lo, n - 1 - lo
+
+
+def ratio_summary(parent: list[float], other: list[float]) -> dict:
+    ratios = sorted(o / p for p, o in zip(parent, other))
+    lo, hi = median_ranks(len(ratios))
+    return {"median": statistics.median(ratios), "interval": [ratios[lo], ratios[hi]], "pairs": len(ratios)}
+
+
+def run_in_process(workloads: dict, workload: str, seeds: list[int], rounds: int, smoke: bool) -> dict:
+    """Every operation of ``rounds`` rounds per seed: once untimed on the
+    ``warm`` side, then timed on each side in turn.  Returns the number of
+    operations and, per side, the failed ones and the wall and thread CPU
+    times."""
+    orders = list(itertools.permutations(IN_PROCESS_SIDES))
+    times = {side: {"wall": [], "cpu": []} for side in IN_PROCESS_SIDES}
+    failed = dict.fromkeys(IN_PROCESS_SIDES, 0)
+    count = 0
+    for seed in seeds:
+        made = {side: getattr(mod, IN_PROCESS_WORKLOADS[workload])(seed, rounds, smoke) for side, mod in workloads.items()}
+        for r in range(rounds):
+            ops = {side: w.round(r) for side, w in made.items()}
+            for same in zip(*ops.values()):
+                same = dict(zip(ops, same))
+                if len({op.kind for op in same.values()}) != 1:
+                    raise RuntimeError(f"the sides made different operations: {[op.kind for op in same.values()]}")
+                count += 1
+                try:
+                    same["warm"].run()
+                except Exception:  # the timed runs count failures
+                    pass
+                for side in orders[count % len(orders)]:
+                    op = same[side]
+                    wall, cpu = time.perf_counter(), time.thread_time()
+                    try:
+                        result, outcome = op.run(), None
+                    except Exception as exc:  # any exception is a failed operation
+                        outcome = (f"{type(exc).__name__}: {exc}", False)
+                    cpu, wall = time.thread_time() - cpu, time.perf_counter() - wall
+                    times[side]["wall"].append(wall)
+                    times[side]["cpu"].append(cpu)
+                    if outcome is None:
+                        outcome = op.check(result)
+                    failed[side] += outcome is not None
+    return {"ops": count, "failed": failed, "times": times}
+
+
+def in_process(args, parent_root: pathlib.Path) -> dict:
+    """The ``--in-process`` comparison of every requested workload."""
+    sys.path.insert(0, str(ROOT / "qsdbench"))
+    from run import ROUND_SECONDS
+
+    trees = {side: parent_root / "src" for side in ("parent", "null", "warm")} | {"change": ROOT / "src"}
+    bound = {side: bind_workloads(load_tree(src, f"qsd_ab_{side}")) for side, src in trees.items()}
+    results = {}
+    for workload in args.workload:
+        rounds = 1 if args.smoke else max(1, round(args.seconds / ROUND_SECONDS[workload]))
+        rec = run_in_process(bound, workload, args.seeds, rounds, args.smoke)
+        times = rec.pop("times")
+        rec["summary"] = {
+            clock: {other: ratio_summary(times["parent"][clock], times[other][clock]) for other in ("change", "null")}
+            for clock in ("wall", "cpu")
+        }
+        results[workload] = {"seeds": args.seeds, "rounds": rounds, **rec}
+        failed = ", ".join(f"{side} {n}" for side, n in rec["failed"].items())
+        print(f"{workload}: in process, {rec['ops']} operations per side; failed: {failed}")
+        for clock, pair in rec["summary"].items():
+            for other, s in pair.items():
+                lo, hi = s["interval"]
+                print(
+                    f"  {clock:4s} {other:6s}/ parent median {s['median']:.4f}"
+                    f"  5-95 % interval [{lo:.4f}, {hi:.4f}] ({lo - 1:+.2%}, {hi - 1:+.2%})"
+                )
+        sys.stdout.flush()
+    return results
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -186,7 +336,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="A-B, inclusive")
     parser.add_argument("--seconds", required=True, type=float)
     parser.add_argument("--smoke", action="store_true", help="the harness's tiny inputs, one round")
+    parser.add_argument("--in-process", action="store_true", help="both trees in this interpreter, per-operation times")
     args = parser.parse_args(argv)
+    if args.in_process and not set(args.workload) <= set(IN_PROCESS_WORKLOADS):
+        parser.error(f"--in-process takes the workloads {', '.join(IN_PROCESS_WORKLOADS)}")
 
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
@@ -199,6 +352,20 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="qsd-ab-") as tmp:
         parent_root = pathlib.Path(tmp) / "parent"
         export(parent, parent_root)
+        if args.in_process:
+            result = {
+                "what": (
+                    f"tools/ab.py --in-process --seconds {args.seconds:g}{' --smoke' if args.smoke else ''}: "
+                    "the parent's qsd loaded three times (parent, null, warm) and this change's once, "
+                    "in one interpreter; each operation once untimed on warm, then timed on parent, "
+                    "null and change in rotating order; per clock, the median change / parent and "
+                    "null / parent ratio with its 5-95 % interval"
+                ),
+                "parent": parent,
+                "change": change,
+                "workloads": in_process(args, parent_root),
+            }
+            return write_result(result, f"BENCH_{parent[:7]}_in_process.json")
         sides = {"parent": parent_root, "change": ROOT}
         for workload in args.workload:
             runs, per_layer = [], {"seed": args.seeds[0]}
@@ -249,7 +416,11 @@ def main(argv=None) -> int:
         "machine": machine,
         "workloads": workloads,
     }
-    path = ROOT / f"BENCH_{parent[:7]}.json"
+    return write_result(result, f"BENCH_{parent[:7]}.json")
+
+
+def write_result(result: dict, name: str) -> int:
+    path = ROOT / name
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from ab import summarize, verdicts
+from ab import median_ranks, summarize, verdicts
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SUMMARY_KEYS = {
@@ -99,3 +99,47 @@ def test_verdicts_no_regression_check():
     outcomes = {name: lines[2 * i + 1].rsplit(": ", 1)[1] for i, name in enumerate(cases)}
     assert outcomes == {"ok": "ok", "regressed": "REGRESSED", "unresolved": "unresolved", "wide_but_beaten": "ok"}
     assert "median worse by +40.00% (bound 25%" in lines[3]
+
+
+def test_in_process_smoke():
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True).stdout.strip()
+    path = ROOT / f"BENCH_{head[:7]}_in_process.json"
+    assert not path.exists(), path
+    cmd = [sys.executable, "tools/ab.py", "--parent", "HEAD", "--in-process", "--seeds", "1-2", "--seconds", "1", "--smoke"]
+    cmd += ["--workload", "solve", "--workload", "dilation", "--workload", "sample"]
+    try:
+        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(path.read_text())
+    finally:
+        path.unlink(missing_ok=True)
+
+    assert set(result) == {"what", "parent", "change", "workloads"} and result["parent"] == head
+    assert list(result["workloads"]) == ["solve", "dilation", "sample"]
+    for name, rec in result["workloads"].items():
+        assert rec["seeds"] == [1, 2] and rec["rounds"] == 1
+        assert set(rec) == {"seeds", "rounds", "ops", "failed", "summary"}
+        ops = rec["ops"]
+        assert ops > 0 and rec["failed"] == {"parent": 0, "null": 0, "change": 0}
+        for clock in ("wall", "cpu"):
+            for other in ("change", "null"):
+                s = rec["summary"][clock][other]
+                assert s["pairs"] == ops and s["interval"][0] <= s["median"] <= s["interval"][1]
+        assert f"{name}: in process, {ops} operations per side" in proc.stdout
+    assert "5-95 % interval" in proc.stdout
+
+
+def test_in_process_refuses_cli():
+    cmd = [sys.executable, "tools/ab.py", "--parent", "HEAD", "--in-process", "--workload", "cli"]
+    proc = subprocess.run(cmd + ["--seeds", "1", "--seconds", "1"], cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 2 and "--in-process takes the workloads" in proc.stderr
+
+
+def test_median_ranks():
+    # P(Binomial(n, 1/2) <= l - 1) <= 5 % for the l-th order statistic from
+    # each end; too few samples for that give the extremes
+    assert median_ranks(1) == (0, 0)
+    assert median_ranks(4) == (0, 3)
+    assert median_ranks(5) == (0, 4)
+    assert median_ranks(10) == (1, 8)
+    assert median_ranks(100) == (41, 58)
